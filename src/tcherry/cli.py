@@ -6,7 +6,7 @@ with 6 significant digits, both in bits (``--nats`` rescales the text
 output of fit/score).
 
 Exit codes: 0 success, 1 structural check failure, 2 input error,
-3 resource guard.
+3 resource guard, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from importlib.resources import as_file
+from itertools import islice
 from pathlib import Path
 
 from .datasets import lizards_path, load_lizards
@@ -25,7 +26,8 @@ from .distribution import (
     MarginalCache,
     with_additive_smoothing,
 )
-from .errors import CapacityError, DataFormatError, DomainError, StructureError
+from .errors import (CapacityError, ConsistencyError, DataFormatError, DomainError,
+                     StructureError)
 from .io import load_table, write_counts_csv
 from .junction_tree import (
     Hypergraph,
@@ -95,7 +97,12 @@ def _emit(lines) -> None:
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    # Same bytes as json.dumps(obj, indent=2), written in batches of chunks
+    # so the whole document never sits in memory as one string.
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := list(islice(chunks, 65536)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +604,9 @@ def main(argv=None) -> int:
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ConsistencyError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,8 @@ operation returns a new object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +26,11 @@ DEFAULT_CELL_CAP = 100_000_000
 
 #: Absolute tolerance on the total mass of a probability table.
 MASS_TOL = 1e-12
+
+#: Summing n non-negative terms in any order errs by at most (n - 1)·eps/2
+#: of their total, so a marginal reduced from an n-cell joint may drift
+#: from unit mass by up to MASS_TOL + n·_EPS.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -93,15 +99,16 @@ def _check_cap(scheme, cap: int) -> int:
     return cells
 
 
-def _frozen_probs(probs, shape, what: str) -> np.ndarray:
+def _frozen_probs(probs, shape, what: str, tol: float = MASS_TOL,
+                  error: type[Exception] = DomainError) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} contains non-finite entries")
+        raise error(f"{what} contains non-finite entries")
     if np.any(arr < 0.0):
-        raise DomainError(f"{what} contains negative entries")
+        raise error(f"{what} contains negative entries")
     total = float(np.sum(arr))
-    if abs(total - 1.0) > MASS_TOL:
-        raise DomainError(f"{what} entries sum to {total!r}, not 1")
+    if abs(total - 1.0) > tol:
+        raise error(f"{what} entries sum to {total!r}, not 1")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -165,19 +172,28 @@ class JointTable:
 
 @dataclass(frozen=True)
 class MarginalTable:
-    """Marginal distribution over a sorted subset of variable indices."""
+    """Marginal distribution over a sorted subset of variable indices.
+
+    ``summed`` marks a table reduced inside the package from a joint of
+    that many cells: its mass tolerance grows with the cells summed, and
+    a failed check is an internal ``ConsistencyError``, not bad input.
+    """
 
     subset: tuple[int, ...]
     probs: np.ndarray
+    summed: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, summed):
         subset = tuple(int(i) for i in self.subset)
         if list(subset) != sorted(set(subset)):
             raise DomainError(f"marginal subset must be sorted and duplicate-free: {subset}")
         if not subset:
             raise DomainError("marginal subset must be non-empty")
         object.__setattr__(self, "subset", subset)
-        arr = _frozen_probs(self.probs, np.asarray(self.probs).shape, "marginal table")
+        tol, error = ((MASS_TOL, DomainError) if summed is None
+                      else (MASS_TOL + summed * _EPS, ConsistencyError))
+        arr = _frozen_probs(self.probs, np.asarray(self.probs).shape,
+                            f"marginal table over {subset}", tol, error)
         if arr.ndim != len(subset):
             raise DomainError(
                 f"marginal array has {arr.ndim} axes for subset of size {len(subset)}"
@@ -233,7 +249,7 @@ def marginalize(p: JointTable, subset: Iterable[int]) -> MarginalTable:
     keep = set(subset)
     drop = tuple(i for i in range(p.d) if (i + 1) not in keep)
     probs = p.probs.sum(axis=drop) if drop else p.probs
-    return MarginalTable(subset, probs)
+    return MarginalTable(subset, probs, p.probs.size)
 
 
 def entropy(table) -> float:
@@ -274,33 +290,83 @@ def conditional_entropy(p: JointTable, target: int, given: Iterable[int]) -> flo
 class MarginalCache:
     """Memoizes marginals, entropies and information contents per subset.
 
+    ``prefetch(k)`` fills every k-subset marginal in one pass; a smaller
+    subset requested afterwards is reduced from a cached k-superset.
     Values are deterministic, so concurrent writers racing on a key
     would store identical floats; within one process a plain dict is
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_h")
+    __slots__ = ("table", "_marginals", "_h", "_order")
 
     def __init__(self, table: JointTable):
         self.table = table
         self._marginals: dict[tuple[int, ...], MarginalTable] = {}
         self._h: dict[tuple[int, ...], float] = {}
+        self._order = 0  # every subset of this size is cached
+
+    def prefetch(self, k: int) -> None:
+        """Cache the marginal of every k-subset in one depth-first pass.
+
+        The node for a sorted prefix a1 < … < aj holds the table over
+        {a1..aj} ∪ {aj+1..d}. Its children take a(j+1) = aj+1, aj+2, …
+        in turn, summing out one more axis between each, and a leaf sums
+        out its trailing axes. Every new partial sum is at most half the
+        table it came from, so the live ones add up to less than the
+        joint, and the pass reads about 2·k·cells instead of C(d,k)·cells.
+        """
+        d, k = self.table.d, int(k)
+        if not 1 <= k <= d:
+            raise DomainError(f"prefetch order must be in 1..{d}, got {k}")
+        if k <= self._order:
+            return
+        cells, store = self.table.probs.size, self._marginals
+
+        def walk(prefix, probs, first):
+            j = len(prefix)
+            last = d - k + j + 1  # leave room for the k - j - 1 later picks
+            for b in range(first, last + 1):
+                key = prefix + (b,)
+                if j + 1 < k:
+                    walk(key, probs, b + 1)
+                elif key not in store:
+                    store[key] = MarginalTable(
+                        key, probs.sum(axis=tuple(range(k, probs.ndim))), cells)
+                if b < last:
+                    probs = probs.sum(axis=j)
+
+        walk((), self.table.probs, 1)
+        self._order = k
 
     def marginal(self, subset) -> MarginalTable:
-        key = canonical_subset(subset, self.table.d)
-        m = self._marginals.get(key)
+        m = self._marginals.get(subset) if type(subset) is tuple else None
         if m is None:
-            m = marginalize(self.table, key)
-            self._marginals[key] = m
+            key = canonical_subset(subset, self.table.d)
+            m = self._marginals.get(key)
+            if m is None:
+                m = self._reduce(key)
+                self._marginals[key] = m
         return m
+
+    def _reduce(self, key: tuple[int, ...]) -> MarginalTable:
+        """Sum ``key``'s marginal out of its cached superset padded with the
+        lowest missing indices; a subset no prefetch covers uses the joint."""
+        if len(key) >= self._order:
+            return marginalize(self.table, key)
+        pad = islice((i for i in count(1) if i not in key), self._order - len(key))
+        sup = self._marginals[tuple(sorted(key + tuple(pad)))]
+        drop = tuple(a for a, i in enumerate(sup.subset) if i not in key)
+        return MarginalTable(key, sup.probs.sum(axis=drop), self.table.probs.size)
 
     def h(self, subset) -> float:
         """Entropy in bits of the marginal over ``subset``."""
-        key = canonical_subset(subset, self.table.d)
-        value = self._h.get(key)
+        value = self._h.get(subset) if type(subset) is tuple else None
         if value is None:
-            value = entropy(self.marginal(key))
-            self._h[key] = value
+            key = canonical_subset(subset, self.table.d)
+            value = self._h.get(key)
+            if value is None:
+                value = entropy(self.marginal(key))
+                self._h[key] = value
         return value
 
     def info(self, subset) -> float:

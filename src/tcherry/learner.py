@@ -84,6 +84,7 @@ def enumerate_candidates(p: JointTable, k: int,
     """Score every (k-subset, distinguished vertex) pair: C(d,k)·k candidates."""
     k = _validate_k(p, k)
     cache = _cache_for(p, cache)
+    cache.prefetch(k)
     out: list[Candidate] = []
     for cluster in combinations(p.variables, k):
         i_cluster = cache.info(cluster)
@@ -199,6 +200,7 @@ def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult
     if p.d < 2:
         raise DomainError("chow_liu needs at least two variables")
     cache = _cache_for(p, cache)
+    table = tuple(sorted(enumerate_candidates(p, 2, cache), key=_sk_key))
     ranked = sorted(
         combinations(p.variables, 2),
         key=lambda e: (-cache.info(e), e),
@@ -223,7 +225,6 @@ def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult
         else:
             raise ConsistencyError("spanning edges do not connect the variables")
     score = tree_weight(p, tree, cache)
-    table = tuple(sorted(enumerate_candidates(p, 2, cache), key=_sk_key))
     return FitResult("chow_liu", tree, tuple(trace), score, table)
 
 

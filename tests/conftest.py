@@ -17,8 +17,10 @@ def lizard() -> JointTable:
     return load_lizards()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def lizard_cache(lizard) -> MarginalCache:
+    # Fresh per test: a fit prefetches into the cache, and a shared one
+    # would make a test's last bits depend on which tests ran before it.
     return MarginalCache(lizard)
 
 

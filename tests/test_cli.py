@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tcherry import fit_sk, fit_malvestuto, tree_to_json
+import tcherry.cli
+from tcherry import ConsistencyError, fit_sk, fit_malvestuto, tree_to_json
 from tcherry.cli import main
 
 SK4_FIT_TEXT = """\
@@ -147,6 +150,23 @@ def test_cap_guard_exit_code(capsys):
     code, _, err = run(capsys, "fit", "--k", "3", "--cap", "10", "lizards.csv")
     assert code == 3
     assert "cap" in err
+
+
+def test_internal_consistency_failure_exit_code(capsys, monkeypatch):
+    def drifted(*args):
+        raise ConsistencyError("marginal over (1,) entries sum to 0.9, not 1")
+
+    monkeypatch.setattr(tcherry.cli, "fit_sk", drifted)
+    code, out, err = run(capsys, "fit", "--k", "3", "lizards.csv")
+    assert code == 4 and out == ""
+    assert "internal consistency" in err
+
+
+def test_json_emit_matches_one_shot_dumps_across_batches(capsys):
+    # Enough chunks for several write batches.
+    doc = {"rows": [{"w": i / 7, "cluster": [i, i + 1], "none": None} for i in range(30000)]}
+    tcherry.cli._emit_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_output_is_byte_identical_across_runs(capsys):
@@ -332,9 +352,12 @@ def test_synth_strength_schedule_validation(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # The child runs elsewhere, so a relative src entry would not resolve.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "tcherry", "fit", "--k", "4", "lizards.csv"],
-        capture_output=True, text=True, cwd="/tmp",
+        capture_output=True, text=True, cwd="/tmp", env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == SK4_FIT_TEXT

@@ -5,23 +5,30 @@ no shared code with the library paths under test.
 """
 
 import math
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import tcherry.distribution
 from conftest import random_table
 from tcherry import (
     CapacityError,
+    ConsistencyError,
     DataFormatError,
     DomainError,
     JointTable,
     MarginalCache,
+    MarginalTable,
     VariableSpec,
     conditional_entropy,
     entropy,
+    fit_sk,
     from_counts,
+    generate_tcherry_distribution,
     information_content,
+    kl_entropy_form,
     make_scheme,
     marginalize,
     with_additive_smoothing,
@@ -272,6 +279,79 @@ def test_cache_point_restricts_full_states():
     assert cache.point((1,), (2, 1, 1)) == pytest.approx(
         marginalize(t, (1,)).prob((2,))
     )
+
+
+# -- marginal lattice -------------------------------------------------------
+
+
+def _refuse_full_table(p, subset):
+    raise AssertionError(f"marginal over {subset} went back to the full table")
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_prefetch_and_superset_reductions_match_marginalize(d, monkeypatch):
+    rng = np.random.default_rng(300 + d)
+    t = random_table(rng, rng.integers(2, 5, size=d), zero_fraction=0.2)
+    for k in range(2, d):
+        cache = MarginalCache(t)
+        cache.prefetch(k)
+        with monkeypatch.context() as m:
+            # Every subset of size <= k must come from the lattice or from a
+            # cached k-superset, never from the joint.
+            m.setattr(tcherry.distribution, "marginalize", _refuse_full_table)
+            got = {s: cache.marginal(s)
+                   for r in range(1, k + 1) for s in combinations(t.variables, r)}
+        for s, marginal in got.items():
+            assert marginal.subset == s
+            np.testing.assert_allclose(marginal.probs, marginalize(t, s).probs,
+                                       rtol=0, atol=1e-12)
+
+
+def test_prefetch_is_idempotent_and_covered_by_higher_orders():
+    t = random_table(np.random.default_rng(53), (2, 3, 2, 4, 2))
+    cache = MarginalCache(t)
+    cache.prefetch(3)
+    first = cache.marginal((1, 2, 4))
+    cache.prefetch(3)
+    cache.prefetch(2)
+    assert cache.marginal((1, 2, 4)) is first
+    with pytest.raises(DomainError, match="order"):
+        cache.prefetch(6)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_prefetch_partial_sums_stay_below_one_joint_table(k):
+    t = random_table(np.random.default_rng(59), (2,) * 16)
+    cache = MarginalCache(t)
+    tracemalloc.start()
+    try:
+        cache.prefetch(k)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # What is still held at the end is the cache itself; the rest of the
+    # peak is the chain of live partial sums.
+    assert peak - current < t.probs.nbytes
+
+
+def test_derived_marginal_tolerance_scales_with_cells_summed():
+    drifted = np.array([0.5, 0.5 - 1.5e-12])
+    with pytest.raises(DomainError, match="sum"):
+        MarginalTable((1,), drifted)
+    assert MarginalTable((1,), drifted, 2**22).subset == (1,)
+    with pytest.raises(ConsistencyError, match="sum"):
+        MarginalTable((1,), drifted, 2)
+    with pytest.raises(ConsistencyError, match="negative"):
+        MarginalTable((1,), np.array([1.5, -0.5]), 2**22)
+
+
+def test_reduction_drift_on_a_large_table_is_not_an_input_error():
+    # Summed to x22, this 2^22-cell table came to 1 - 1.45e-12, past the
+    # absolute MASS_TOL, and fit_sk reported float drift as bad input.
+    p, _ = generate_tcherry_distribution(1, 22, 3, 2, 2.0)
+    assert float(marginalize(p, (22,)).probs.sum()) == pytest.approx(1.0, abs=1e-9)
+    fr = fit_sk(p, 3)
+    assert fr.score.kl == pytest.approx(kl_entropy_form(p, fr.tree), abs=1e-9)
 
 
 # -- smoothing --------------------------------------------------------------

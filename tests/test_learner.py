@@ -44,6 +44,30 @@ def test_candidate_count_and_values(lizard, lizard_cache):
         assert c.omega >= -1e-12
         assert c.cluster == tuple(sorted(c.base + (c.new_vertex,)))
 
+def _order(fr):
+    return [(c.cluster, c.base, c.new_vertex) for c in fr.candidate_table]
+
+
+@pytest.mark.parametrize("fit", [fit_sk, fit_malvestuto])
+@pytest.mark.parametrize("seed", range(4))
+def test_prefetch_keeps_trees_and_candidate_order(fit, seed, monkeypatch):
+    rng = np.random.default_rng(400 + seed)
+    d = 5 + seed
+    p = random_table(rng, rng.integers(2, 5, size=d))
+    for k in range(2, d):
+        fast = fit(p, k)
+        with monkeypatch.context() as m:
+            m.setattr(MarginalCache, "prefetch", lambda self, k: None)
+            slow = fit(p, k)
+        assert fast.tree.clusters == slow.tree.clusters
+        assert fast.tree.nu == slow.tree.nu
+        assert _order(fast) == _order(slow)
+        for a, b in zip(fast.candidate_table, slow.candidate_table):
+            assert a.w == pytest.approx(b.w, abs=1e-12)
+            assert a.omega == pytest.approx(b.omega, abs=1e-12)
+        assert fast.score.weight == pytest.approx(slow.score.weight, abs=1e-12)
+
+
 
 def test_best_candidate_weight(lizard, lizard_cache):
     best = max(enumerate_candidates(lizard, 4, lizard_cache), key=lambda c: c.w)
