@@ -216,6 +216,7 @@ def from_counts(cells, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
     probability weights); cells repeated in the input accumulate.
     """
     scheme = _check_scheme(scheme)
+    _check_cap(scheme, cap)
     states, counts = [], []
     for state, count in cells:
         state = tuple(int(s) for s in state)
@@ -223,47 +224,46 @@ def from_counts(cells, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
             raise DomainError(
                 f"cell {state}: has {len(state)} states, expected {len(scheme)}"
             )
+        count = float(count)
+        if not 0 <= count < math.inf:
+            raise DomainError(f"cell {state}: count {count!r} is not a non-negative real")
+        if not all(1 <= s <= v.cardinality for v, s in zip(scheme, state)):
+            _raise_out_of_range(state, scheme)
         states.append(state)
-        counts.append(float(count))
+        counts.append(count)
     codes = np.array(states, dtype=np.int64).reshape(len(states), len(scheme)) - 1
     return from_codes(codes, np.array(counts, dtype=np.float64), scheme, cap=cap)
+
+
+def _raise_out_of_range(state, scheme):
+    v = next(v for v, s in zip(scheme, state) if not 1 <= s <= v.cardinality)
+    raise DomainError(
+        f"cell {state}: state {state[v.index - 1]} out of range for variable {v.index} "
+        f"(cardinality {v.cardinality})"
+    )
 
 
 def from_codes(codes, counts, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
     """Build a joint table from an (n, d) integer array of 0-based state codes.
 
     Row r is the cell with 1-based states ``codes[r] + 1`` and adds
-    ``counts[r]``, a non-negative real, or one observation when
-    ``counts`` is None. Repeated cells accumulate in row order. An invalid
-    row is reported as its cell: the first such row, or for an unweighted
-    sample, whose row order carries no meaning, the smallest such cell.
+    ``counts[r]``, a non-negative real the caller has checked, or one
+    observation when ``counts`` is None. Repeated cells accumulate in row
+    order. A state out of range is reported as its cell: the first such
+    row, or for an unweighted sample, whose row order carries no meaning,
+    the smallest such cell.
     """
     scheme = _check_scheme(scheme)
-    cells = _check_cap(scheme, cap)
+    _check_cap(scheme, cap)
     shape = tuple(v.cardinality for v in scheme)
-    bad = np.zeros(len(codes), dtype=bool)
-    if counts is not None:
-        bad |= ~np.isfinite(counts) | (counts < 0)
     if len(codes) and (codes.min() < 0 or (codes.max(axis=0) >= shape).any()):
-        bad |= ((codes < 0) | (codes >= shape)).any(axis=1)
-    if bad.any():
-        rows = np.flatnonzero(bad)
+        rows = np.flatnonzero(((codes < 0) | (codes >= shape)).any(axis=1))
         if counts is None:
             rows = rows[np.lexsort(codes[rows].T[::-1])]
-        r = rows[0]
-        state = tuple((codes[r].astype(np.int64) + 1).tolist())
-        if counts is not None and not 0 <= counts[r] < math.inf:
-            raise DomainError(
-                f"cell {state}: count {float(counts[r])!r} is not a non-negative real"
-            )
-        i = next(i for i, s in enumerate(state) if not 1 <= s <= shape[i])
-        raise DomainError(
-            f"cell {state}: state {state[i]} out of range for variable {i + 1} "
-            f"(cardinality {shape[i]})"
-        )
-    flat = np.ravel_multi_index(codes.T, shape)
-    table = np.bincount(flat, weights=counts, minlength=cells)
-    table = table.astype(np.float64, copy=False).reshape(shape)
+        _raise_out_of_range(tuple((codes[rows[0]].astype(np.int64) + 1).tolist()), scheme)
+    table = np.zeros(shape)
+    np.add.at(table.reshape(-1), np.ravel_multi_index(codes.T, shape),
+              1.0 if counts is None else counts)
     total = float(np.sum(table))
     if total <= 0.0:
         raise DomainError("counts are all zero; cannot form a distribution")

@@ -127,7 +127,8 @@ def _read_body(f, d, has_count, path):
                 _check_rows(lines, first_line, d, has_count, path, exc)
             # Copy the counts: a view would pin the whole parsed chunk.
             states, c = (rows["s"], rows["c"].copy()) if has_count else (rows, np.zeros(1))
-            if states.min() < 1 or not (c.min() >= 0 and c.max() < math.inf):
+            if (states.shape[1] != d or states.min() < 1
+                    or not (c.min() >= 0 and c.max() < math.inf)):
                 _check_rows(lines, first_line, d, has_count, path)
             top = states.max(axis=0)
             np.maximum(maxima, top, out=maxima)

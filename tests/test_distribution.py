@@ -134,6 +134,21 @@ def test_from_counts_names_the_offending_cell():
         from_counts([((1, 3), 1.0)], make_scheme([2, 2]))
     with pytest.raises(DomainError, match="negative"):
         from_counts([((1, 1), -2.0)], make_scheme([2, 2]))
+    # The first bad cell in order is named, whatever is wrong with a later
+    # one, and a state beyond int64 is out of range like any other.
+    for cells, message in [
+        ([((1, 3), 1.0), ((1,), 1.0)],
+         "cell (1, 3): state 3 out of range for variable 2 (cardinality 2)"),
+        ([((1, 1), 1.0), ((2, 1), -1.0), ((3, 1), 1.0)],
+         "cell (2, 1): count -1.0 is not a non-negative real"),
+        ([((1, 1), 1.0), ((1,), 1.0), ((1, 1), math.nan)],
+         "cell (1,): has 1 states, expected 2"),
+        ([((1, 2**70), 1.0)],
+         f"cell (1, {2**70}): state {2**70} out of range for variable 2 (cardinality 2)"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            from_counts(cells, make_scheme([2, 2]))
+        assert str(exc.value) == message
 
 
 def test_from_counts_rejects_all_zero():

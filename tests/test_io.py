@@ -221,6 +221,8 @@ REJECTED = {
     "empty state": ("x1,x2\n,1\n", "{p}:2: column 1: '' is not an integer state"),
     "too few fields": ("x1,x2,count\n1,1,1\n1,2\n", "{p}:3: expected 3 fields, got 2"),
     "too many fields": ("x1,x2\n1,1\n1,2,3\n", "{p}:3: expected 2 fields, got 3"),
+    "too many fields in every row": ("x1,x2\n1,1,5\n2,1,3\n", "{p}:2: expected 2 fields, got 3"),
+    "too few fields in every row": ("x1,x2,x3\n1\n2\n", "{p}:2: expected 3 fields, got 1"),
     "whitespace line": ("x1,x2\n1,1\n  \n", "{p}:3: expected 2 fields, got 1"),
     "nan count": ("x1,x2,count\n1,1,1\n1,2,nan\n",
                   "{p}:3: column 3: count must be a non-negative real"),
@@ -302,6 +304,17 @@ def test_chunked_reads_match_one_chunk(tmp_path, monkeypatch):
     with pytest.raises(DataFormatError) as exc:
         load_table(path)
     assert str(exc.value) == f"{path}:{40 + 2}: expected 4 fields, got 5"
+
+
+def test_samples_chunk_of_another_width(tmp_path, monkeypatch):
+    # Every row of the second chunk has one field too many, so the array
+    # parse itself succeeds on that chunk.
+    path = tmp_path / "s.csv"
+    path.write_text("x1,x2\n1,2\n2,1\n1,1\n2,2\n1,2,1\n2,1,1\n1,1,1\n2,2,1\n")
+    monkeypatch.setattr(tcherry.io, "_CHUNK_LINES", 4)
+    with pytest.raises(DataFormatError) as exc:
+        load_table(path)
+    assert str(exc.value) == f"{path}:6: expected 2 fields, got 3"
 
 
 # -- writer --------------------------------------------------------------------
