@@ -43,7 +43,6 @@ from .junction_tree import (
 )
 from .learner import (
     FitResult,
-    _admissible,
     fit_chow_liu,
     fit_exhaustive,
     fit_malvestuto,
@@ -81,9 +80,11 @@ def _load_input(path_str: str, scheme, smoothing: float, cap: int) -> JointTable
 
 def _read_tree_doc(path_str: str):
     try:
-        text = Path(path_str).read_text()
+        text = Path(path_str).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path_str}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -250,7 +251,7 @@ def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
     tree = new_parent(fr.tree.k, head)
     for step in fr.trace[1:]:
         for c in fr.candidate_table:
-            if _admissible(tree, c):
+            if tree.admits(c.new_vertex, c.base):
                 out.append({
                     "cluster": c.cluster,
                     "separator": c.base,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from itertools import count, islice
+from itertools import combinations, count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,7 +75,8 @@ def canonical_subset(subset: Iterable[int], d: int, what: str = "subset") -> tup
     return t
 
 
-def _check_scheme(scheme) -> tuple[VariableSpec, ...]:
+def check_scheme(scheme) -> tuple[VariableSpec, ...]:
+    """The scheme as a tuple; its indices must be exactly 1..d in order."""
     scheme = tuple(scheme)
     if not scheme:
         raise DomainError("scheme must contain at least one variable")
@@ -87,7 +88,9 @@ def _check_scheme(scheme) -> tuple[VariableSpec, ...]:
     return scheme
 
 
-def _check_cap(scheme, cap: int) -> int:
+def check_cap(scheme, cap: int) -> int:
+    """Number of cells of the scheme's state space; raises before any
+    allocation when it exceeds ``cap``."""
     cells = 1
     for v in scheme:
         cells *= v.cardinality
@@ -126,8 +129,8 @@ class JointTable:
 
     def __init__(self, scheme, probs, total_count: float | None = None,
                  cap: int = DEFAULT_CELL_CAP):
-        scheme = _check_scheme(scheme)
-        _check_cap(scheme, cap)
+        scheme = check_scheme(scheme)
+        check_cap(scheme, cap)
         shape = tuple(v.cardinality for v in scheme)
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "probs", _frozen_probs(probs, shape, "joint table"))
@@ -215,8 +218,8 @@ def from_counts(cells, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
     Counts are non-negative reals (integer contingency counts or exact
     probability weights); cells repeated in the input accumulate.
     """
-    scheme = _check_scheme(scheme)
-    _check_cap(scheme, cap)
+    scheme = check_scheme(scheme)
+    check_cap(scheme, cap)
     states, counts = [], []
     for state, count in cells:
         state = tuple(int(s) for s in state)
@@ -253,8 +256,8 @@ def from_codes(codes, counts, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable
     row, or for an unweighted sample, whose row order carries no meaning,
     the smallest such cell.
     """
-    scheme = _check_scheme(scheme)
-    _check_cap(scheme, cap)
+    scheme = check_scheme(scheme)
+    check_cap(scheme, cap)
     shape = tuple(v.cardinality for v in scheme)
     if len(codes) and (codes.min() < 0 or (codes.max(axis=0) >= shape).any()):
         rows = np.flatnonzero(((codes < 0) | (codes >= shape)).any(axis=1))
@@ -318,8 +321,9 @@ def conditional_entropy(p: JointTable, target: int, given: Iterable[int]) -> flo
 class MarginalCache:
     """Memoizes marginals, entropies and information contents per subset.
 
-    ``prefetch(k)`` fills every k-subset marginal in one pass; a smaller
-    subset requested afterwards is reduced from a cached k-superset.
+    ``fill(subsets)`` caches any set of marginals in one pass over the
+    joint, and ``prefetch(k)`` fills every k-subset; a smaller subset
+    requested after a prefetch is reduced from a cached k-superset.
     Values are deterministic, so concurrent writers racing on a key
     would store identical floats; within one process a plain dict is
     all that is needed.
@@ -333,38 +337,55 @@ class MarginalCache:
         self._h: dict[tuple[int, ...], float] = {}
         self._order = 0  # every subset of this size is cached
 
-    def prefetch(self, k: int) -> None:
-        """Cache the marginal of every k-subset in one depth-first pass.
+    def fill(self, subsets) -> None:
+        """Cache the marginal of every subset in ``subsets``, of any sizes,
+        in one walk from the joint; subsets already cached keep their values."""
+        self._walk({canonical_subset(s, self.table.d) for s in subsets})
 
-        The node for a sorted prefix a1 < … < aj holds the table over
-        {a1..aj} ∪ {aj+1..d}. Its children take a(j+1) = aj+1, aj+2, …
-        in turn, summing out one more axis between each, and a leaf sums
-        out its trailing axes. Every new partial sum is at most half the
-        table it came from, so the live ones add up to less than the
-        joint, and the pass reads about 2·k·cells instead of C(d,k)·cells.
-        """
+    def prefetch(self, k: int) -> None:
+        """Cache the marginal of every k-subset in one pass, which reads
+        about 2·k·cells instead of C(d,k)·cells."""
         d, k = self.table.d, int(k)
         if not 1 <= k <= d:
             raise DomainError(f"prefetch order must be in 1..{d}, got {k}")
         if k <= self._order:
             return
-        cells, store = self.table.probs.size, self._marginals
-
-        def walk(prefix, probs, first):
-            j = len(prefix)
-            last = d - k + j + 1  # leave room for the k - j - 1 later picks
-            for b in range(first, last + 1):
-                key = prefix + (b,)
-                if j + 1 < k:
-                    walk(key, probs, b + 1)
-                elif key not in store:
-                    store[key] = MarginalTable(
-                        key, probs.sum(axis=tuple(range(k, probs.ndim))), cells)
-                if b < last:
-                    probs = probs.sum(axis=j)
-
-        walk((), self.table.probs, 1)
+        self._walk(set(combinations(range(1, d + 1), k)))
         self._order = k
+
+    def _walk(self, keys: set[tuple[int, ...]]) -> None:
+        """Fill the canonical ``keys`` by a depth-first walk over their prefixes.
+
+        The node for a prefix a1 < … < aj holds the table over
+        {a1..aj} ∪ {aj+1..d}, and a key equal to the prefix is summed out
+        of its trailing axes there. Before each child b the node sums
+        out, in one call, the axes of the variables from the previous
+        child (or aj+1) up to b − 1. Every new partial sum is at most half the table it
+        came from, so the live ones add up to less than the joint.
+        """
+        store = self._marginals
+        if keys <= store.keys():
+            return
+        trie: dict = {}
+        for key in keys:
+            node = trie
+            for i in key:
+                node = node.setdefault(i, {})
+        cells = self.table.probs.size
+
+        def visit(prefix, probs, node):
+            j = len(prefix)
+            if prefix in keys and prefix not in store:
+                store[prefix] = MarginalTable(
+                    prefix, probs.sum(axis=tuple(range(j, probs.ndim))), cells)
+            nxt = prefix[-1] + 1 if prefix else 1  # the variable on axis j
+            for b in sorted(node):
+                if b > nxt:
+                    probs = probs.sum(axis=tuple(range(j, j + b - nxt)))
+                visit(prefix + (b,), probs, node[b])
+                nxt = b
+
+        visit((), self.table.probs, trie)
 
     def marginal(self, subset) -> MarginalTable:
         m = self._marginals.get(subset) if type(subset) is tuple else None
@@ -409,6 +430,24 @@ class MarginalCache:
         m = self.marginal(subset)
         cell = self.table.cell(full_state)
         return float(m.probs[tuple(cell[i - 1] for i in m.subset)])
+
+
+def cache_for(p: JointTable, cache: MarginalCache | None) -> MarginalCache:
+    """``cache``, checked to belong to ``p``, or a fresh cache for ``p``."""
+    if cache is None:
+        return MarginalCache(p)
+    if cache.table is not p:
+        raise DomainError("cache was built for a different table")
+    return cache
+
+
+def expand_marginal(probs: np.ndarray, subset: Sequence[int], d: int) -> np.ndarray:
+    """Reshape a marginal array over sorted ``subset`` so it broadcasts
+    over the full d-dimensional table."""
+    shape = [1] * d
+    for axis, var in enumerate(subset):
+        shape[var - 1] = probs.shape[axis]
+    return probs.reshape(shape)
 
 
 def with_additive_smoothing(p: JointTable, alpha: float) -> JointTable:

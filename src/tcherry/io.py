@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from itertools import islice, product
 from pathlib import Path
 
@@ -99,11 +100,19 @@ def _check_rows(lines, first_line, d, has_count, path, cause=None):
     raise DataFormatError(f"{path}:{first_line}-{first_line + len(lines) - 1}: {cause}")
 
 
+@contextmanager
 def _open(path):
+    """Open a UTF-8 text file; a failed open or a byte that is not UTF-8
+    is a ``DataFormatError`` naming the file."""
     try:
-        return open(path)
+        f = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from None
+    with f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_body(f, d, has_count, path):
@@ -180,10 +189,8 @@ def read_samples_csv(path, scheme=None, cap: int = DEFAULT_CELL_CAP) -> JointTab
 def read_scheme_json(path):
     """Load a scheme sidecar: {"variables": [{"name", "cardinality"}, ...]}."""
     try:
-        with open(path) as f:
+        with _open(path) as f:
             doc = json.load(f)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
@@ -246,10 +253,11 @@ def write_counts_csv(path, table: JointTable):
     """Write nonzero cells in ascending row-major order.
 
     A table with a ``total_count`` is written as counts, and a count
-    within 1e-9 of an integer is written as that integer, so integer
-    contingency data round-trips readably. A table without one is
-    written as its probabilities, each with ``repr``, which round-trips
-    every double however small.
+    within 1e-9 of a nonzero integer is written as that integer, so
+    integer contingency data round-trips readably. Every other count,
+    and every probability of a table without one, is written with
+    ``repr``, which round-trips every double however small: no positive
+    cell is ever written as 0.
     """
     probs, n = table.probs.reshape(-1), table.total_count
     head, tail = _state_labels(table.cardinalities)
@@ -260,7 +268,7 @@ def write_counts_csv(path, table: JointTable):
             pos = nonzero[start:start + _CHUNK_LINES]
             counts = probs[pos] if n is None else probs[pos] * n
             whole = np.round(counts)
-            integral = (np.abs(counts - whole) < 1e-9) & (n is not None)
+            integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)
             text = np.array([str(int(w)) if i else repr(c) for c, w, i in
                              zip(counts.tolist(), whole.tolist(), integral.tolist())], dtype=object)
             text = head[pos // len(tail)] + tail[pos % len(tail)] + text

@@ -232,6 +232,14 @@ class TCherryJunctionTree:
     def covers(self, vertex: int) -> bool:
         return any(vertex in c for c in self.clusters)
 
+    def admits(self, vertex: int, separator: IndexSet) -> bool:
+        """Whether a hypercherry may attach uncovered ``vertex`` across
+        ``separator``: some cluster must contain the separator."""
+        if self.covers(vertex):
+            return False
+        sep = set(separator)
+        return any(sep <= set(c) for c in self.clusters)
+
     def __eq__(self, other):
         if not isinstance(other, TCherryJunctionTree):
             return NotImplemented

@@ -21,7 +21,10 @@ from .distribution import (
     DEFAULT_CELL_CAP,
     JointTable,
     MarginalCache,
-    _check_scheme,
+    cache_for,
+    check_cap,
+    check_scheme,
+    expand_marginal,
     make_scheme,
 )
 from .errors import CapacityError, ConsistencyError, DomainError
@@ -33,7 +36,6 @@ from .junction_tree import (
     new_parent,
 )
 from .scoring import ScoreBreakdown, tree_weight
-from .scoring import _cache_for, _expand  # shared helpers
 
 #: Agreement demanded between a greedy accumulator and the itemized score.
 WEIGHT_CHECK_TOL = 1e-9
@@ -83,7 +85,7 @@ def enumerate_candidates(p: JointTable, k: int,
                          cache: MarginalCache | None = None) -> list[Candidate]:
     """Score every (k-subset, distinguished vertex) pair: C(d,k)·k candidates."""
     k = _validate_k(p, k)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     cache.prefetch(k)
     out: list[Candidate] = []
     for cluster in combinations(p.variables, k):
@@ -110,15 +112,8 @@ def _malvestuto_key(c: Candidate):
 def find_parent_cluster(p: JointTable, k: int,
                         cache: MarginalCache | None = None) -> IndexSet:
     """Cluster of the best candidate: argmax over K of max_v I(K) − I(K∖{v})."""
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     return min(enumerate_candidates(p, k, cache), key=_sk_key).cluster
-
-
-def _admissible(tree: TCherryJunctionTree, cand: Candidate) -> bool:
-    if tree.covers(cand.new_vertex):
-        return False
-    base = set(cand.base)
-    return any(base <= set(c) for c in tree.clusters)
 
 
 def _grow(p, tree, order, trace, cache):
@@ -126,7 +121,7 @@ def _grow(p, tree, order, trace, cache):
     accepted = 0.0
     while len(tree.vertices) < p.d:
         for cand in order:
-            if _admissible(tree, cand):
+            if tree.admits(cand.new_vertex, cand.base):
                 tree = add_hypercherry(tree, cand.new_vertex, cand.base)
                 trace.append(TraceStep(cand.cluster, cand.base, cand.w, cand.omega))
                 accepted += cand.w
@@ -144,7 +139,7 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     admissible candidate until every variable is covered.
     """
     k = _validate_k(p, k)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     order = tuple(sorted(enumerate_candidates(p, k, cache), key=_sk_key))
     parent = order[0].cluster
     tree = new_parent(k, parent)
@@ -160,7 +155,7 @@ def fit_malvestuto(p: JointTable, k: int,
                    cache: MarginalCache | None = None) -> FitResult:
     """Greedy fit by increasing entropy weight, seeded at the min-entropy cluster."""
     k = _validate_k(p, k)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     order = tuple(sorted(enumerate_candidates(p, k, cache), key=_malvestuto_key))
     parent = min(combinations(p.variables, k), key=lambda c: (cache.h(c), c))
     tree = new_parent(k, parent)
@@ -199,7 +194,7 @@ def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult
     """Maximum-mutual-information spanning tree (Kruskal), as a k = 2 tree."""
     if p.d < 2:
         raise DomainError("chow_liu needs at least two variables")
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     table = tuple(sorted(enumerate_candidates(p, 2, cache), key=_sk_key))
     ranked = sorted(
         combinations(p.variables, 2),
@@ -288,7 +283,7 @@ def fit_exhaustive(p: JointTable, k: int, max_vertices: int = 7,
             f"exhaustive search refused for d={p.d} > {max_vertices}: "
             f"up to {_sequence_bound(p.d, k)} growth sequences"
         )
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     best = None
     for clusters, seps, witness in iter_structures(p.d, k):
         weight = math.fsum(cache.info(c) for c in clusters) - math.fsum(
@@ -346,7 +341,7 @@ def random_factorizing_table(tree: TCherryJunctionTree, scheme, rng,
     uniform factor, larger strengths sharpen it. ``strengths`` has one
     entry per cluster in construction order.
     """
-    scheme = _check_scheme(scheme)
+    scheme = check_scheme(scheme)
     cards = {v.index: v.cardinality for v in scheme}
     if set(tree.vertices) != set(cards):
         raise DomainError("tree must cover exactly the scheme's variables")
@@ -356,24 +351,20 @@ def random_factorizing_table(tree: TCherryJunctionTree, scheme, rng,
             f"need {len(tree.clusters)} strengths (parent + each growth step), "
             f"got {len(strengths)}"
         )
+    check_cap(scheme, cap)
     d = len(scheme)
     shape = tuple(v.cardinality for v in scheme)
-    cells = 1
-    for c in shape:
-        cells *= c
-        if cells > cap:
-            raise CapacityError(f"product state space exceeds cap {cap}")
     parent = tree.parent
     block_shape = tuple(cards[i] for i in parent)
     block = _softmax(strengths[0] * rng.standard_normal(block_shape))
-    table = np.ones(shape) * _expand(block, parent, d)
+    table = np.ones(shape) * expand_marginal(block, parent, d)
     for j, link in enumerate(tree.links, start=1):
         cluster = tree.clusters[j]
         fresh = (set(cluster) - set(link.separator)).pop()
         cond_shape = tuple(cards[i] for i in cluster)
         axis = cluster.index(fresh)
         cond = _softmax(strengths[j] * rng.standard_normal(cond_shape), axis=axis)
-        table = table * _expand(cond, cluster, d)
+        table = table * expand_marginal(cond, cluster, d)
     table = table / np.sum(table)
     return JointTable(scheme, table, cap=cap)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import JointTable, MarginalCache
+from .distribution import JointTable, MarginalCache, cache_for, expand_marginal
 from .errors import ConsistencyError, DomainError
 from .junction_tree import IndexSet, PuzzleNumbering, TCherryJunctionTree
 
@@ -34,14 +34,6 @@ class ScoreBreakdown:
     per_separator: tuple[tuple[IndexSet, int, float], ...]
 
 
-def _cache_for(p: JointTable, cache: MarginalCache | None) -> MarginalCache:
-    if cache is None:
-        return MarginalCache(p)
-    if cache.table is not p:
-        raise DomainError("cache was built for a different table")
-    return cache
-
-
 def _check_tree(p: JointTable, t: TCherryJunctionTree):
     if not set(t.vertices) <= set(p.variables):
         raise DomainError(
@@ -57,7 +49,7 @@ def tree_weight(p: JointTable, t: TCherryJunctionTree,
     distribution whenever the tree covers every variable.
     """
     _check_tree(p, t)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     per_cluster = tuple((c, cache.info(c)) for c in t.clusters)
     per_separator = tuple((s, n, cache.info(s)) for s, n in t.nu.items())
     weight = math.fsum(i for _, i in per_cluster) - math.fsum(
@@ -71,20 +63,12 @@ def kl_entropy_form(p: JointTable, t: TCherryJunctionTree,
                     cache: MarginalCache | None = None) -> float:
     """Divergence as −H(X) + Σ_C H(X_C) − Σ_S (ν_S−1)·H(X_S)."""
     _check_tree(p, t)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     return (
         -cache.h(p.variables)
         + math.fsum(cache.h(c) for c in t.clusters)
         - math.fsum((n - 1) * cache.h(s) for s, n in t.nu.items())
     )
-
-
-def _expand(marginal_probs: np.ndarray, subset: IndexSet, d: int) -> np.ndarray:
-    """Reshape a marginal array so it broadcasts over the full d-dim table."""
-    shape = [1] * d
-    for axis, var in enumerate(subset):
-        shape[var - 1] = marginal_probs.shape[axis]
-    return marginal_probs.reshape(shape)
 
 
 def tree_pd_table(p: JointTable, t: TCherryJunctionTree,
@@ -96,14 +80,14 @@ def tree_pd_table(p: JointTable, t: TCherryJunctionTree,
     one table and raises.
     """
     _check_tree(p, t)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     d = p.d
     num = np.ones(p.probs.shape)
     for c in t.clusters:
-        num = num * _expand(cache.marginal(c).probs, c, d)
+        num = num * expand_marginal(cache.marginal(c).probs, c, d)
     den = np.ones(p.probs.shape)
     for s, n in t.nu.items():
-        den = den * _expand(cache.marginal(s).probs, s, d) ** (n - 1)
+        den = den * expand_marginal(cache.marginal(s).probs, s, d) ** (n - 1)
     if np.any((den == 0.0) & (num > 0.0)):
         raise ConsistencyError(
             "a separator marginal is 0 where a containing cluster marginal is positive"
@@ -117,7 +101,7 @@ def evaluate_tree_pd(p: JointTable, t: TCherryJunctionTree, x: Sequence[int],
                      cache: MarginalCache | None = None) -> float:
     """Tree-distribution probability of one full 1-based state vector."""
     _check_tree(p, t)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     cluster_vals = {c: cache.point(c, x) for c in t.clusters}
     num = 1.0
     for value in cluster_vals.values():
@@ -195,7 +179,7 @@ def check_recovery_conditions(p: JointTable, t: TCherryJunctionTree,
     attaches a vertex across a set containing it).
     """
     _check_tree(p, t)
-    cache = _cache_for(p, cache)
+    cache = cache_for(p, cache)
     k = t.k
     order = numbering.order
     if k != numbering.k:
@@ -204,48 +188,60 @@ def check_recovery_conditions(p: JointTable, t: TCherryJunctionTree,
         raise DomainError("numbering does not start at a cluster of the tree")
     if sorted(order) != list(t.vertices):
         raise DomainError("numbering does not cover the tree's vertices exactly")
+    if len(numbering.attach_separators) != len(order) - k:
+        raise DomainError(
+            f"numbering has {len(numbering.attach_separators)} attachment separators "
+            f"for {len(order) - k} grown vertices"
+        )
+
+    def cluster(vertex: int, sep: IndexSet) -> IndexSet:
+        return tuple(sorted(sep + (vertex,)))
 
     def gain(vertex: int, sep: IndexSet) -> float:
         # H(v) − H(v | sep) = H(v) + H(sep) − H(sep ∪ {v})
-        return cache.h((vertex,)) + cache.h(sep) - cache.h(tuple(sorted(sep + (vertex,))))
+        return cache.h((vertex,)) + cache.h(sep) - cache.h(cluster(vertex, sep))
 
+    # Each grown vertex with its attachment separator, in numbering order.
+    grown = list(zip(order[k:], numbering.attach_separators))
     pool: set[IndexSet] = set(combinations(tuple(sorted(order[:k])), k - 1))
-    pools: list[set[IndexSet]] = []
-    own: list[float] = []
-    for r in range(k, len(order)):
-        sep = numbering.attach_separators[r - k]
+    pools: list[list[IndexSet]] = []
+    for vertex, sep in grown:
         if sep not in pool:
             raise DomainError(
-                f"numbering separator {sep} for vertex {order[r]} was not available "
+                f"numbering separator {sep} for vertex {vertex} was not available "
                 f"at its step"
             )
-        pools.append(set(pool))
-        own.append(gain(order[r], sep))
-        cluster = tuple(sorted(sep + (order[r],)))
-        pool.update(combinations(cluster, k - 1))
+        pools.append(sorted(pool))
+        pool.update(combinations(cluster(vertex, sep), k - 1))
 
+    comparisons = [
+        (r, s, sep)
+        for r in range(k, len(order))
+        for s in range(r + 1, len(order))
+        for sep in pools[r - k]
+        if order[s] not in sep
+    ]
+    # Fill every marginal the gains below take in one walk.
+    needed = grown + [(order[s], sep) for _, s, sep in comparisons]
+    cache.fill({x for v, sep in needed for x in ((v,), sep, cluster(v, sep))})
+
+    own = [gain(v, sep) for v, sep in grown]
     violations: list[ConditionComparison] = []
     ties: list[ConditionComparison] = []
-    checked = 0
-    for r in range(k, len(order)):
+    for r, s, sep in comparisons:
         earlier_gain = own[r - k]
-        for s in range(r + 1, len(order)):
-            later = order[s]
-            for sep in sorted(pools[r - k]):
-                if later in sep:
-                    continue
-                checked += 1
-                later_gain = gain(later, sep)
-                if later_gain > earlier_gain + tol:
-                    record = violations
-                elif later_gain > earlier_gain - tol:
-                    record = ties
-                else:
-                    continue
-                record.append(ConditionComparison(
-                    r + 1, order[r], s + 1, later, sep, later_gain, earlier_gain
-                ))
-    return ConditionReport(tuple(violations), tuple(ties), checked)
+        later = order[s]
+        later_gain = gain(later, sep)
+        if later_gain > earlier_gain + tol:
+            record = violations
+        elif later_gain > earlier_gain - tol:
+            record = ties
+        else:
+            continue
+        record.append(ConditionComparison(
+            r + 1, order[r], s + 1, later, sep, later_gain, earlier_gain
+        ))
+    return ConditionReport(tuple(violations), tuple(ties), len(comparisons))
 
 
 def score_to_dict(sb: ScoreBreakdown) -> dict:

@@ -147,6 +147,24 @@ def test_missing_input_file(capsys):
     assert "nosuch.csv" in err
 
 
+@pytest.mark.parametrize("bad, argv", [
+    ("bad.csv", ["fit", "--k", "2", "bad.csv"]),
+    ("bad.json", ["fit", "--k", "2", "--scheme", "bad.json", "ok.csv"]),
+    ("bad.tree.json", ["check", "bad.tree.json"]),
+])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, bad, argv):
+    (tmp_path / "ok.csv").write_text("x1,x2\n1,2\n2,1\n")
+    (tmp_path / bad).write_bytes({
+        "bad.csv": b"x1,x2\n1,2\n\xff,1\n",
+        "bad.json": b'{"variables": [{"name": "\xff", "cardinality": 2}]}',
+        "bad.tree.json": b'{"k": 2, "clusters": [[1, 2]], "name": "\xff"}',
+    }[bad])
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith((".csv", ".json")) else a
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path / bad}: not UTF-8 text")
+
+
 def test_cap_guard_exit_code(capsys):
     code, _, err = run(capsys, "fit", "--k", "3", "--cap", "10", "lizards.csv")
     assert code == 3

@@ -349,6 +349,99 @@ def test_prefetch_partial_sums_stay_below_one_joint_table(k):
     assert peak - current < t.probs.nbytes
 
 
+def _reference_prefetch(table, k):
+    """The k-subset walk ``prefetch`` ran before ``fill`` generalized it:
+    children in index order, one axis summed out between consecutive ones."""
+    d, out = table.d, {}
+
+    def walk(prefix, probs, first):
+        j = len(prefix)
+        last = d - k + j + 1
+        for b in range(first, last + 1):
+            key = prefix + (b,)
+            if j + 1 < k:
+                walk(key, probs, b + 1)
+            else:
+                out[key] = probs.sum(axis=tuple(range(k, probs.ndim)))
+            if b < last:
+                probs = probs.sum(axis=j)
+
+    walk((), table.probs, 1)
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 6, 9])
+def test_prefetch_equals_the_reference_walk(d):
+    rng = np.random.default_rng(500 + d)
+    t = random_table(rng, rng.integers(2, 5, size=d), zero_fraction=0.2)
+    for k in range(1, d + 1):
+        cache = MarginalCache(t)
+        cache.prefetch(k)
+        want = _reference_prefetch(t, k)
+        assert sorted(cache._marginals) == sorted(want)
+        for key, probs in want.items():
+            assert np.array_equal(cache.marginal(key).probs, probs)
+
+
+def _mixed_keys(rng, d, n):
+    """``n`` random subsets of sizes 1..4, some extended by a later index so
+    that a key is also a prefix of another key."""
+    keys = set()
+    for _ in range(n):
+        size = int(rng.integers(1, min(4, d) + 1))
+        key = tuple(sorted(rng.choice(np.arange(1, d + 1), size=size, replace=False).tolist()))
+        keys.add(key)
+        if key[-1] < d and rng.random() < 0.5:
+            keys.add(key + (int(rng.integers(key[-1] + 1, d + 1)),))
+    return keys
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fill_matches_marginalize_on_mixed_key_sets(seed, monkeypatch):
+    rng = np.random.default_rng(400 + seed)
+    d = int(rng.integers(4, 9))
+    t = random_table(rng, rng.integers(2, 5, size=d), zero_fraction=0.2)
+    mixed = _mixed_keys(rng, d, 12)
+    assert any(a != b and b[:len(a)] == a for a in mixed for b in mixed)
+    for keys in (mixed, {(d,)}, {(1, d)}, {t.variables}):
+        cache = MarginalCache(t)
+        with monkeypatch.context() as m:
+            m.setattr(tcherry.distribution, "marginalize", _refuse_full_table)
+            cache.fill(keys)
+            got = {s: cache.marginal(s) for s in keys}
+        assert sorted(cache._marginals) == sorted(keys)
+        for s, marginal in got.items():
+            assert marginal.subset == s
+            np.testing.assert_allclose(marginal.probs, marginalize(t, s).probs,
+                                       rtol=0, atol=1e-12)
+
+
+def test_fill_canonicalizes_and_keeps_cached_values():
+    t = random_table(np.random.default_rng(57), (2, 3, 2, 4, 2))
+    cache = MarginalCache(t)
+    cache.prefetch(3)
+    first = cache.marginal((1, 2, 4))
+    cache.fill([(4, 2, 1), [5, 3], (1,)])
+    assert cache.marginal((1, 2, 4)) is first
+    assert cache.marginal((3, 5)).subset == (3, 5)
+    with pytest.raises(DomainError, match="duplicate"):
+        cache.fill([(1, 1)])
+
+
+def test_fill_partial_sums_stay_below_one_joint_table():
+    rng = np.random.default_rng(61)
+    t = random_table(rng, (2,) * 16)
+    keys = _mixed_keys(rng, 16, 200)
+    cache = MarginalCache(t)
+    tracemalloc.start()
+    try:
+        cache.fill(keys)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < t.probs.nbytes
+
+
 def test_derived_marginal_tolerance_scales_with_cells_summed():
     drifted = np.array([0.5, 0.5 - 1.5e-12])
     with pytest.raises(DomainError, match="sum"):

@@ -321,7 +321,8 @@ def test_samples_chunk_of_another_width(tmp_path, monkeypatch):
 
 
 def _reference_write(table):
-    """The per-cell loop the vectorized writer replaces, rounding only counts."""
+    """The per-cell loop the vectorized writer replaces, rounding only counts
+    near a nonzero integer."""
     n = table.total_count
     out = [",".join(f"x{i + 1}" for i in range(table.d)) + ",count"]
     for idx in np.ndindex(*table.cardinalities):
@@ -333,7 +334,8 @@ def _reference_write(table):
             out.append(f"{state},{value!r}")
             continue
         count = value * n
-        text = str(int(round(count))) if abs(count - round(count)) < 1e-9 else repr(count)
+        whole = round(count)
+        text = str(whole) if abs(count - whole) < 1e-9 and whole != 0 else repr(count)
         out.append(f"{state},{text}")
     return "\n".join(out) + "\n"
 
@@ -348,6 +350,7 @@ def test_writer_matches_reference_loop(tmp_path, monkeypatch, cards, total):
         # Integral counts, near-integral ones and fractions in one table.
         raw = np.floor(t.probs * total) + np.where(rng.random(cards) < 0.5, 0.0, 0.37)
         raw.flat[0] = 3.0 + 1e-12
+        raw.flat[-1] = 1e-12  # a positive count within 1e-9 of 0
         t = JointTable(t.scheme, raw / raw.sum(), total_count=total)
     path = tmp_path / "w.csv"
     write_counts_csv(path, t)
@@ -369,3 +372,16 @@ def test_exact_synth_keeps_every_cell(tmp_path, capsys):
     back = read_counts_csv(tmp_path / "p.csv")
     assert abs(back.total_count - 1.0) < 1e-12
     assert np.allclose(back.probs, table.probs, rtol=0, atol=1e-15)
+
+
+def test_probability_file_rewritten_keeps_every_cell(tmp_path):
+    # Read back, a probability file has total_count ~1, so writing it again
+    # writes counts: one within 1e-9 of 0 must not become "0".
+    table, _ = generate_tcherry_distribution(1, 10, 3, 2, 2.0)
+    write_counts_csv(tmp_path / "p.csv", table)
+    first = read_counts_csv(tmp_path / "p.csv")
+    assert first.probs[first.probs > 0].min() * first.total_count < 1e-9
+    write_counts_csv(tmp_path / "q.csv", first)
+    second = read_counts_csv(tmp_path / "q.csv")
+    assert np.array_equal(second.probs > 0, table.probs > 0)
+    np.testing.assert_allclose(second.probs, table.probs, rtol=1e-12, atol=0)

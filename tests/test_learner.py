@@ -257,6 +257,16 @@ def test_generator_validates_schedule_lengths():
         generate_tcherry_distribution(0, 4, 5, 2, 1.0)
 
 
+def test_generator_checks_the_cap_before_allocating():
+    # 2^40 cells could not be allocated: the cap must refuse them first.
+    with pytest.raises(CapacityError) as err:
+        generate_tcherry_distribution(0, 40, 2, 2, 1.0)
+    assert str(err.value).startswith(
+        "product state space exceeds cap: >100000000 cells for cardinalities (2, 2, 2,")
+    with pytest.raises(CapacityError, match=r"cap: >10 cells"):
+        generate_tcherry_distribution(0, 4, 2, 2, 1.0, cap=10)
+
+
 def test_generator_strength_schedule_accepted():
     table, tree = generate_tcherry_distribution(3, 5, 3, 2, (3.0, 1.5, 0.75))
     assert kl_exact(table, tree) == pytest.approx(0.0, abs=1e-10)

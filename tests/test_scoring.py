@@ -1,11 +1,12 @@
 """Weight, divergence forms, tree distributions, recovery conditions."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import tcherry.distribution
 from conftest import random_table, random_tree
 from tcherry import (
     ConsistencyError,
@@ -14,6 +15,7 @@ from tcherry import (
     MarginalCache,
     PuzzleNumbering,
     check_recovery_conditions,
+    entropy,
     evaluate_tree_pd,
     fit_malvestuto,
     fit_sk,
@@ -21,6 +23,7 @@ from tcherry import (
     kl_entropy_form,
     kl_exact,
     make_scheme,
+    marginalize,
     new_parent,
     add_hypercherry,
     puzzle_numbering,
@@ -190,6 +193,91 @@ def test_recovery_validates_numbering_against_tree(lizard, lizard_cache):
     not_cluster = PuzzleNumbering(3, (1, 2, 3, 4, 5), ((2, 3), (3, 4)))
     with pytest.raises(DomainError):
         check_recovery_conditions(lizard, fr.tree, not_cluster, lizard_cache)
+    numbering = puzzle_numbering(fr.tree, fr.tree.parent)
+    for seps in (numbering.attach_separators[:1], numbering.attach_separators + ((1, 2),)):
+        with pytest.raises(DomainError, match="attachment separators for 2 grown"):
+            check_recovery_conditions(
+                lizard, fr.tree, PuzzleNumbering(3, numbering.order, seps), lizard_cache)
+
+
+def _reference_sweep(p, t, numbering, tol=1e-12):
+    """Violations, ties and count of the recovery sweep with every entropy
+    taken straight from the joint, no cache."""
+    def h(subset):
+        return entropy(marginalize(p, subset))
+
+    def gain(v, sep):
+        return h((v,)) + h(sep) - h(tuple(sorted(sep + (v,))))
+
+    order, k = numbering.order, t.k
+    pool = set(combinations(sorted(order[:k]), k - 1))
+    violations, ties, checked = [], [], 0
+    for r in range(k, len(order)):
+        own_sep = numbering.attach_separators[r - k]
+        own = gain(order[r], own_sep)
+        for s in range(r + 1, len(order)):
+            for sep in sorted(pool):
+                if order[s] in sep:
+                    continue
+                checked += 1
+                later = gain(order[s], sep)
+                row = (r + 1, order[r], s + 1, order[s], sep, later, own)
+                if later > own + tol:
+                    violations.append(row)
+                elif later > own - tol:
+                    ties.append(row)
+        pool.update(combinations(sorted(own_sep + (order[r],)), k - 1))
+    return violations, ties, checked
+
+
+def _recovery_cases():
+    rng = np.random.default_rng(71)
+    cases = []
+    for d, k in ((7, 3), (8, 2), (8, 4)):
+        cases.append((random_table(rng, rng.integers(2, 4, size=d)), random_tree(rng, d, k)))
+    # Independent variables: every gain is 0 up to rounding, so all are ties.
+    marginals = [rng.dirichlet(np.ones(c)) for c in (2, 3, 2, 2, 3, 2)]
+    probs = marginals[0]
+    for m in marginals[1:]:
+        probs = np.multiply.outer(probs, m)
+    cases.append((JointTable(make_scheme(probs.shape), probs), random_tree(rng, 6, 3)))
+    return cases
+
+
+def test_recovery_sweep_equals_the_cache_free_sweep(lizard, lizard_cache):
+    fits = [fit_sk(lizard, 3, lizard_cache).tree, fit_malvestuto(lizard, 3, lizard_cache).tree]
+    cases = [(lizard, tree) for tree in fits] + _recovery_cases()
+    seen_ties = 0
+    for p, tree in cases:
+        numbering = puzzle_numbering(tree, tree.parent)
+        report = check_recovery_conditions(p, tree, numbering)
+        violations, ties, checked = _reference_sweep(p, tree, numbering)
+        assert report.checked == checked
+        for got, want in ((report.violations, violations), (report.ties, ties)):
+            assert [(c.earlier_pos, c.earlier, c.later_pos, c.later, c.separator)
+                    for c in got] == [row[:5] for row in want]
+            for c, row in zip(got, want):
+                assert c.later_gain == pytest.approx(row[5], rel=0, abs=1e-12)
+                assert c.earlier_gain == pytest.approx(row[6], rel=0, abs=1e-12)
+        seen_ties += len(ties)
+    assert seen_ties > 0
+
+
+def test_recovery_sweep_reads_the_joint_at_most_once(monkeypatch):
+    rng = np.random.default_rng(73)
+    p = random_table(rng, (2,) * 10)
+    tree = random_tree(rng, 10, 3)
+    numbering = puzzle_numbering(tree, tree.parent)
+    calls = []
+    original = tcherry.distribution.marginalize
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(tcherry.distribution, "marginalize", counted)
+    report = check_recovery_conditions(p, tree, numbering)
+    assert len(calls) <= 1 and report.checked > 100
 
 
 # -- serialization ----------------------------------------------------------
