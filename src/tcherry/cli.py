@@ -98,12 +98,76 @@ def _emit(lines) -> None:
 
 
 def _emit_json(obj) -> None:
-    # Same bytes as json.dumps(obj, indent=2), written in batches of chunks
-    # so the whole document never sits in memory as one string.
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := list(islice(chunks, 65536)):
-        sys.stdout.write("".join(batch))
+    # Same bytes as json.dumps(obj, indent=2), written piece by piece so the
+    # whole document never sits in memory as one string.
+    for chunk in _json_chunks(obj, ""):
+        sys.stdout.write(chunk)
     sys.stdout.write("\n")
+
+
+def _json_chunks(obj, pad: str):
+    """Pieces of json.dumps(obj, indent=2) with every line after the first
+    indented by ``pad``. json with ``indent`` has no C encoder, so a list of
+    same-shaped rows is formatted from one template, 2,048 rows a piece."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(obj) is list and obj:
+        template, columns = _row_template(obj, inner)
+        if template is not None:
+            rows, head = zip(*columns), "[\n" + inner
+            while batch := list(islice(rows, 2048)):
+                yield head + sep.join(map(template.__mod__, batch))
+                head = sep
+            yield f"\n{pad}]"
+            return
+        brackets, items = "[]", [("", item) for item in obj]
+    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
+        brackets, items = "{}", [(json.dumps(key) + ": ", value) for key, value in obj.items()]
+    else:
+        # Strings are escaped, so every newline json writes is indentation.
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+        return
+    head = brackets[0] + "\n" + inner
+    for prefix, value in items:
+        yield head + prefix
+        yield from _json_chunks(value, inner)
+        head = sep
+    yield f"\n{pad}{brackets[1]}"
+
+
+def _row_template(rows, pad: str):
+    """``(template, columns)`` when every row is a dict with the same keys and
+    each key holds, in every row, an int, a finite float, or a non-empty
+    list of one length whose positions do; the template formats one row
+    written at ``pad`` from a tuple of the columns' values. ``(None, None)``
+    otherwise."""
+    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
+    if (not keys or set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}
+            or not all(type(key) is str for key in keys)):
+        return None, None
+    inner = pad + "  "
+    parts, columns = [], []
+    for key in keys:
+        column = [row[key] for row in rows]
+        nested = set(map(type, column)) == {list} and len(set(map(len, column))) == 1
+        positions = list(zip(*column)) if nested else [column]
+        slots = [_slot(values) for values in positions]
+        if not positions or None in slots:
+            return None, None
+        columns.extend(positions)
+        value = f"[\n{inner}  " + f",\n{inner}  ".join(slots) + f"\n{inner}]" \
+            if nested else slots[0]
+        parts.append(json.dumps(key).replace("%", "%%") + ": " + value)
+    return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}}}", columns
+
+
+def _slot(values) -> str | None:
+    """``%d`` when all ``values`` are ints, ``%r`` (float.__repr__, which json
+    uses) when all are finite floats, None otherwise."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d"
+    return "%r" if kinds == {float} and all(map(math.isfinite, values)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +528,8 @@ def cmd_synth(args) -> int:
         args.seed, args.d, args.k, cards, strength, cap=args.cap
     )
     if args.n is not None:
-        if not (args.n > 0):
-            raise DomainError(f"--n must be positive, got {args.n}")
+        if not 0 < args.n < math.inf:
+            raise DomainError(f"--n must be positive and finite, got {args.n}")
         table = JointTable(table.scheme, table.probs, total_count=args.n)
 
     out = Path(args.out)

@@ -105,11 +105,13 @@ def check_cap(scheme, cap: int) -> int:
 def _frozen_probs(probs, shape, what: str, tol: float = MASS_TOL,
                   error: type[Exception] = DomainError) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise error(f"{what} contains non-finite entries")
-    if np.any(arr < 0.0):
-        raise error(f"{what} contains negative entries")
-    total = float(np.sum(arr))
+    total = float(arr.sum())
+    # A finite sum and no entry below 0 pass both entry checks at once.
+    if not (math.isfinite(total) and arr.min(initial=0.0) >= 0.0):
+        if not np.all(np.isfinite(arr)):
+            raise error(f"{what} contains non-finite entries")
+        if np.any(arr < 0.0):
+            raise error(f"{what} contains negative entries")
     if abs(total - 1.0) > tol:
         raise error(f"{what} entries sum to {total!r}, not 1")
     arr = np.ascontiguousarray(arr)
@@ -329,12 +331,13 @@ class MarginalCache:
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_h", "_order")
+    __slots__ = ("table", "_marginals", "_h", "_info", "_order")
 
     def __init__(self, table: JointTable):
         self.table = table
         self._marginals: dict[tuple[int, ...], MarginalTable] = {}
         self._h: dict[tuple[int, ...], float] = {}
+        self._info: dict[tuple[int, ...], float] = {}
         self._order = 0  # every subset of this size is cached
 
     def fill(self, subsets) -> None:
@@ -411,19 +414,25 @@ class MarginalCache:
         """Entropy in bits of the marginal over ``subset``."""
         value = self._h.get(subset) if type(subset) is tuple else None
         if value is None:
-            key = canonical_subset(subset, self.table.d)
-            value = self._h.get(key)
+            # The marginal's subset is the canonical key; a cached marginal
+            # is found without canonicalizing again.
+            m = self.marginal(subset)
+            value = self._h.get(m.subset)
             if value is None:
-                value = entropy(self.marginal(key))
-                self._h[key] = value
+                value = self._h[m.subset] = entropy(m)
         return value
 
     def info(self, subset) -> float:
         """Information content of ``subset``: Σ H(X_i) − H(X_subset)."""
-        key = canonical_subset(subset, self.table.d)
-        if len(key) == 1:
-            return 0.0
-        return math.fsum(self.h((i,)) for i in key) - self.h(key)
+        value = self._info.get(subset) if type(subset) is tuple else None
+        if value is None:
+            key = self.marginal(subset).subset
+            value = self._info.get(key)
+            if value is None:
+                value = 0.0 if len(key) == 1 else (
+                    math.fsum(self.h((i,)) for i in key) - self.h(key))
+                self._info[key] = value
+        return value
 
     def point(self, subset, full_state: Sequence[int]) -> float:
         """Marginal probability of ``full_state`` restricted to ``subset``."""
@@ -457,8 +466,8 @@ def with_additive_smoothing(p: JointTable, alpha: float) -> JointTable:
     tables built directly from probabilities smooth with N = 1.
     """
     alpha = float(alpha)
-    if alpha < 0:
-        raise DomainError(f"smoothing must be non-negative, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise DomainError(f"smoothing must be finite and non-negative, got {alpha}")
     if alpha == 0.0:
         return p
     n = p.total_count if p.total_count is not None else 1.0

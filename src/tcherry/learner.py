@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -41,18 +41,22 @@ from .scoring import ScoreBreakdown, tree_weight
 WEIGHT_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
-    """One scored extension: attach ``new_vertex`` across ``base``."""
+    """One scored extension: attach ``new_vertex`` across ``base``.
+
+    ``cluster``, their sorted union, is computed once at construction:
+    sorting and the JSON writer read it for every candidate.
+    """
 
     new_vertex: int
     base: IndexSet
     w: float
     omega: float
+    cluster: IndexSet = field(init=False)
 
-    @property
-    def cluster(self) -> IndexSet:
-        return tuple(sorted(self.base + (self.new_vertex,)))
+    def __post_init__(self):
+        object.__setattr__(self, "cluster", tuple(sorted(self.base + (self.new_vertex,))))
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,15 @@ def enumerate_candidates(p: JointTable, k: int,
     k = _validate_k(p, k)
     cache = cache_for(p, cache)
     cache.prefetch(k)
+    info, h = cache.info, cache.h
+    bases = {b: (info(b), h(b)) for b in combinations(p.variables, k - 1)}
     out: list[Candidate] = []
     for cluster in combinations(p.variables, k):
-        i_cluster = cache.info(cluster)
-        h_cluster = cache.h(cluster)
-        for vertex in cluster:
-            base = tuple(x for x in cluster if x != vertex)
-            out.append(Candidate(
-                vertex, base,
-                i_cluster - cache.info(base),
-                h_cluster - cache.h(base),
-            ))
+        i_cluster, h_cluster = info(cluster), h(cluster)
+        for j, vertex in enumerate(cluster):
+            base = cluster[:j] + cluster[j + 1:]
+            i_base, h_base = bases[base]
+            out.append(Candidate(vertex, base, i_cluster - i_base, h_cluster - h_base))
     return out
 
 

@@ -1,5 +1,7 @@
 """Command-line behavior: golden outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 
 import tcherry.cli
-from tcherry import ConsistencyError, fit_sk, fit_malvestuto, tree_to_json
+from tcherry import (ConsistencyError, fit_malvestuto, fit_sk, generate_tcherry_distribution,
+                     tree_to_json)
 from tcherry.cli import main
+from tcherry.io import load_table
 
 SK4_FIT_TEXT = """\
 algorithm: sk
@@ -120,6 +124,13 @@ def test_fit_smoothing_changes_divergence(capsys):
     assert raw != smoothed
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_smoothing_that_is_not_finite_is_an_input_error(capsys, alpha):
+    code, out, err = run(capsys, "fit", "--k", "3", "--smoothing", alpha, "lizards.csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: smoothing must be finite and non-negative, got {alpha}\n"
+
+
 def test_fit_chow_liu_needs_no_k(capsys):
     code, out, _ = run(capsys, "fit", "--algorithm", "chow_liu", "lizards.csv")
     assert code == 0
@@ -186,6 +197,76 @@ def test_json_emit_matches_one_shot_dumps_across_batches(capsys):
     doc = {"rows": [{"w": i / 7, "cluster": [i, i + 1], "none": None} for i in range(30000)]}
     tcherry.cli._emit_json(doc)
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}],  # list lengths differ
+    [{"a": 1}, {"b": 1}, {"a": 1, "b": 2}, {"b": 2, "a": 1}],  # keys or their order
+    [{"a": 1}, {"a": 1.5}, {"a": True}, {"a": None}, {"a": "x"}],  # kinds in a column
+    [{"w": 0.5}, {"w": math.nan}, {"w": -math.inf}],  # json writes NaN and -Infinity
+    [{"s": None, "v": [None, 0.25]}, {"s": [1], "v": [2, 0.5]}, {"s": [], "v": []}],
+    [{"a": None}, {"a": None}, {"a": [], "b": {}}, {"a": []}],  # no value to format
+    {"r": [{"%d": [[1]], "\n": "é"}, {"%d": [[2]], "\n": "ü"}], 7: [{"a": 10 ** 30}],
+     "t": ({"f": 5e-324, "g": -0.0}, {"f": 1e300, "g": 2})},
+])
+def test_json_emit_matches_dumps_on_ragged_rows(capsys, doc):
+    tcherry.cli._emit_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def synth10(tmp_path_factory):
+    """Counts file of 5,000 samples over 10 variables, with its tree."""
+    prefix = tmp_path_factory.mktemp("synth") / "s10"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--d", "10", "--k", "3", "--n", "5000", "--seed", "3",
+                     "--out", str(prefix)]) == 0
+    return prefix
+
+
+def emitted(capsys, monkeypatch, argv):
+    """Exit code, stdout and every document the command passed to ``_emit_json``."""
+    docs, emit = [], tcherry.cli._emit_json
+    monkeypatch.setattr(tcherry.cli, "_emit_json", lambda doc: docs.append(doc) or emit(doc))
+    code, out, _ = run(capsys, *argv)
+    return code, out, docs
+
+
+@pytest.mark.parametrize("algorithm", ["sk", "malvestuto", "chow_liu", "exhaustive", "all"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("data", ["lizards", "synth10"])
+def test_fit_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, data, k,
+                                               algorithm):
+    path = "lizards.csv" if data == "lizards" else f"{synth10}.csv"
+    code, out, docs = emitted(capsys, monkeypatch, [
+        "fit", "--k", str(k), "--algorithm", algorithm, "--format", "json", path])
+    d = 5 if data == "lizards" else 10
+    if algorithm == "chow_liu" and k > 2 or algorithm == "exhaustive" and d > 7:
+        assert (code, out, docs) == ((2 if algorithm == "chow_liu" else 3), "", [])
+        return
+    assert code == 0 and len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+    for result in docs[0].get("results", docs):
+        assert len(result["candidates"]) == math.comb(d, result["k"]) * result["k"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--k", "3", "{data}"],
+    ["report", "--k", "4", "--algorithm", "malvestuto", "{data}"],
+    ["report", "--k", "3", "--algorithm", "malvestuto", "lizards.csv"],
+    ["check", "{tree}", "{data}"],
+    ["check", "{tree}"],
+    ["score", "{tree}", "{data}"],
+    ["synth", "--d", "6", "--k", "3", "--n", "100", "--out", "{out}"],
+])
+def test_command_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, tmp_path,
+                                                   argv):
+    fields = {"data": f"{synth10}.csv", "tree": f"{synth10}.tree.json",
+              "out": str(tmp_path / "s")}
+    code, out, docs = emitted(capsys, monkeypatch,
+                              [a.format(**fields) for a in argv] + ["--format", "json"])
+    assert code == 0 and len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
 
 
 def test_output_is_byte_identical_across_runs(capsys):
@@ -358,6 +439,26 @@ def test_synth_scaled_counts_round_trip(tmp_path, capsys):
     assert header == "x1,x2,x3,x4,count"
     code, out, _ = run(capsys, "fit", "--k", "2", str(tmp_path / "n.csv"))
     assert code == 0
+
+
+@pytest.mark.parametrize("n", ["inf", "nan", "1e309"])
+def test_synth_n_must_be_finite(tmp_path, capsys, n):
+    code, out, err = run(capsys, "synth", "--d", "4", "--k", "2", "--n", n,
+                         "--out", str(tmp_path / "s"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --n must be positive and finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_largest_finite_n_reads_back(tmp_path, capsys):
+    code, _, _ = run(capsys, "synth", "--d", "4", "--k", "2", "--seed", "2",
+                     "--n", "1e308", "--out", str(tmp_path / "s"))
+    assert code == 0
+    table, _ = generate_tcherry_distribution(2, 4, 2, 2, 2.0)
+    back = load_table(tmp_path / "s.csv")
+    np.testing.assert_allclose(back.probs, table.probs, rtol=1e-12, atol=0)
+    code, out, _ = run(capsys, "check", str(tmp_path / "s.tree.json"), str(tmp_path / "s.csv"))
+    assert code == 0 and out.endswith("result: ok\n")
 
 
 def test_synth_strength_schedule_validation(tmp_path, capsys):

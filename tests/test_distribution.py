@@ -483,3 +483,10 @@ def test_smoothing_rejects_negative_alpha():
     t = random_table(np.random.default_rng(47), (2, 2))
     with pytest.raises(DomainError, match="non-negative"):
         with_additive_smoothing(t, -0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_smoothing_rejects_alpha_that_is_not_finite(alpha):
+    t = random_table(np.random.default_rng(47), (2, 2))
+    with pytest.raises(DomainError, match="finite and non-negative"):
+        with_additive_smoothing(t, alpha)

@@ -1,13 +1,16 @@
 """Greedy learners, exhaustive oracle, structure enumeration, generator."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import tcherry.distribution
 from conftest import random_table, random_tree
 from tcherry import (
     CapacityError,
+    Candidate,
     DomainError,
     MarginalCache,
     enumerate_candidates,
@@ -43,6 +46,30 @@ def test_candidate_count_and_values(lizard, lizard_cache):
         assert c.w >= -1e-12
         assert c.omega >= -1e-12
         assert c.cluster == tuple(sorted(c.base + (c.new_vertex,)))
+
+
+def test_candidates_are_scored_once_per_subset(monkeypatch):
+    t = random_table(np.random.default_rng(71), (2, 3, 2, 2, 3, 2))
+    cache = MarginalCache(t)
+    first = enumerate_candidates(t, 3, cache)
+    calls = Counter()
+    for name in ("canonical_subset", "entropy", "marginalize"):
+        real = getattr(tcherry.distribution, name)
+        monkeypatch.setattr(tcherry.distribution, name,
+                            lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+    # A second pass only reads memoized I and H by their exact tuples.
+    assert enumerate_candidates(t, 3, cache) == first
+    assert calls == Counter()
+    assert cache.info([3, 1, 2]) == cache.info((3, 1, 2)) == cache.info((1, 2, 3))
+
+
+def test_candidate_cluster_is_stored_at_construction():
+    c = Candidate(2, (3, 1), 0.5, 1.5)
+    assert c.cluster == (1, 2, 3) and c.cluster is c.cluster
+    assert c == Candidate(2, (3, 1), 0.5, 1.5)
+    with pytest.raises(TypeError):
+        Candidate(2, (3, 1), 0.5, 1.5, (1, 2, 3))
+
 
 def _order(fr):
     return [(c.cluster, c.base, c.new_vertex) for c in fr.candidate_table]
