@@ -43,6 +43,7 @@ from .junction_tree import (
 )
 from .learner import (
     Candidate,
+    CandidateTable,
     FitResult,
     TraceStep,
     enumerate_candidates,

@@ -42,6 +42,7 @@ from .junction_tree import (
     tree_to_json,
 )
 from .learner import (
+    CandidateRows,
     FitResult,
     fit_chow_liu,
     fit_exhaustive,
@@ -111,8 +112,9 @@ def _json_chunks(obj, pad: str):
     same-shaped rows is formatted from one template, 2,048 rows a piece."""
     inner = pad + "  "
     sep = ",\n" + inner
-    if type(obj) is list and obj:
-        template, columns = _row_template(obj, inner)
+    if isinstance(obj, list) and obj:
+        fields = _row_fields(obj)
+        template, columns = _row_template(fields, inner) if fields else (None, None)
         if template is not None:
             rows, head = zip(*columns), "[\n" + inner
             while batch := list(islice(rows, 2048)):
@@ -135,22 +137,32 @@ def _json_chunks(obj, pad: str):
     yield f"\n{pad}{brackets[1]}"
 
 
-def _row_template(rows, pad: str):
-    """``(template, columns)`` when every row is a dict with the same keys and
-    each key holds, in every row, an int, a finite float, or a non-empty
-    list of one length whose positions do; the template formats one row
-    written at ``pad`` from a tuple of the columns' values. ``(None, None)``
-    otherwise."""
+def _row_fields(rows):
+    """``[(key, nested, columns)]`` when every row is a dict with the same
+    string keys and each key holds, in every row, a scalar or, marked
+    ``nested``, a list of one length whose positions are its columns.
+    None otherwise. Candidate rows give their columns from the table."""
+    if isinstance(rows, CandidateRows):
+        return rows.fields()
     keys = tuple(rows[0]) if type(rows[0]) is dict else ()
     if (not keys or set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}
             or not all(type(key) is str for key in keys)):
-        return None, None
-    inner = pad + "  "
-    parts, columns = [], []
+        return None
+    fields = []
     for key in keys:
         column = [row[key] for row in rows]
         nested = set(map(type, column)) == {list} and len(set(map(len, column))) == 1
-        positions = list(zip(*column)) if nested else [column]
+        fields.append((key, nested, list(zip(*column)) if nested else [column]))
+    return fields
+
+
+def _row_template(fields, pad: str):
+    """``(template, columns)`` when every column of ``fields`` holds ints or
+    finite floats; the template formats one row written at ``pad`` from a
+    tuple of the columns' values. ``(None, None)`` otherwise."""
+    inner = pad + "  "
+    parts, columns = [], []
+    for key, nested, positions in fields:
         slots = [_slot(values) for values in positions]
         if not positions or None in slots:
             return None, None
@@ -291,19 +303,15 @@ def _accepted_summary(fr: FitResult) -> str:
 
 def _sk_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
     """Decreasing-w candidate rows, cut after the last accepted growth row."""
-    rows = fr.candidate_table
-    accepted = {(s.cluster, s.separator) for s in fr.trace[1:]}
-    last = 0
-    for i, c in enumerate(rows):
-        if (c.cluster, c.base) in accepted:
-            last = i
+    table = fr.candidate_table
+    last = max((table.index(s.cluster, s.separator) for s in fr.trace[1:]), default=0)
     return [
         {
             "cluster": c.cluster,
             "separator": c.base,
             "values": (cache.info(c.cluster), cache.info(c.base), c.w),
         }
-        for c in rows[: last + 1]
+        for c in table[: last + 1]
     ]
 
 
@@ -314,13 +322,11 @@ def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
             "values": (cache.h(head), None, None)}]
     tree = new_parent(fr.tree.k, head)
     for step in fr.trace[1:]:
-        for c in fr.candidate_table:
-            if tree.admits(c.new_vertex, c.base):
-                out.append({
-                    "cluster": c.cluster,
-                    "separator": c.base,
-                    "values": (cache.h(c.cluster), cache.h(c.base), c.omega),
-                })
+        out.extend({
+            "cluster": c.cluster,
+            "separator": c.base,
+            "values": (cache.h(c.cluster), cache.h(c.base), c.omega),
+        } for c in fr.candidate_table.admissible(tree))
         tree = add_hypercherry(
             tree, _fresh_vertex(step.cluster, step.separator), step.separator
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from itertools import combinations, count, islice
+from itertools import accumulate, combinations, count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,6 +205,36 @@ class MarginalTable:
             )
         object.__setattr__(self, "probs", arr)
 
+    @classmethod
+    def derived(cls, tables: dict, cells: int) -> dict:
+        """Marginal tables from ``{subset: probs}`` reduced inside the package
+        from a validated joint of ``cells`` cells.
+
+        Sums of finite non-negative cells stay finite and non-negative, so
+        only their mass can drift; it is checked for all tables in one
+        reduction, against MASS_TOL + cells·eps as with ``summed``. The
+        first subset past it, in ``tables`` order, raises
+        ``ConsistencyError``.
+        """
+        if not tables:
+            return {}
+        arrays = list(tables.values())
+        offsets = np.fromiter(accumulate((a.size for a in arrays[:-1]), initial=0),
+                              np.intp, len(arrays))
+        totals = np.add.reduceat(np.concatenate(arrays, axis=None), offsets)
+        ok = np.abs(totals - 1.0) <= MASS_TOL + cells * _EPS
+        if not ok.all():
+            subset, arr = list(tables.items())[int(np.argmin(ok))]
+            raise ConsistencyError(
+                f"marginal table over {subset} entries sum to {float(arr.sum())!r}, not 1")
+        out = {}
+        for subset, arr in tables.items():
+            arr.flags.writeable = False
+            table = out[subset] = object.__new__(cls)
+            object.__setattr__(table, "subset", subset)
+            object.__setattr__(table, "probs", arr)
+        return out
+
     def prob(self, state: Sequence[int]) -> float:
         """Probability of a 1-based state vector over the subset."""
         if len(state) != len(self.subset):
@@ -341,9 +371,17 @@ class MarginalCache:
         self._order = 0  # every subset of this size is cached
 
     def fill(self, subsets) -> None:
-        """Cache the marginal of every subset in ``subsets``, of any sizes,
-        in one walk from the joint; subsets already cached keep their values."""
-        self._walk({canonical_subset(s, self.table.d) for s in subsets})
+        """Cache the marginal of every subset in ``subsets``, of any sizes;
+        subsets already cached keep their values. A subset smaller than the
+        prefetched order is reduced from its cached superset, as ``marginal``
+        does; the rest come from one walk over the joint."""
+        store, d = self._marginals, self.table.d
+        keys = {s if type(s) is tuple and s in store else canonical_subset(s, d)
+                for s in subsets}
+        small = sorted(key for key in keys - store.keys() if len(key) < self._order)
+        store.update(MarginalTable.derived({key: self._superset_sum(key) for key in small},
+                                           self.table.probs.size))
+        self._walk(keys.difference(small))
 
     def prefetch(self, k: int) -> None:
         """Cache the marginal of every k-subset in one pass, which reads
@@ -376,11 +414,12 @@ class MarginalCache:
                 node = node.setdefault(i, {})
         cells = self.table.probs.size
 
+        new: dict[tuple[int, ...], np.ndarray] = {}
+
         def visit(prefix, probs, node):
             j = len(prefix)
             if prefix in keys and prefix not in store:
-                store[prefix] = MarginalTable(
-                    prefix, probs.sum(axis=tuple(range(j, probs.ndim))), cells)
+                new[prefix] = probs.sum(axis=tuple(range(j, probs.ndim)))
             nxt = prefix[-1] + 1 if prefix else 1  # the variable on axis j
             for b in sorted(node):
                 if b > nxt:
@@ -389,6 +428,7 @@ class MarginalCache:
                 nxt = b
 
         visit((), self.table.probs, trie)
+        store.update(MarginalTable.derived(new, cells))
 
     def marginal(self, subset) -> MarginalTable:
         m = self._marginals.get(subset) if type(subset) is tuple else None
@@ -401,14 +441,19 @@ class MarginalCache:
         return m
 
     def _reduce(self, key: tuple[int, ...]) -> MarginalTable:
-        """Sum ``key``'s marginal out of its cached superset padded with the
-        lowest missing indices; a subset no prefetch covers uses the joint."""
+        """``key``'s marginal from its cached superset; a subset no prefetch
+        covers uses the joint."""
         if len(key) >= self._order:
             return marginalize(self.table, key)
+        return MarginalTable.derived({key: self._superset_sum(key)},
+                                     self.table.probs.size)[key]
+
+    def _superset_sum(self, key: tuple[int, ...]) -> np.ndarray:
+        """Sum ``key``'s marginal out of its prefetched superset padded with
+        the lowest missing indices."""
         pad = islice((i for i in count(1) if i not in key), self._order - len(key))
         sup = self._marginals[tuple(sorted(key + tuple(pad)))]
-        drop = tuple(a for a, i in enumerate(sup.subset) if i not in key)
-        return MarginalTable(key, sup.probs.sum(axis=drop), self.table.probs.size)
+        return sup.probs.sum(axis=tuple(a for a, i in enumerate(sup.subset) if i not in key))
 
     def h(self, subset) -> float:
         """Entropy in bits of the marginal over ``subset``."""

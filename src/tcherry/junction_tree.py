@@ -208,10 +208,11 @@ class TCherryJunctionTree:
 
     @cached_property
     def vertices(self) -> IndexSet:
-        out: set[int] = set()
-        for c in self.clusters:
-            out |= set(c)
-        return tuple(sorted(out))
+        return tuple(sorted(self._vertex_set))
+
+    @cached_property
+    def _vertex_set(self) -> frozenset[int]:
+        return frozenset(v for c in self.clusters for v in c)
 
     @cached_property
     def nu(self) -> dict[IndexSet, int]:
@@ -230,7 +231,7 @@ class TCherryJunctionTree:
         return tuple(link.separator for link in self.links)
 
     def covers(self, vertex: int) -> bool:
-        return any(vertex in c for c in self.clusters)
+        return vertex in self._vertex_set
 
     def admits(self, vertex: int, separator: IndexSet) -> bool:
         """Whether a hypercherry may attach uncovered ``vertex`` across

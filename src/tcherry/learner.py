@@ -1,6 +1,6 @@
 """Fitting t-cherry junction trees to a joint distribution.
 
-Two greedy algorithms drive growth from a scored candidate list: ``sk``
+Two greedy algorithms drive growth from a scored candidate table: ``sk``
 accepts candidates by decreasing information weight w = I(cluster) −
 I(base), ``malvestuto`` by increasing entropy weight ω = H(cluster) −
 H(base). ``chow_liu`` is the k = 2 spanning-tree special case and
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
@@ -45,8 +46,7 @@ WEIGHT_CHECK_TOL = 1e-9
 class Candidate:
     """One scored extension: attach ``new_vertex`` across ``base``.
 
-    ``cluster``, their sorted union, is computed once at construction:
-    sorting and the JSON writer read it for every candidate.
+    ``cluster``, their sorted union, is computed once at construction.
     """
 
     new_vertex: int
@@ -69,13 +69,140 @@ class TraceStep:
     omega: float
 
 
+class CandidateTable:
+    """Scored candidates as numpy columns, one row per (k-subset, new vertex).
+
+    Row i attaches the vertex at position ``pos[i]`` of cluster
+    ``clusters[cluster_rank[i]]`` across the rest of that cluster, the
+    (k−1)-subset of rank ``base_rank[i]``. Ranks are lexicographic, the
+    order ``combinations`` yields, so they order exactly as the tuples
+    do. Indexing or iterating builds ``Candidate`` objects; a slice is
+    another table.
+    """
+
+    __slots__ = ("d", "clusters", "members", "cluster_rank", "pos", "base_rank", "w", "omega")
+
+    def __init__(self, d, clusters, members, cluster_rank, pos, base_rank, w, omega):
+        self.d, self.clusters, self.members = d, clusters, members
+        self.cluster_rank, self.pos, self.base_rank = cluster_rank, pos, base_rank
+        self.w, self.omega = w, omega
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._take(i)
+        return self._candidate(int(self.cluster_rank[i]), int(self.pos[i]),
+                               float(self.w[i]), float(self.omega[i]))
+
+    def __iter__(self):
+        return map(self._candidate, self.cluster_rank.tolist(), self.pos.tolist(),
+                   self.w.tolist(), self.omega.tolist())
+
+    def _candidate(self, rank, j, w, omega) -> Candidate:
+        cluster = self.clusters[rank]
+        return Candidate(cluster[j], cluster[:j] + cluster[j + 1:], w, omega)
+
+    def _take(self, rows) -> CandidateTable:
+        return CandidateTable(self.d, self.clusters, self.members, self.cluster_rank[rows],
+                              self.pos[rows], self.base_rank[rows], self.w[rows],
+                              self.omega[rows])
+
+    def _ranked(self, primary) -> CandidateTable:
+        # A base is lexicographically smaller the later its cluster drops a
+        # vertex, so (cluster, -pos) orders ties as (cluster, base) does.
+        return self._take(np.lexsort((-self.pos, self.cluster_rank, primary)))
+
+    def by_w(self) -> CandidateTable:
+        """Decreasing w; ties by cluster, then base."""
+        return self._ranked(-self.w)
+
+    def by_omega(self) -> CandidateTable:
+        """Increasing ω; ties by cluster, then base."""
+        return self._ranked(self.omega)
+
+    def new_vertices(self) -> np.ndarray:
+        return self.members[self.cluster_rank, self.pos]
+
+    def index(self, cluster: IndexSet, base: IndexSet) -> int:
+        """Position of the candidate that attaches ``cluster`` across ``base``."""
+        (vertex,) = set(cluster) - set(base)
+        rank = _lex_ranks(np.array([cluster]), self.d)[0]
+        return int(np.flatnonzero((self.cluster_rank == rank)
+                                  & (self.pos == cluster.index(vertex)))[0])
+
+    def admissible(self, tree: TCherryJunctionTree) -> CandidateTable:
+        """The rows ``tree`` admits, in this table's order: the new vertex is
+        uncovered and the base is a (k−1)-subset of some cluster."""
+        covered = np.zeros(self.d + 1, dtype=bool)
+        covered[list(tree.vertices)] = True
+        eligible = np.zeros(math.comb(self.d, tree.k - 1), dtype=bool)
+        eligible[_lex_ranks(np.array(list(eligible_separators(tree))), self.d)] = True
+        return self._take(np.flatnonzero(~covered[self.new_vertices()]
+                                         & eligible[self.base_rank]))
+
+
+class CandidateRows(list):
+    """The ``fit_to_dict`` rows of a candidate table, built on access.
+
+    It is a list so that ``json`` writes it as one; its own storage stays
+    empty and every read goes through the table. The CLI's JSON writer
+    formats it straight from the columns ``fields`` gives.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: CandidateTable):
+        super().__init__()
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self):
+        return map(self._row, self.table)
+
+    def __getitem__(self, i):
+        return list(map(self._row, self.table[i])) if isinstance(i, slice) \
+            else self._row(self.table[i])
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __repr__(self) -> str:
+        return f"CandidateRows({len(self)} rows)"
+
+    @staticmethod
+    def _row(c: Candidate) -> dict:
+        return {"cluster": list(c.cluster), "separator": list(c.base),
+                "new_vertex": c.new_vertex, "w": c.w, "omega": c.omega}
+
+    def fields(self) -> list[tuple[str, bool, list]]:
+        """``(key, nested, columns)`` per row key: a list-valued key has one
+        column per position, a scalar key one column."""
+        t, k = self.table, self.table.members.shape[1]
+        clusters = t.members[t.cluster_rank]
+        bases = clusters[np.arange(k) != t.pos[:, None]].reshape(len(t), k - 1)
+        return [
+            ("cluster", True, clusters.T.tolist()),
+            ("separator", True, bases.T.tolist()),
+            ("new_vertex", False, [t.new_vertices().tolist()]),
+            ("w", False, [t.w.tolist()]),
+            ("omega", False, [t.omega.tolist()]),
+        ]
+
+
 @dataclass(frozen=True)
 class FitResult:
     algorithm: str
     tree: TCherryJunctionTree
     trace: tuple[TraceStep, ...]
     score: ScoreBreakdown
-    candidate_table: tuple[Candidate, ...]
+    candidate_table: CandidateTable
 
 
 def _validate_k(p: JointTable, k: int) -> int:
@@ -85,70 +212,101 @@ def _validate_k(p: JointTable, k: int) -> int:
     return k
 
 
+def _lex_ranks(subsets: np.ndarray, d: int) -> np.ndarray:
+    """Rank of each sorted row of ``subsets`` among the m-subsets of 1..d in
+    lexicographic order: C(d,m) − 1 − Σ_i C(d − a_i, m − i), i from 0, where
+    the sum counts the subsets that come after it."""
+    m = subsets.shape[1]
+    binom = np.array([[math.comb(n, r) for r in range(m + 1)] for n in range(d + 1)],
+                     dtype=np.int64)
+    return binom[d, m] - 1 - binom[d - subsets, m - np.arange(m)].sum(axis=1)
+
+
 def enumerate_candidates(p: JointTable, k: int,
-                         cache: MarginalCache | None = None) -> list[Candidate]:
-    """Score every (k-subset, distinguished vertex) pair: C(d,k)·k candidates."""
+                         cache: MarginalCache | None = None) -> CandidateTable:
+    """Score every (k-subset, distinguished vertex) pair: C(d,k)·k candidates,
+    by cluster in lexicographic order, then by the new vertex's position."""
     k = _validate_k(p, k)
     cache = cache_for(p, cache)
     cache.prefetch(k)
+    clusters = tuple(combinations(p.variables, k))
+    bases = list(combinations(p.variables, k - 1))
+    cache.fill(bases)
     info, h = cache.info, cache.h
-    bases = {b: (info(b), h(b)) for b in combinations(p.variables, k - 1)}
-    out: list[Candidate] = []
-    for cluster in combinations(p.variables, k):
-        i_cluster, h_cluster = info(cluster), h(cluster)
-        for j, vertex in enumerate(cluster):
-            base = cluster[:j] + cluster[j + 1:]
-            i_base, h_base = bases[base]
-            out.append(Candidate(vertex, base, i_cluster - i_base, h_cluster - h_base))
-    return out
-
-
-def _sk_key(c: Candidate):
-    return (-c.w, c.cluster, c.base, c.new_vertex)
-
-
-def _malvestuto_key(c: Candidate):
-    return (c.omega, c.cluster, c.base, c.new_vertex)
+    i_base, h_base = np.array([(info(b), h(b)) for b in bases]).T
+    i_cluster, h_cluster = np.array([(info(c), h(c)) for c in clusters]).T
+    members = np.array(clusters)
+    base_rank = np.stack([_lex_ranks(np.delete(members, j, axis=1), p.d)
+                          for j in range(k)], axis=1)
+    w = i_cluster[:, None] - i_base[base_rank]
+    omega = h_cluster[:, None] - h_base[base_rank]
+    n = len(clusters)
+    return CandidateTable(p.d, clusters, members, np.repeat(np.arange(n), k),
+                          np.tile(np.arange(k), n), base_rank.ravel(), w.ravel(),
+                          omega.ravel())
 
 
 def find_parent_cluster(p: JointTable, k: int,
                         cache: MarginalCache | None = None) -> IndexSet:
     """Cluster of the best candidate: argmax over K of max_v I(K) − I(K∖{v})."""
-    cache = cache_for(p, cache)
-    return min(enumerate_candidates(p, k, cache), key=_sk_key).cluster
+    return enumerate_candidates(p, k, cache_for(p, cache)).by_w()[0].cluster
 
 
-def _grow(p, tree, order, trace, cache):
-    """Repeatedly accept the best admissible candidate until every variable is covered."""
+def _grow(p, table: CandidateTable, parent: IndexSet, cache):
+    """Grow from ``parent`` by accepting, until every variable is covered, the
+    first admissible candidate in ``table``'s order.
+
+    A heap holds the positions of the candidates whose base lies in some
+    cluster; a base's candidates enter once, when a new cluster makes it
+    eligible. A covered vertex stays covered, so after popping those the
+    top of the heap is the first admissible candidate: O(C log C) in all
+    for C candidates. Returns (tree, trace, sum of the accepted w).
+    """
+    k = len(parent)
+    by_base = np.argsort(table.base_rank, kind="stable").reshape(-1, p.d - k + 1).tolist()
+    bases_of = np.empty(table.members.shape, dtype=np.int64)
+    bases_of[table.cluster_rank, table.pos] = table.base_rank
+    vertices = table.new_vertices().tolist()
+    eligible, heap = set(), []
+
+    def open_bases(cluster_rank):
+        for b in bases_of[cluster_rank].tolist():
+            if b not in eligible:
+                eligible.add(b)
+                for i in by_base[b]:
+                    heappush(heap, i)
+
+    tree = new_parent(k, parent)
+    trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
     accepted = 0.0
+    open_bases(_lex_ranks(np.array([parent]), p.d)[0])
     while len(tree.vertices) < p.d:
-        for cand in order:
-            if tree.admits(cand.new_vertex, cand.base):
-                tree = add_hypercherry(tree, cand.new_vertex, cand.base)
-                trace.append(TraceStep(cand.cluster, cand.base, cand.w, cand.omega))
-                accepted += cand.w
-                break
-        else:
+        if not heap:
             raise ConsistencyError("no admissible candidate although vertices remain")
-    return tree, accepted
+        i = heappop(heap)
+        if tree.covers(vertices[i]):
+            continue
+        cand = table[i]
+        tree = add_hypercherry(tree, cand.new_vertex, cand.base)
+        trace.append(TraceStep(cand.cluster, cand.base, cand.w, cand.omega))
+        accepted += cand.w
+        open_bases(table.cluster_rank[i])
+    return tree, trace, accepted
 
 
 def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResult:
     """Greedy fit by decreasing information weight.
 
     The first pick is the cluster of the argmax-w candidate (its
-    orientation is discarded); afterwards the scan accepts the best
+    orientation is discarded); afterwards growth accepts the best
     admissible candidate until every variable is covered.
     """
     k = _validate_k(p, k)
     cache = cache_for(p, cache)
-    order = tuple(sorted(enumerate_candidates(p, k, cache), key=_sk_key))
-    parent = order[0].cluster
-    tree = new_parent(k, parent)
-    trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
-    tree, accepted = _grow(p, tree, order, trace, cache)
+    order = enumerate_candidates(p, k, cache).by_w()
+    tree, trace, accepted = _grow(p, order, order[0].cluster, cache)
     score = tree_weight(p, tree, cache)
-    if abs(cache.info(parent) + accepted - score.weight) > WEIGHT_CHECK_TOL:
+    if abs(trace[0].w + accepted - score.weight) > WEIGHT_CHECK_TOL:
         raise ConsistencyError("greedy weight accumulator disagrees with itemized score")
     return FitResult("sk", tree, tuple(trace), score, order)
 
@@ -158,11 +316,9 @@ def fit_malvestuto(p: JointTable, k: int,
     """Greedy fit by increasing entropy weight, seeded at the min-entropy cluster."""
     k = _validate_k(p, k)
     cache = cache_for(p, cache)
-    order = tuple(sorted(enumerate_candidates(p, k, cache), key=_malvestuto_key))
+    order = enumerate_candidates(p, k, cache).by_omega()
     parent = min(combinations(p.variables, k), key=lambda c: (cache.h(c), c))
-    tree = new_parent(k, parent)
-    trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
-    tree, _ = _grow(p, tree, order, trace, cache)
+    tree, trace, _ = _grow(p, order, parent, cache)
     score = tree_weight(p, tree, cache)
     entropy_weight = cache.h(parent) + math.fsum(s.omega for s in trace[1:])
     itemized = (
@@ -197,7 +353,7 @@ def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult
     if p.d < 2:
         raise DomainError("chow_liu needs at least two variables")
     cache = cache_for(p, cache)
-    table = tuple(sorted(enumerate_candidates(p, 2, cache), key=_sk_key))
+    table = enumerate_candidates(p, 2, cache).by_w()
     ranked = sorted(
         combinations(p.variables, 2),
         key=lambda e: (-cache.info(e), e),
@@ -308,7 +464,7 @@ def fit_exhaustive(p: JointTable, k: int, max_vertices: int = 7,
     score = tree_weight(p, tree, cache)
     if abs(-best[0][0] - score.weight) > WEIGHT_CHECK_TOL:
         raise ConsistencyError("oracle weight disagrees with itemized score")
-    table = tuple(sorted(enumerate_candidates(p, k, cache), key=_sk_key))
+    table = enumerate_candidates(p, k, cache).by_w()
     return FitResult("exhaustive", tree, tuple(trace), score, table)
 
 
@@ -432,14 +588,5 @@ def fit_to_dict(fr: FitResult) -> dict:
             }
             for s in fr.trace
         ],
-        "candidates": [
-            {
-                "cluster": list(c.cluster),
-                "separator": list(c.base),
-                "new_vertex": c.new_vertex,
-                "w": c.w,
-                "omega": c.omega,
-            }
-            for c in fr.candidate_table
-        ],
+        "candidates": CandidateRows(fr.candidate_table),
     }

@@ -1,0 +1,195 @@
+"""The columnar candidate table: its order, the heap growth and its views.
+
+The references are the tuple-key sort and the scan growth the table
+replaced: sort every ``Candidate`` by (−w, cluster, base, vertex) or
+(ω, cluster, base, vertex), then accept, step by step, the first
+candidate in that order the tree admits.
+"""
+
+import json
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from conftest import random_table, random_tree
+from tcherry import (
+    Candidate,
+    ConsistencyError,
+    JointTable,
+    MarginalCache,
+    MarginalTable,
+    add_hypercherry,
+    enumerate_candidates,
+    find_parent_cluster,
+    fit_exhaustive,
+    fit_malvestuto,
+    fit_sk,
+    fit_to_dict,
+    generate_tcherry_distribution,
+    make_scheme,
+    new_parent,
+)
+from tcherry.learner import _lex_ranks
+
+
+def sk_key(c):
+    return (-c.w, c.cluster, c.base, c.new_vertex)
+
+
+def malvestuto_key(c):
+    return (c.omega, c.cluster, c.base, c.new_vertex)
+
+
+def scan_grow(d, tree, order):
+    """Reference growth: rescan ``order`` from the top at every step."""
+    steps = []
+    while len(tree.vertices) < d:
+        cand = next(c for c in order if tree.admits(c.new_vertex, c.base))
+        tree = add_hypercherry(tree, cand.new_vertex, cand.base)
+        steps.append((cand.cluster, cand.base))
+    return tree, steps
+
+
+def _random_tables():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        d = int(rng.integers(3, 8))
+        yield random_table(rng, rng.integers(2, 5, size=d),
+                           zero_fraction=float(rng.choice([0.0, 0.3])))
+
+
+def _tie_tables():
+    """Tables whose candidate weights tie exactly."""
+    uniform, _ = generate_tcherry_distribution(9, 6, 3, (2, 3, 2, 2, 3, 2), 0.0)
+    rng = np.random.default_rng(5)
+    factors = [rng.dirichlet(np.ones(c)) for c in (2, 3, 2, 2)]
+    product = JointTable(make_scheme([2, 3, 2, 2]),
+                         np.einsum("a,b,c,d->abcd", *factors))
+    order3, _ = generate_tcherry_distribution(4, 7, 3, 2, 1.5)
+    return [(uniform, range(2, 7)), (product, range(2, 5)), (order3, [4])]
+
+
+CASES = [pytest.param(t, range(2, t.d + 1), id=f"random-{i}")
+         for i, t in enumerate(_random_tables())]
+TIES = [pytest.param(t, ks, id=name)
+        for (t, ks), name in zip(_tie_tables(), ["uniform", "product", "order3-at-k4"])]
+
+
+@pytest.mark.parametrize("table, orders", CASES + TIES)
+def test_lexsort_order_equals_tuple_key_sort(table, orders):
+    cache = MarginalCache(table)
+    for k in orders:
+        cands = enumerate_candidates(table, k, cache)
+        plain = list(cands)
+        assert list(cands.by_w()) == sorted(plain, key=sk_key)
+        assert list(cands.by_omega()) == sorted(plain, key=malvestuto_key)
+        assert find_parent_cluster(table, k, cache) == min(plain, key=sk_key).cluster
+
+
+@pytest.mark.parametrize("table, orders", TIES)
+def test_tie_tables_have_exact_ties(table, orders):
+    for k in orders:
+        w = enumerate_candidates(table, k).w
+        assert len(set(w.tolist())) < len(w)
+
+
+@pytest.mark.parametrize("table, orders", CASES + TIES)
+def test_heap_growth_equals_scan_growth(table, orders):
+    cache = MarginalCache(table)
+    for k in orders:
+        plain = list(enumerate_candidates(table, k, cache))
+        for fit, key in ((fit_sk, sk_key), (fit_malvestuto, malvestuto_key)):
+            fr = fit(table, k, cache)
+            tree, steps = scan_grow(table.d, new_parent(k, fr.tree.parent),
+                                    sorted(plain, key=key))
+            assert fr.tree == tree
+            assert [(s.cluster, s.separator) for s in fr.trace[1:]] == steps
+            assert list(fr.candidate_table) == sorted(plain, key=key)
+        assert fit_sk(table, k, cache).tree.parent == min(plain, key=sk_key).cluster
+
+
+def test_exhaustive_table_is_the_sk_order():
+    t = random_table(np.random.default_rng(17), (2, 3, 2, 2, 3))
+    cache = MarginalCache(t)
+    fr = fit_exhaustive(t, 3, cache=cache)
+    assert list(fr.candidate_table) == sorted(enumerate_candidates(t, 3, cache), key=sk_key)
+
+
+def test_table_indexing_slicing_and_iteration_match_a_list():
+    t = random_table(np.random.default_rng(23), (2, 3, 2, 4, 2, 3))
+    table = fit_sk(t, 3).candidate_table
+    cands = list(table)
+    assert len(table) == len(cands) == 60
+    assert all(type(c) is Candidate for c in cands)
+    for i in (0, 1, 17, 59, -1, -60):
+        assert table[i] == cands[i]
+    for s in (slice(None), slice(12), slice(5, 40, 3), slice(-7, None), slice(50, 10, -4),
+              slice(70, 80)):
+        part = table[s]
+        assert len(part) == len(cands[s])
+        assert list(part) == cands[s]
+        assert [part[i] for i in range(len(part))] == cands[s]
+    assert table[10:20][3] == cands[13]
+    with pytest.raises(IndexError):
+        table[60]
+
+
+def test_index_and_admissible_match_a_scan():
+    rng = np.random.default_rng(29)
+    t = random_table(rng, (2, 3, 2, 2, 3, 2, 2))
+    for k in (2, 3, 4):
+        table = fit_malvestuto(t, k).candidate_table
+        cands = list(table)
+        for i in (0, len(cands) // 2, len(cands) - 1):
+            assert table.index(cands[i].cluster, cands[i].base) == i
+        for _ in range(4):
+            tree = new_parent(k, random_tree(rng, 7, k).parent)
+            while True:
+                want = [c for c in cands if tree.admits(c.new_vertex, c.base)]
+                assert list(table.admissible(tree)) == want
+                if not want:
+                    break
+                c = want[int(rng.integers(len(want)))]
+                tree = add_hypercherry(tree, c.new_vertex, c.base)
+
+
+def test_lex_ranks_follow_combinations():
+    for d, m in ((1, 1), (5, 1), (6, 3), (7, 6), (9, 4)):
+        subsets = np.array(list(combinations(range(1, d + 1), m)))
+        assert _lex_ranks(subsets, d).tolist() == list(range(len(subsets)))
+
+
+def test_candidate_rows_read_like_the_dict_rows():
+    t = random_table(np.random.default_rng(31), (2, 3, 2, 2, 3))
+    fr = fit_sk(t, 3)
+    rows = fit_to_dict(fr)["candidates"]
+    want = [{"cluster": list(c.cluster), "separator": list(c.base),
+             "new_vertex": c.new_vertex, "w": c.w, "omega": c.omega}
+            for c in fr.candidate_table]
+    assert len(rows) == len(want) and rows
+    assert rows[0] == want[0] and rows[-1] == want[-1] and rows[3:9] == want[3:9]
+    assert list(rows) == want and rows == want and not rows != want
+    assert json.dumps(rows, indent=2) == json.dumps(want, indent=2)
+    assert [[len(column) for column in cols] for _, _, cols in rows.fields()] == \
+        [[len(want)] * 3, [len(want)] * 2, [len(want)], [len(want)], [len(want)]]
+
+
+def test_tree_covers_exactly_its_vertices():
+    rng = np.random.default_rng(37)
+    for d, k in ((6, 2), (8, 3), (9, 5)):
+        tree = random_tree(rng, d, k)
+        assert [v for v in range(-1, d + 3) if tree.covers(v)] == list(range(1, d + 1))
+
+
+def test_derived_tables_check_mass_once_and_name_the_first_bad_subset():
+    good, bad = np.array([0.25, 0.75]), np.array([0.5, 0.5 - 1e-9])
+    out = MarginalTable.derived({(1,): good.copy(), (2, 3): np.full((2, 2), 0.25)}, 4)
+    assert list(out) == [(1,), (2, 3)]
+    assert out[(2, 3)].subset == (2, 3) and not out[(1,)].probs.flags.writeable
+    with pytest.raises(ConsistencyError, match=r"over \(3,\) entries sum to"):
+        MarginalTable.derived({(1,): good.copy(), (3,): bad.copy(), (2,): bad.copy()}, 4)
+    with pytest.raises(ConsistencyError, match=r"over \(2,\) entries sum to nan"):
+        MarginalTable.derived({(2,): np.array([np.nan, 1.0])}, 4)
+    # The tolerance grows with the cells summed.
+    assert MarginalTable.derived({(1,): bad.copy()}, 2**24)[(1,)].subset == (1,)

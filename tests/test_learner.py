@@ -51,14 +51,14 @@ def test_candidate_count_and_values(lizard, lizard_cache):
 def test_candidates_are_scored_once_per_subset(monkeypatch):
     t = random_table(np.random.default_rng(71), (2, 3, 2, 2, 3, 2))
     cache = MarginalCache(t)
-    first = enumerate_candidates(t, 3, cache)
+    first = list(enumerate_candidates(t, 3, cache))
     calls = Counter()
     for name in ("canonical_subset", "entropy", "marginalize"):
         real = getattr(tcherry.distribution, name)
         monkeypatch.setattr(tcherry.distribution, name,
                             lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
     # A second pass only reads memoized I and H by their exact tuples.
-    assert enumerate_candidates(t, 3, cache) == first
+    assert list(enumerate_candidates(t, 3, cache)) == first
     assert calls == Counter()
     assert cache.info([3, 1, 2]) == cache.info((3, 1, 2)) == cache.info((1, 2, 3))
 

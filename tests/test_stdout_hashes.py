@@ -1,0 +1,127 @@
+"""Tier-1 byte-identity guard for ``fit`` and ``report`` stdout.
+
+Each entry maps (command, input, algorithm, k, format) to the exit code
+and the SHA-256 of stdout as the command printed it before the candidate
+table became columnar: every algorithm at k = 2..4 for ``fit``, ``sk``
+and ``malvestuto`` for ``report``, text and JSON, on ``lizards`` and on a
+``synth --d 10 --k 3 --n 5000 --seed 3`` counts file. A change to any
+byte of these outputs must be deliberate and comes with new hashes.
+
+The JSON outputs carry floats at full precision. They were recorded on
+x86-64 with numpy 2.4; another numpy build may sum in another order and
+differ in the last bits.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from tcherry.cli import main
+
+EXPECTED = {
+    ("fit", "lizards", "sk", 2, "text"): (0, "d16dd0aa163d6a0ac66ca7327c5c717471049ff2d83e485fc593960941870e8c"),
+    ("fit", "lizards", "malvestuto", 2, "text"): (0, "ea7abc007fa9f366f389997a12e619ab15d8511bcbcf7fa21dded699e3a5f52f"),
+    ("fit", "lizards", "chow_liu", 2, "text"): (0, "bd17889226453a44cb6d2465ddf42be61b14004a9f850caba7d33335bef3a79b"),
+    ("fit", "lizards", "exhaustive", 2, "text"): (0, "3d0fecaa643c0c8b8f4919c7cba9a695f6c8c1fdd3fa664c51c3a5c583883a0e"),
+    ("fit", "lizards", "all", 2, "text"): (0, "6d115673dca705b53287818376c613e6c90414d3c65ec54495e888cb7f196459"),
+    ("report", "lizards", "sk", 2, "text"): (0, "c1808010a97a9028175e506dd8412f25402c02f6fef9157d177fb7d2278c02b0"),
+    ("report", "lizards", "malvestuto", 2, "text"): (0, "85487bf7c2dc383a52af0d07bd8e07db8a5c6db93dc4bb50290a360a1f2900a4"),
+    ("fit", "lizards", "sk", 3, "text"): (0, "dc441a007aff3969c3ff436f18f4f5577e1922927719b41934636370e131ae1e"),
+    ("fit", "lizards", "malvestuto", 3, "text"): (0, "1dfa4524fad6ec2345712d0a60a741da8c2ebc06f231de788dc9bc36d81495e4"),
+    ("fit", "lizards", "chow_liu", 3, "text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "lizards", "exhaustive", 3, "text"): (0, "2a20ce5d53108102c54b040523bdf9eaf3a0f4a13ebe77710f3329a87b23d469"),
+    ("fit", "lizards", "all", 3, "text"): (0, "c0a2e07dc94219d759af38b6259edee4079842b7c5e19cc7679295941bbcdcfe"),
+    ("report", "lizards", "sk", 3, "text"): (0, "8060de56f3f57ef5215627affebe386cd92a6468a193307478c827025e0f1841"),
+    ("report", "lizards", "malvestuto", 3, "text"): (0, "60f57b6d43afa21c727829c29322c3237fbf75aa8b5417d69d7ce3c86f61ec3f"),
+    ("fit", "lizards", "sk", 4, "text"): (0, "e87eee2bfdf4d8e9a10f226cb0498bcbcd38f9bb26f20491e9d82f13837a9007"),
+    ("fit", "lizards", "malvestuto", 4, "text"): (0, "3132d12dd6d7f423a6325c27427b62034ba3c66ae9fb85299f59ccb834fa3a60"),
+    ("fit", "lizards", "chow_liu", 4, "text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "lizards", "exhaustive", 4, "text"): (0, "c4394937a3c11c5c513379c2698c20f897903d5953982060b22d98a8cd3cd8be"),
+    ("fit", "lizards", "all", 4, "text"): (0, "6b92784d19d143b6aabd01d84992e62a225a472d6e1dc12b60cde85f58326c76"),
+    ("report", "lizards", "sk", 4, "text"): (0, "46c65132fc6dc9f328554270c42cf162ce30465d1a293ded01091dc0ab69ae96"),
+    ("report", "lizards", "malvestuto", 4, "text"): (0, "5b503344db5f56fd6d5518cd47927246030f3a93466279da966321b104c2a5df"),
+    ("fit", "lizards", "sk", 2, "json"): (0, "652a24cb74b623d8fcc8ef7d1f847baed8bfa2906b1f276ad33f1d313f1b3fe8"),
+    ("fit", "lizards", "malvestuto", 2, "json"): (0, "8339a00e526d55a9e4ac2eba4ca51a73635e92746fab553d89f46fdaec1461f1"),
+    ("fit", "lizards", "chow_liu", 2, "json"): (0, "2d98987230392362a4431ef883145a53325becf5511ad7e13cd4f4e21b967ac6"),
+    ("fit", "lizards", "exhaustive", 2, "json"): (0, "a35b62768ffe1a885034389a7bcb634458b3f402a11bc12db30b785f81c7edec"),
+    ("fit", "lizards", "all", 2, "json"): (0, "25d0e55f15b3e81a8329de23ca6f3976fc583a6f0c3e48ab8e0339aff3c583f5"),
+    ("report", "lizards", "sk", 2, "json"): (0, "ecee046d65fe3966b77e28b8fcd256bddf0c7513bebc8384395744163817edbe"),
+    ("report", "lizards", "malvestuto", 2, "json"): (0, "f8667163bf453d8f54c56e2a86d975c85d2104eb5f32af02c71d3cb7e7ae9b50"),
+    ("fit", "lizards", "sk", 3, "json"): (0, "dba8adc4b1ac745d6655179c5394bda2fe3baebb3c4516528197f6877d601c31"),
+    ("fit", "lizards", "malvestuto", 3, "json"): (0, "d32cc923a418fc589ae4cb171818f2bc8c3fc4cb35d3efe6a91e9f5de4c441b6"),
+    ("fit", "lizards", "chow_liu", 3, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "lizards", "exhaustive", 3, "json"): (0, "8564bb5adbbd297af4c3e1e62d9f52f157331a935f7383bc0303f9e1d39c948a"),
+    ("fit", "lizards", "all", 3, "json"): (0, "74a4403aecd41a5f57384a21af9b2fd4a906fe9426b4d58df5b488d50d53c1f4"),
+    ("report", "lizards", "sk", 3, "json"): (0, "0f4d9821e3c15ea6ec46043ff536b9151e466de3f5152c0d430299dc65d0de16"),
+    ("report", "lizards", "malvestuto", 3, "json"): (0, "6f5a7e4f2f0a0b9415373c41ed857a5acc7e29148e33c0052a442d4d9f61dc07"),
+    ("fit", "lizards", "sk", 4, "json"): (0, "7c43bd3f512fb3df275d4d01bf68da7fc016671481e00c86ebac36413b0404ef"),
+    ("fit", "lizards", "malvestuto", 4, "json"): (0, "8a39eefdb1de148302829a90cb2e675612f43019a3f9027ed48df9d512cc8f83"),
+    ("fit", "lizards", "chow_liu", 4, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "lizards", "exhaustive", 4, "json"): (0, "a5b259f646eca1afb1b282e408955e2dd579f6c111c76416b2605ffe94b34b25"),
+    ("fit", "lizards", "all", 4, "json"): (0, "f99f46de34d196ac7834ca80973cb165d43b7d2294af8b344432b14242ce2df7"),
+    ("report", "lizards", "sk", 4, "json"): (0, "ab0166aa11d1d91daad5a7d7af76bcbfa8b3e06a535d5c9c9ad18f34ab3fe9cd"),
+    ("report", "lizards", "malvestuto", 4, "json"): (0, "ede0c1263a85aa04861b4b7c67fa75e9978ba92dcd2bffc1c02b1779528a10cc"),
+    ("fit", "synth10", "sk", 2, "text"): (0, "91b35ebac7e16cc87ae5c1b84629603223ea86b386b250461856967110cc7463"),
+    ("fit", "synth10", "malvestuto", 2, "text"): (0, "72fcf8cc0771aa02ef8fae7e7365c3eb6093d925aceece8fc6777c6d1d2deefb"),
+    ("fit", "synth10", "chow_liu", 2, "text"): (0, "cda986849489eab437a0fc74406ebfb95bbb049237a30292b06290e1f3afcc77"),
+    ("fit", "synth10", "exhaustive", 2, "text"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "all", 2, "text"): (0, "9bbfc98647bcb5af6e9e66ec8d66ebe57ea876b45917f39aa46b7156a265e765"),
+    ("report", "synth10", "sk", 2, "text"): (0, "74273f5d201b5cadb36c2850935d9ce0c7eec58ff001f3b685c7ffe688aba33b"),
+    ("report", "synth10", "malvestuto", 2, "text"): (0, "e99f05c26cd9a45bd5c654cd3450bcf565e7ccd965264b7dba52cc2d45a78acb"),
+    ("fit", "synth10", "sk", 3, "text"): (0, "6328e4e5031f47d983d69029bd0b4f526f929e224c69ccc43fb18bddb529c5b9"),
+    ("fit", "synth10", "malvestuto", 3, "text"): (0, "336be3191f29e7f3ddbe1087b281073671ec7be6409314f397d4cd119b9763d2"),
+    ("fit", "synth10", "chow_liu", 3, "text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "exhaustive", 3, "text"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "all", 3, "text"): (0, "98a87addeffa2289257b063a66f4cc2cf4e1297271407ee079ed5417b2196607"),
+    ("report", "synth10", "sk", 3, "text"): (0, "86d90086cb8a76f2a365aaea8a89b81588b07008d507c32c955e8ad7febca8c7"),
+    ("report", "synth10", "malvestuto", 3, "text"): (0, "9b604d72d6a0beb22e79faf0b309f859b00ed03bc86742326c9afbe2b83f57ca"),
+    ("fit", "synth10", "sk", 4, "text"): (0, "be0a558bc66c826fdeed1428a9622221c30c24e7a5ecfbf9b27ac1c85aa9c895"),
+    ("fit", "synth10", "malvestuto", 4, "text"): (0, "aa3fd05d76935134fad5392fea3dfd16a219a4911e22b9a7861be10356cf4a37"),
+    ("fit", "synth10", "chow_liu", 4, "text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "exhaustive", 4, "text"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "all", 4, "text"): (0, "c7dccbdad99e54d808f64a3aea2970e698c8a1aa8601e88c629c3b7af3dd3ef8"),
+    ("report", "synth10", "sk", 4, "text"): (0, "e41aff90358b32ae45f08d8b0bb35d774cd40b8d3eabc090f2bf39e191b21a0d"),
+    ("report", "synth10", "malvestuto", 4, "text"): (0, "84f9695f833f5e7995f9e2054107172b85dd7a8604fe30f29b726c437a207915"),
+    ("fit", "synth10", "sk", 2, "json"): (0, "262ffce4ec6426bdc1a711ab28458560b9f9234865d164b0661b930706487d2f"),
+    ("fit", "synth10", "malvestuto", 2, "json"): (0, "b15d453e89fe12ad1276884f0835dd207fda423cd909126ca1c8b714d444f4e2"),
+    ("fit", "synth10", "chow_liu", 2, "json"): (0, "888f51f451126a2a97ccf6c4a7b012b93112444796d569db94242716071d38b2"),
+    ("fit", "synth10", "exhaustive", 2, "json"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "all", 2, "json"): (0, "e641569bdfaba8d25bf53402f4246e92583ae61e33fd741b1b28bf6047f68fef"),
+    ("report", "synth10", "sk", 2, "json"): (0, "e0597b498a1a41b786edc0c3cf4d35e929c76abc802154f68ee2e0f1c9e1a257"),
+    ("report", "synth10", "malvestuto", 2, "json"): (0, "6d41cf2c26010df5e19444045ef3d439386b9f77f6298646aedfa62645ea5a77"),
+    ("fit", "synth10", "sk", 3, "json"): (0, "258dc0085ab971a5cb8c3ec82453f8766d1bdf06d824738be068fc365f1e40e8"),
+    ("fit", "synth10", "malvestuto", 3, "json"): (0, "0ae45957182a2d515f95f06e1d7e7207077d7f26a4f730245e3911801cd07723"),
+    ("fit", "synth10", "chow_liu", 3, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "exhaustive", 3, "json"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "all", 3, "json"): (0, "dce4e295d7889a3e7d677ab1f7e7ada61c45b1108da741a15de2c3ea8123c21c"),
+    ("report", "synth10", "sk", 3, "json"): (0, "fb4bf51f0991b385ff2ad3ebe84b510279e190d9f250c71c2197859894a0b5d4"),
+    ("report", "synth10", "malvestuto", 3, "json"): (0, "d95bab7db0891bb004c23edc4e6246c2891e57ffaff5bd802536c065aab5719a"),
+    ("fit", "synth10", "sk", 4, "json"): (0, "99f14c9ab97da246c93cdbc7d1f2e88bbf01f415f6b7aa68aae82bbf3c7f56c6"),
+    ("fit", "synth10", "malvestuto", 4, "json"): (0, "cb91c7f605dee0730427701c25460ce2701f71f09c27842ce69e6c3d81e51dd1"),
+    ("fit", "synth10", "chow_liu", 4, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "exhaustive", 4, "json"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fit", "synth10", "all", 4, "json"): (0, "33202dbd57c1870ec65db5131c5773c52a1835fce28089745f82a7be609a9e86"),
+    ("report", "synth10", "sk", 4, "json"): (0, "290d7e9eb1ccdd92f93ad42e2dc90d7770479cb8bf2afd6435da2668e8f792b7"),
+    ("report", "synth10", "malvestuto", 4, "json"): (0, "fa970f0d9489391fcd25201b4be87e0ccbc463ec36a19edb3947cbc9ee01b40b"),
+}
+
+
+@pytest.fixture(scope="module")
+def synth10(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("hashes") / "s10"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--d", "10", "--k", "3", "--n", "5000", "--seed", "3",
+                     "--out", str(prefix)]) == 0
+    return f"{prefix}.csv"
+
+
+@pytest.mark.parametrize("command, data, algorithm, k, fmt", list(EXPECTED))
+def test_stdout_bytes_are_unchanged(synth10, command, data, algorithm, k, fmt):
+    path = "lizards.csv" if data == "lizards" else synth10
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--k", str(k), "--algorithm", algorithm, "--format", fmt, path])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest) == EXPECTED[command, data, algorithm, k, fmt]
