@@ -284,21 +284,31 @@ def from_codes(codes, counts, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable
     Row r is the cell with 1-based states ``codes[r] + 1`` and adds
     ``counts[r]``, a non-negative real the caller has checked, or one
     observation when ``counts`` is None. Repeated cells accumulate in row
-    order. A state out of range is reported as its cell: the first such
+    order. With ``scheme`` None, each cardinality is the variable's largest
+    state, floored at 2, since one-state variables are not representable.
+    A state out of range is reported as its cell: the first such
     row, or for an unweighted sample, whose row order carries no meaning,
     the smallest such cell.
     """
-    scheme = check_scheme(scheme)
+    # One pass per column: a reduction over axis 0 of a C-ordered array is slower.
+    top = [int(column.max(initial=0)) for column in codes.T]
+    scheme = check_scheme(make_scheme([max(t + 1, 2) for t in top]) if scheme is None
+                          else scheme)
     check_cap(scheme, cap)
     shape = tuple(v.cardinality for v in scheme)
-    if len(codes) and (codes.min() < 0 or (codes.max(axis=0) >= shape).any()):
+    if len(codes) and (codes.min() < 0 or any(t >= c for t, c in zip(top, shape))):
         rows = np.flatnonzero(((codes < 0) | (codes >= shape)).any(axis=1))
         if counts is None:
             rows = rows[np.lexsort(codes[rows].T[::-1])]
         _raise_out_of_range(tuple((codes[rows[0]].astype(np.int64) + 1).tolist()), scheme)
+    # Row-major cell numbers, one column at a time (as np.ravel_multi_index
+    # gives them, in about half its time).
+    cells = np.zeros(len(codes), dtype=np.intp)
+    for column, c in zip(codes.T, shape):
+        cells *= c
+        cells += column
     table = np.zeros(shape)
-    np.add.at(table.reshape(-1), np.ravel_multi_index(codes.T, shape),
-              1.0 if counts is None else counts)
+    np.add.at(table.reshape(-1), cells, 1.0 if counts is None else counts)
     total = float(np.sum(table))
     if total <= 0.0:
         raise DomainError("counts are all zero; cannot form a distribution")
@@ -361,13 +371,14 @@ class MarginalCache:
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_h", "_info", "_order")
+    __slots__ = ("table", "_marginals", "_h", "_info", "_singles", "_order")
 
     def __init__(self, table: JointTable):
         self.table = table
         self._marginals: dict[tuple[int, ...], MarginalTable] = {}
         self._h: dict[tuple[int, ...], float] = {}
         self._info: dict[tuple[int, ...], float] = {}
+        self._singles: list[float] = []  # H(X_i) at i - 1, filled on first use
         self._order = 0  # every subset of this size is cached
 
     def fill(self, subsets) -> None:
@@ -474,8 +485,13 @@ class MarginalCache:
             key = self.marginal(subset).subset
             value = self._info.get(key)
             if value is None:
-                value = 0.0 if len(key) == 1 else (
-                    math.fsum(self.h((i,)) for i in key) - self.h(key))
+                if len(key) == 1:
+                    value = 0.0
+                else:
+                    if not self._singles:
+                        self._singles = [self.h((i,)) for i in range(1, self.table.d + 1)]
+                    singles = self._singles
+                    value = math.fsum(singles[i - 1] for i in key) - self.h(key)
                 self._info[key] = value
         return value
 

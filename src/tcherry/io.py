@@ -5,6 +5,11 @@ cell; sample CSV has header ``x1,...,xd`` and one row per observation.
 States are 1-based integers. When no scheme is supplied, cardinalities
 are inferred as the maximum observed state per variable (floored at 2,
 since one-state variables are not representable).
+
+A sample CSV is decoded straight from its bytes for as long as it has
+the canonical form (header ``x1,...,xd``, rows of single-digit states
+with '\\n' line ends); the text reader takes the rest of the file at the
+first byte that breaks it, so it alone decides what the grammar accepts.
 """
 
 from __future__ import annotations
@@ -13,16 +18,20 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from io import TextIOWrapper
 from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
 
-from .distribution import DEFAULT_CELL_CAP, JointTable, VariableSpec, from_codes, make_scheme
+from .distribution import DEFAULT_CELL_CAP, JointTable, VariableSpec, from_codes
 from .errors import DataFormatError
 
 #: Lines parsed per array chunk, and cells formatted per write chunk.
 _CHUNK_LINES = 65_536
+
+#: Bytes per chunk the samples byte decoder reads, rounded down to whole rows.
+_CHUNK_BYTES = 1 << 20
 
 #: States are parsed as int32.
 _MAX_STATE = int(np.iinfo(np.int32).max)
@@ -101,11 +110,11 @@ def _check_rows(lines, first_line, d, has_count, path, cause=None):
 
 
 @contextmanager
-def _open(path):
-    """Open a UTF-8 text file; a failed open or a byte that is not UTF-8
-    is a ``DataFormatError`` naming the file."""
+def _open(path, binary=False):
+    """Open a UTF-8 text file, or with ``binary`` its bytes; a failed open
+    or a byte that is not UTF-8 is a ``DataFormatError`` naming the file."""
     try:
-        f = open(path, encoding="utf-8")
+        f = open(path, "rb") if binary else open(path, encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from None
     with f:
@@ -115,17 +124,50 @@ def _open(path):
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_body(f, d, has_count, path):
-    """Parse the data rows in chunks into 0-based codes, counts (None for
-    samples) and per-variable maximum states, floored at 2.
+def _decode_digits(chunk, d):
+    """The 0-based codes of ``chunk`` as an (n, d) uint8 array when it is n
+    rows of d digits 1-9 joined by ',', each row ended by '\\n'; else None."""
+    if len(chunk) % (2 * d):
+        return None
+    # A digit and the byte after it, read as one little-endian uint16, minus
+    # '1' followed by the separator due there ('\n' after the last digit):
+    # the code when both bytes are right, a value above 8 otherwise.
+    due = np.full(d, ord("1") | ord(",") << 8, dtype=np.uint16)
+    due[-1] = ord("1") | ord("\n") << 8
+    pairs = np.frombuffer(chunk, dtype="<u2").reshape(-1, d) - due
+    return pairs.astype(np.uint8) if pairs.max(initial=0) <= 8 else None
+
+
+def _read_digits(f):
+    """Decode a samples file opened in binary for as long as it keeps the
+    canonical form: header ``x1,...,xd`` and rows ``_decode_digits`` takes.
+
+    Returns d (0 when the header is not canonical) and the code chunks,
+    and leaves ``f`` at the first byte not decoded. That rest, if any,
+    goes to the text reader, the only authority on the full grammar.
+    """
+    header = f.readline()
+    d = header.count(b",") + 1
+    if header != ",".join(f"x{i + 1}" for i in range(d)).encode() + b"\n":
+        f.seek(0)
+        return 0, []
+    size = max(_CHUNK_BYTES // (2 * d), 1) * 2 * d
+    codes = []
+    while (chunk := f.read(size)) and (c := _decode_digits(chunk, d)) is not None:
+        codes.append(c)
+    f.seek(-len(chunk), 1)
+    return d, codes
+
+
+def _read_body(f, d, has_count, path, first_line=2):
+    """Parse the data rows, file lines ``first_line`` on, in chunks into
+    lists of 0-based code arrays and of counts (empty for samples).
 
     Codes are narrowed per chunk to the smallest unsigned dtype that holds them.
     """
     dtype = (np.dtype([("s", np.int32, (d,)), ("c", np.float64)]) if has_count
              else np.dtype(np.int32))
     codes, counts = [], []
-    maxima = np.full(d, 2, dtype=np.int64)
-    first_line = 2
     while lines := list(islice(f, _CHUNK_LINES)):
         # A chunk of empty lines holds no rows, and loadtxt would warn on it.
         if lines.count("\n") < len(lines):
@@ -139,15 +181,11 @@ def _read_body(f, d, has_count, path):
             if (states.shape[1] != d or states.min() < 1
                     or not (c.min() >= 0 and c.max() < math.inf)):
                 _check_rows(lines, first_line, d, has_count, path)
-            top = states.max(axis=0)
-            np.maximum(maxima, top, out=maxima)
-            codes.append((states - 1).astype(np.min_scalar_type(int(top.max()) - 1)))
+            codes.append((states - 1).astype(np.min_scalar_type(int(states.max()) - 1)))
             if has_count:
                 counts.append(c)
         first_line += len(lines)
-    if not codes:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.concatenate(codes), np.concatenate(counts) if has_count else None, maxima
+    return codes, counts
 
 
 def sniff_kind(path) -> str:
@@ -158,21 +196,30 @@ def sniff_kind(path) -> str:
 
 
 def _read_table(path, want_count, scheme, cap):
-    with _open(path) as f:
-        d, has_count = _read_header(f, path)
-        if want_count and not has_count:
-            raise DataFormatError(f"{path}:1: header has no trailing 'count' column")
-        if has_count and not want_count:
-            raise DataFormatError(
-                f"{path}:1: header ends in 'count'; this is a contingency table, not samples"
-            )
-        codes, counts, maxima = _read_body(f, d, has_count, path)
-    if scheme is None:
-        scheme = make_scheme(maxima.tolist())
-    elif len(scheme) != d:
+    with _open(path, binary=True) as raw:
+        # Counts files skip the byte decoder: their float counts are most of the parse.
+        d, codes = (0, []) if want_count else _read_digits(raw)
+        f = TextIOWrapper(raw, encoding="utf-8")
+        has_count = False
+        if not d:
+            d, has_count = _read_header(f, path)
+            if want_count and not has_count:
+                raise DataFormatError(f"{path}:1: header has no trailing 'count' column")
+            if has_count and not want_count:
+                raise DataFormatError(
+                    f"{path}:1: header ends in 'count'; this is a contingency table, not samples"
+                )
+        more, counts = _read_body(f, d, has_count, path, 2 + sum(map(len, codes)))
+        codes += more
+    if not codes:
+        raise DataFormatError(f"{path}: no data rows")
+    if scheme is not None and len(scheme) != d:
         raise DataFormatError(
             f"{path}: scheme describes {len(scheme)} variables, data has {d}"
         )
+    # Rebinding frees the chunk lists before the table is built.
+    codes = np.concatenate(codes)
+    counts = np.concatenate(counts) if has_count else None
     return from_codes(codes, counts, scheme, cap=cap)
 
 

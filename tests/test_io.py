@@ -1,5 +1,7 @@
 """CSV and scheme-sidecar ingestion, write/read round trips."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import random_table
 from tcherry import (CapacityError, DataFormatError, DomainError, JointTable, from_counts,
                      generate_tcherry_distribution, make_scheme)
 from tcherry.cli import main
+from tcherry.distribution import from_codes
 from tcherry.io import (
     find_scheme_sidecar,
     load_table,
@@ -306,15 +309,152 @@ def test_chunked_reads_match_one_chunk(tmp_path, monkeypatch):
     assert str(exc.value) == f"{path}:{40 + 2}: expected 4 fields, got 5"
 
 
-def test_samples_chunk_of_another_width(tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk_bytes", [4, 8, 16, tcherry.io._CHUNK_BYTES])
+def test_samples_chunk_of_another_width(tmp_path, monkeypatch, chunk_bytes):
     # Every row of the second chunk has one field too many, so the array
-    # parse itself succeeds on that chunk.
+    # parse itself succeeds on that chunk. Below 20 bytes the byte decoder
+    # takes lines 2-5 first and the text reader starts at line 6.
     path = tmp_path / "s.csv"
     path.write_text("x1,x2\n1,2\n2,1\n1,1\n2,2\n1,2,1\n2,1,1\n1,1,1\n2,2,1\n")
     monkeypatch.setattr(tcherry.io, "_CHUNK_LINES", 4)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
     with pytest.raises(DataFormatError) as exc:
         load_table(path)
     assert str(exc.value) == f"{path}:6: expected 2 fields, got 3"
+
+
+# -- samples byte decoder -------------------------------------------------------
+
+
+def _samples_bytes(rng, cards, n):
+    rows = rng.integers(1, np.array(cards) + 1, size=(n, len(cards)))
+    header = ",".join(f"x{i + 1}" for i in range(len(cards)))
+    return (header + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist())).encode()
+
+
+def _load_recording(path, monkeypatch):
+    """``load_table(path)`` and the codes it handed to ``from_codes``, or
+    the error it raised."""
+    seen = []
+
+    def recording(codes, *args, **kwargs):
+        seen.append(codes)
+        return from_codes(codes, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(tcherry.io, "from_codes", recording)
+        try:
+            t = load_table(path)
+        except (DataFormatError, DomainError) as exc:
+            return type(exc), str(exc)
+    return seen[0].dtype, seen[0].tobytes(), t.cardinalities, t.probs.tobytes(), t.total_count
+
+
+@contextmanager
+def _text_path_only(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(tcherry.io, "_decode_digits", lambda chunk, d: None)
+        yield
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed):
+    # d = 1..20, cardinalities 2..9 (binary where more would pass 2^20 cells).
+    rng = np.random.default_rng(seed)
+    d = seed + 1
+    cards = [2] * d
+    for i in rng.permutation(d):
+        cards[i] = int(rng.integers(2, 10))
+        if np.prod(cards) > 2 ** 20:
+            cards[i] = 2
+    path = tmp_path / "s.csv"
+    path.write_bytes(_samples_bytes(rng, cards, int(rng.integers(1, 5001))))
+    with _text_path_only(monkeypatch):
+        expected = _load_recording(path, monkeypatch)
+    for chunk_bytes in (2 * d, 7, 64, tcherry.io._CHUNK_BYTES):
+        monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
+        assert _load_recording(path, monkeypatch) == expected
+
+
+def test_byte_decoder_takes_exactly_the_canonical_rows():
+    # Every value of every byte of a row: only digits 1-9 where the digits
+    # go, with ',' then '\n' after them, decode.
+    row = bytearray(b"3,7\n")
+    for pos in range(len(row)):
+        for value in range(256):
+            trial = bytearray(row)
+            trial[pos] = value
+            codes = tcherry.io._decode_digits(bytes(trial * 2), 2)
+            canonical = (bytes(trial[1::2]) == b",\n" and ord("1") <= trial[0] <= ord("9")
+                         and ord("1") <= trial[2] <= ord("9"))
+            if canonical:
+                assert codes.dtype == np.uint8
+                assert codes.tolist() == [[trial[0] - 49, trial[2] - 49]] * 2
+            else:
+                assert codes is None
+    assert tcherry.io._decode_digits(b"1,2\n1", 2) is None
+
+
+ODD_ROWS = {
+    "state zero": b"1,0,2\n",
+    "two-digit state": b"1,10,2\n",
+    "quoted field": b'1,"2",2\n',
+    "padded field": b"1, 2,2\n",
+    "signed state": b"1,+1,2\n",
+    "empty field": b"1,,2\n",
+    "too many fields": b"1,2,2,1\n",
+    "too few fields": b"1,2\n",
+    "crlf line end": b"1,2,2\r\n",
+    "lone cr line end": b"1,2,2\r2,1,1\n",
+    "blank line": b"\n",
+    "non-UTF-8 byte": b"1,\xff,2\n",
+    "no final line end": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_ROWS))
+def test_odd_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, monkeypatch, name):
+    # 2,000 rows, so that the odd row lies past the bytes sniff_kind decodes.
+    lines = [b"x1,x2,x3\n"] + [b"%d,%d,%d\n" % tuple(r)
+                               for r in np.random.default_rng(5).integers(1, 4, (2000, 3))]
+    if ODD_ROWS[name] is None:
+        lines[-1] = lines[-1][:-1]
+    else:
+        lines[1451] = ODD_ROWS[name]  # file line 1452, after fourteen 100-row chunks
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"".join(lines))
+    with _text_path_only(monkeypatch):
+        expected = _load_recording(path, monkeypatch)
+    real, calls = tcherry.io._decode_digits, []
+
+    def decode(chunk, d):
+        calls.append(real(chunk, d))
+        return calls[-1]
+
+    monkeypatch.setattr(tcherry.io, "_decode_digits", decode)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
+    assert _load_recording(path, monkeypatch) == expected
+    # Decoded chunks came first, and after the first refusal the decoder
+    # was not tried again.
+    assert len(calls) == (20 if ODD_ROWS[name] is None else 15) and calls[-1] is None
+    assert all(c is not None for c in calls[:-1])
+
+
+def test_canonical_samples_never_reach_loadtxt(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_bytes(_samples_bytes(np.random.default_rng(3), [2, 9, 3, 4], 3000))
+    with _text_path_only(monkeypatch):
+        expected = load_table(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100)
+    t = load_table(path)
+    assert t.cardinalities == expected.cardinalities
+    assert t.probs.tobytes() == expected.probs.tobytes()
+    assert t.total_count == expected.total_count == 3000
 
 
 # -- writer --------------------------------------------------------------------

@@ -7,6 +7,14 @@ and ``malvestuto`` for ``report``, text and JSON, on ``lizards`` and on a
 ``synth --d 10 --k 3 --n 5000 --seed 3`` counts file. A change to any
 byte of these outputs must be deliberate and comes with new hashes.
 
+``SAMPLES_EXPECTED`` does the same for samples files, which the reader
+parses on another path: ``fit`` at k=3 (sk and malvestuto, text and
+JSON) on two files built here from fixed seeds, a binary d=10 one whose
+rows are all single digits and one with a variable of cardinality 12,
+whose two-digit states the byte decoder leaves to the general reader.
+These hashes were recorded before the samples reader gained its byte
+decoder.
+
 The JSON outputs carry floats at full precision. They were recorded on
 x86-64 with numpy 2.4; another numpy build may sum in another order and
 differ in the last bits.
@@ -16,6 +24,7 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from tcherry.cli import main
@@ -108,6 +117,40 @@ EXPECTED = {
 }
 
 
+SAMPLES_EXPECTED = {
+    ("fit", "binary10", "sk", 3, "text"): (0, "90e8388b085c3057727a124e7bf2aad3ed33f536025c26b7e1aafe949b2fb934"),
+    ("fit", "binary10", "malvestuto", 3, "text"): (0, "bc9dea5f70b01ce7eeb6c0c13f8bc92f9460a6e763a8de16e656c25d628ab7c3"),
+    ("fit", "binary10", "sk", 3, "json"): (0, "91947e6fda2326236ed765a70ed222880156a5042273a7c9b940f01d446e2a9c"),
+    ("fit", "binary10", "malvestuto", 3, "json"): (0, "a6c30d741047e48e847384b0b9de1154114248003a15b4b9bb0c4fd97d31e85d"),
+    ("fit", "card12", "sk", 3, "text"): (0, "7c306c81efdbe1cdad142e49ac3e717cdbd5a406f9d6ccdcfa2ee115c8c002ad"),
+    ("fit", "card12", "malvestuto", 3, "text"): (0, "12c758a73fd5fc38ceb2134c4e625c0c2b227a80d9716ff74ff872089f51a797"),
+    ("fit", "card12", "sk", 3, "json"): (0, "2715e3bf64c33d53a53d2102bfb7564459982609abecfe184d17106e10cb14a3"),
+    ("fit", "card12", "malvestuto", 3, "json"): (0, "61e1a039a0f31d5f7edeee81338a74a4f882090be435718c9cd02546a374bb9b"),
+}
+
+
+def _write_samples(path, cards, n, seed):
+    """``n`` sample rows in which each variable copies the one before it
+    (modulo its cardinality) with probability 0.6 and is uniform otherwise."""
+    rng = np.random.default_rng(seed)
+    codes = np.empty((n, len(cards)), dtype=np.int64)
+    codes[:, 0] = rng.integers(cards[0], size=n)
+    for j in range(1, len(cards)):
+        copy = rng.random(n) < 0.6
+        codes[:, j] = np.where(copy, codes[:, j - 1] % cards[j], rng.integers(cards[j], size=n))
+    header = ",".join(f"x{i + 1}" for i in range(len(cards)))
+    body = "".join(",".join(map(str, row)) + "\n" for row in (codes + 1).tolist())
+    path.write_bytes(f"{header}\n{body}".encode())
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def samples_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("samples")
+    return {"binary10": _write_samples(base / "binary10.csv", [2] * 10, 5000, 17),
+            "card12": _write_samples(base / "card12.csv", [3, 12, 2, 5, 4, 2], 4000, 18)}
+
+
 @pytest.fixture(scope="module")
 def synth10(tmp_path_factory):
     prefix = tmp_path_factory.mktemp("hashes") / "s10"
@@ -117,11 +160,20 @@ def synth10(tmp_path_factory):
     return f"{prefix}.csv"
 
 
-@pytest.mark.parametrize("command, data, algorithm, k, fmt", list(EXPECTED))
-def test_stdout_bytes_are_unchanged(synth10, command, data, algorithm, k, fmt):
-    path = "lizards.csv" if data == "lizards" else synth10
+def _run(command, path, algorithm, k, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--k", str(k), "--algorithm", algorithm, "--format", fmt, path])
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert (code, digest) == EXPECTED[command, data, algorithm, k, fmt]
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, data, algorithm, k, fmt", list(EXPECTED))
+def test_stdout_bytes_are_unchanged(synth10, command, data, algorithm, k, fmt):
+    path = "lizards.csv" if data == "lizards" else synth10
+    assert _run(command, path, algorithm, k, fmt) == EXPECTED[command, data, algorithm, k, fmt]
+
+
+@pytest.mark.parametrize("command, data, algorithm, k, fmt", list(SAMPLES_EXPECTED))
+def test_samples_stdout_bytes_are_unchanged(samples_files, command, data, algorithm, k, fmt):
+    assert (_run(command, samples_files[data], algorithm, k, fmt)
+            == SAMPLES_EXPECTED[command, data, algorithm, k, fmt])
