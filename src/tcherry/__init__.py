@@ -6,10 +6,8 @@ from .distribution import (
     MarginalCache,
     MarginalTable,
     VariableSpec,
-    conditional_entropy,
     entropy,
     from_counts,
-    information_content,
     make_scheme,
     marginalize,
     with_additive_smoothing,
@@ -28,8 +26,6 @@ from .junction_tree import (
     SeparatorLink,
     TCherryJunctionTree,
     add_hypercherry,
-    check_running_intersection,
-    cluster_hypergraph,
     eligible_separators,
     first_rip_violation,
     graham_reduce,
@@ -37,7 +33,6 @@ from .junction_tree import (
     parse_tree_document,
     puzzle_numbering,
     tree_from_dict,
-    tree_from_json,
     tree_to_dict,
     tree_to_json,
 )
@@ -56,14 +51,12 @@ from .learner import (
     generate_tcherry_distribution,
     iter_structures,
     random_factorizing_table,
-    tree_from_trace,
 )
 from .scoring import (
     ConditionComparison,
     ConditionReport,
     ScoreBreakdown,
     check_recovery_conditions,
-    evaluate_tree_pd,
     kl_entropy_form,
     kl_exact,
     score_to_dict,

@@ -333,33 +333,6 @@ def entropy(table) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def information_content(p: JointTable, subset: Iterable[int]) -> float:
-    """Sum of single-variable entropies over ``subset`` minus the joint entropy.
-
-    Non-negative; exactly 0 for singleton subsets.
-    """
-    subset = canonical_subset(subset, p.d)
-    if len(subset) == 1:
-        return 0.0
-    singles = math.fsum(entropy(marginalize(p, (i,))) for i in subset)
-    return singles - entropy(marginalize(p, subset))
-
-
-def conditional_entropy(p: JointTable, target: int, given: Iterable[int]) -> float:
-    """H(target | given) = H(target ∪ given) − H(given), in bits."""
-    target = int(target)
-    if not 1 <= target <= p.d:
-        raise DomainError(f"target {target} outside 1..{p.d}")
-    given = tuple(given)
-    if not given:
-        return entropy(marginalize(p, (target,)))
-    given = canonical_subset(given, p.d, what="conditioning set")
-    if target in given:
-        raise DomainError(f"target {target} appears in the conditioning set {given}")
-    joint = canonical_subset(given + (target,), p.d)
-    return entropy(marginalize(p, joint)) - entropy(marginalize(p, given))
-
-
 class MarginalCache:
     """Memoizes marginals, entropies and information contents per subset.
 

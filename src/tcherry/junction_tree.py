@@ -129,11 +129,6 @@ def first_rip_violation(clusters) -> int | None:
     return None
 
 
-def check_running_intersection(clusters) -> bool:
-    """Does the ordered cluster list satisfy the running intersection property?"""
-    return first_rip_violation(clusters) is None
-
-
 @dataclass(frozen=True)
 class SeparatorLink:
     """Separator of one grown cluster and the index of the cluster it attaches to."""
@@ -295,11 +290,6 @@ def add_hypercherry(t: TCherryJunctionTree, new_vertex: int, separator,
     )
 
 
-def cluster_hypergraph(t: TCherryJunctionTree) -> Hypergraph:
-    """The tree's clusters as a hypergraph over its covered vertices."""
-    return Hypergraph(t.vertices, t.clusters)
-
-
 @dataclass(frozen=True)
 class PuzzleNumbering:
     """A processing order of a tree's vertices.
@@ -440,10 +430,3 @@ def tree_from_dict(doc) -> TCherryJunctionTree:
 def tree_to_json(t: TCherryJunctionTree) -> str:
     return json.dumps(tree_to_dict(t), indent=2) + "\n"
 
-
-def tree_from_json(text: str) -> TCherryJunctionTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    return tree_from_dict(doc)

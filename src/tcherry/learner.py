@@ -3,15 +3,17 @@
 Two greedy algorithms drive growth from a scored candidate table: ``sk``
 accepts candidates by decreasing information weight w = I(cluster) −
 I(base), ``malvestuto`` by increasing entropy weight ω = H(cluster) −
-H(base). ``chow_liu`` is the k = 2 spanning-tree special case and
-``exhaustive`` enumerates every structure as an oracle for small d.
+H(base). ``chow_liu`` is the k = 2 spanning-tree special case of ``sk``
+and ``exhaustive`` enumerates every structure as an oracle for small d.
+Every fit builds its tree and trace, and checks them against the
+itemized score, in ``_fit``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
@@ -252,22 +254,23 @@ def find_parent_cluster(p: JointTable, k: int,
     return enumerate_candidates(p, k, cache_for(p, cache)).by_w()[0].cluster
 
 
-def _grow(p, table: CandidateTable, parent: IndexSet, cache):
-    """Grow from ``parent`` by accepting, until every variable is covered, the
-    first admissible candidate in ``table``'s order.
+def _grow(p, table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSet]]:
+    """The (vertex, base) steps that grow from ``parent`` by accepting, until
+    every variable is covered, the first admissible candidate in ``table``'s
+    order.
 
     A heap holds the positions of the candidates whose base lies in some
     cluster; a base's candidates enter once, when a new cluster makes it
     eligible. A covered vertex stays covered, so after popping those the
     top of the heap is the first admissible candidate: O(C log C) in all
-    for C candidates. Returns (tree, trace, sum of the accepted w).
+    for C candidates.
     """
     k = len(parent)
     by_base = np.argsort(table.base_rank, kind="stable").reshape(-1, p.d - k + 1).tolist()
     bases_of = np.empty(table.members.shape, dtype=np.int64)
     bases_of[table.cluster_rank, table.pos] = table.base_rank
     vertices = table.new_vertices().tolist()
-    eligible, heap = set(), []
+    eligible, heap, covered, steps = set(), [], set(parent), []
 
     def open_bases(cluster_rank):
         for b in bases_of[cluster_rank].tolist():
@@ -276,22 +279,45 @@ def _grow(p, table: CandidateTable, parent: IndexSet, cache):
                 for i in by_base[b]:
                     heappush(heap, i)
 
-    tree = new_parent(k, parent)
-    trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
-    accepted = 0.0
     open_bases(_lex_ranks(np.array([parent]), p.d)[0])
-    while len(tree.vertices) < p.d:
+    while len(covered) < p.d:
         if not heap:
             raise ConsistencyError("no admissible candidate although vertices remain")
         i = heappop(heap)
-        if tree.covers(vertices[i]):
+        if vertices[i] in covered:
             continue
         cand = table[i]
-        tree = add_hypercherry(tree, cand.new_vertex, cand.base)
-        trace.append(TraceStep(cand.cluster, cand.base, cand.w, cand.omega))
-        accepted += cand.w
+        covered.add(cand.new_vertex)
+        steps.append((cand.new_vertex, cand.base))
         open_bases(table.cluster_rank[i])
-    return tree, trace, accepted
+    return steps
+
+
+def _fit(algorithm: str, p: JointTable, cache: MarginalCache, table: CandidateTable,
+         parent: IndexSet, steps) -> FitResult:
+    """Build the tree and trace of ``steps`` from ``parent``, score the tree
+    and check both accumulators against it.
+
+    Each step's w = I(C) − I(S) and ω = H(C) − H(S) subtract the cached
+    floats the candidate table subtracts, so they equal its bits.
+    """
+    tree = new_parent(len(parent), parent)
+    trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
+    for vertex, base in steps:
+        tree = add_hypercherry(tree, vertex, base)
+        cluster = tree.clusters[-1]
+        trace.append(TraceStep(cluster, base, cache.info(cluster) - cache.info(base),
+                               cache.h(cluster) - cache.h(base)))
+    score = tree_weight(p, tree, cache)
+    if abs(math.fsum(s.w for s in trace) - score.weight) > WEIGHT_CHECK_TOL:
+        raise ConsistencyError("greedy weight accumulator disagrees with itemized score")
+    itemized = (
+        math.fsum(cache.h(c) for c in tree.clusters)
+        - math.fsum((n - 1) * cache.h(s) for s, n in tree.nu.items())
+    )
+    if abs(math.fsum(s.omega for s in trace) - itemized) > WEIGHT_CHECK_TOL:
+        raise ConsistencyError("entropy accumulator disagrees with itemized sum")
+    return FitResult(algorithm, tree, tuple(trace), score, table)
 
 
 def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResult:
@@ -304,11 +330,8 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     k = _validate_k(p, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_w()
-    tree, trace, accepted = _grow(p, order, order[0].cluster, cache)
-    score = tree_weight(p, tree, cache)
-    if abs(trace[0].w + accepted - score.weight) > WEIGHT_CHECK_TOL:
-        raise ConsistencyError("greedy weight accumulator disagrees with itemized score")
-    return FitResult("sk", tree, tuple(trace), score, order)
+    parent = order[0].cluster
+    return _fit("sk", p, cache, order, parent, _grow(p, order, parent))
 
 
 def fit_malvestuto(p: JointTable, k: int,
@@ -318,67 +341,18 @@ def fit_malvestuto(p: JointTable, k: int,
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_omega()
     parent = min(combinations(p.variables, k), key=lambda c: (cache.h(c), c))
-    tree, trace, _ = _grow(p, order, parent, cache)
-    score = tree_weight(p, tree, cache)
-    entropy_weight = cache.h(parent) + math.fsum(s.omega for s in trace[1:])
-    itemized = (
-        math.fsum(cache.h(c) for c in tree.clusters)
-        - math.fsum((n - 1) * cache.h(s) for s, n in tree.nu.items())
-    )
-    if abs(entropy_weight - itemized) > WEIGHT_CHECK_TOL:
-        raise ConsistencyError("entropy accumulator disagrees with itemized sum")
-    return FitResult("malvestuto", tree, tuple(trace), score, order)
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    return _fit("malvestuto", p, cache, order, parent, _grow(p, order, parent))
 
 
 def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult:
-    """Maximum-mutual-information spanning tree (Kruskal), as a k = 2 tree."""
+    """Maximum-mutual-information spanning tree, as a k = 2 tree.
+
+    At k = 2 the ``sk`` growth is Prim's algorithm under the strict order
+    (−I, edge), so it finds the tree Kruskal's algorithm finds.
+    """
     if p.d < 2:
         raise DomainError("chow_liu needs at least two variables")
-    cache = cache_for(p, cache)
-    table = enumerate_candidates(p, 2, cache).by_w()
-    ranked = sorted(
-        combinations(p.variables, 2),
-        key=lambda e: (-cache.info(e), e),
-    )
-    uf = _UnionFind(p.variables)
-    chosen = [e for e in ranked if uf.union(*e)]
-    # Order the spanning edges so each one after the first adds one new vertex.
-    tree = new_parent(2, chosen[0])
-    trace = [TraceStep(chosen[0], None, cache.info(chosen[0]), cache.h(chosen[0]))]
-    remaining = chosen[1:]
-    while remaining:
-        for pos, (u, v) in enumerate(remaining):
-            covered_u, covered_v = tree.covers(u), tree.covers(v)
-            if covered_u == covered_v:
-                continue
-            fresh, base = (v, (u,)) if covered_u else (u, (v,))
-            tree = add_hypercherry(tree, fresh, base)
-            cand = Candidate(fresh, base, cache.info((u, v)), cache.h((u, v)) - cache.h(base))
-            trace.append(TraceStep(cand.cluster, cand.base, cand.w, cand.omega))
-            del remaining[pos]
-            break
-        else:
-            raise ConsistencyError("spanning edges do not connect the variables")
-    score = tree_weight(p, tree, cache)
-    return FitResult("chow_liu", tree, tuple(trace), score, table)
+    return replace(fit_sk(p, 2, cache), algorithm="chow_liu")
 
 
 def _sequence_bound(d: int, k: int) -> int:
@@ -442,6 +416,9 @@ def fit_exhaustive(p: JointTable, k: int, max_vertices: int = 7,
             f"up to {_sequence_bound(p.d, k)} growth sequences"
         )
     cache = cache_for(p, cache)
+    # Scored first, as in every fit, so structures are weighed from the
+    # marginals the table prefetched and not from joint reductions.
+    table = enumerate_candidates(p, k, cache).by_w()
     best = None
     for clusters, seps, witness in iter_structures(p.d, k):
         weight = math.fsum(cache.info(c) for c in clusters) - math.fsum(
@@ -450,37 +427,11 @@ def fit_exhaustive(p: JointTable, k: int, max_vertices: int = 7,
         key = (-weight, clusters, seps)
         if best is None or key < best[0]:
             best = (key, witness)
-    parent, steps = best[1]
-    tree = new_parent(k, parent)
-    trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
-    for vertex, base in steps:
-        tree = add_hypercherry(tree, vertex, base)
-        cluster = tuple(sorted(base + (vertex,)))
-        trace.append(TraceStep(
-            cluster, base,
-            cache.info(cluster) - cache.info(base),
-            cache.h(cluster) - cache.h(base),
-        ))
-    score = tree_weight(p, tree, cache)
-    if abs(-best[0][0] - score.weight) > WEIGHT_CHECK_TOL:
+    (neg_weight, _, _), (parent, steps) = best
+    fr = _fit("exhaustive", p, cache, table, parent, steps)
+    if abs(-neg_weight - fr.score.weight) > WEIGHT_CHECK_TOL:
         raise ConsistencyError("oracle weight disagrees with itemized score")
-    table = enumerate_candidates(p, k, cache).by_w()
-    return FitResult("exhaustive", tree, tuple(trace), score, table)
-
-
-def tree_from_trace(k: int, trace: Sequence[TraceStep]) -> TCherryJunctionTree:
-    """Rebuild the grown tree from a recorded trace."""
-    if not trace:
-        raise DomainError("trace is empty")
-    tree = new_parent(k, trace[0].cluster)
-    for step in trace[1:]:
-        if step.separator is None:
-            raise DomainError("only the first trace step may lack a separator")
-        fresh = set(step.cluster) - set(step.separator)
-        if len(fresh) != 1:
-            raise DomainError(f"trace step {step.cluster} does not add one vertex")
-        tree = add_hypercherry(tree, fresh.pop(), step.separator)
-    return tree
+    return fr
 
 
 def _softmax(logits: np.ndarray, axis=None) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -95,30 +94,6 @@ def tree_pd_table(p: JointTable, t: TCherryJunctionTree,
     out = np.zeros(p.probs.shape)
     np.divide(num, den, out=out, where=den > 0.0)
     return out
-
-
-def evaluate_tree_pd(p: JointTable, t: TCherryJunctionTree, x: Sequence[int],
-                     cache: MarginalCache | None = None) -> float:
-    """Tree-distribution probability of one full 1-based state vector."""
-    _check_tree(p, t)
-    cache = cache_for(p, cache)
-    cluster_vals = {c: cache.point(c, x) for c in t.clusters}
-    num = 1.0
-    for value in cluster_vals.values():
-        num *= value
-    den = 1.0
-    for s, n in t.nu.items():
-        value = cache.point(s, x)
-        if value == 0.0:
-            holders = [c for c in t.clusters if set(s) <= set(c)]
-            if any(cluster_vals[c] > 0.0 for c in holders):
-                raise ConsistencyError(
-                    f"separator {s} has probability 0 at {tuple(x)} while a containing "
-                    f"cluster marginal is positive"
-                )
-            return 0.0
-        den *= value ** (n - 1)
-    return num / den
 
 
 def kl_exact(p: JointTable, t: TCherryJunctionTree,

@@ -102,6 +102,20 @@ def test_fit_all_runs_every_algorithm(capsys):
     assert "comparison: sk KL=0.0355417 | malvestuto KL=0.0375077 | exhaustive KL=0.0343556" in out
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exhaustive_alone_equals_its_entry_in_all(capsys, k):
+    # Every fit scores from the marginals its candidate table prefetched,
+    # so exhaustive gives the same bytes alone as after the greedy fits.
+    out = {}
+    for algorithm in ("exhaustive", "sk", "all"):
+        code, out[algorithm], _ = run(capsys, "fit", "--k", str(k), "--algorithm", algorithm,
+                                      "--format", "json", "lizards.csv")
+        assert code == 0
+    (entry,) = [r for r in json.loads(out["all"])["results"] if r["algorithm"] == "exhaustive"]
+    assert out["exhaustive"] == json.dumps(entry, indent=2) + "\n"
+    assert entry["candidates"] == json.loads(out["sk"])["candidates"]
+
+
 def test_fit_all_at_order_two_includes_spanning_tree(capsys):
     code, out, _ = run(capsys, "fit", "--k", "2", "--algorithm", "all", "lizards.csv")
     assert code == 0

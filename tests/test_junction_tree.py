@@ -14,8 +14,6 @@ from tcherry import (
     StructureError,
     TCherryJunctionTree,
     add_hypercherry,
-    check_running_intersection,
-    cluster_hypergraph,
     eligible_separators,
     first_rip_violation,
     graham_reduce,
@@ -23,7 +21,6 @@ from tcherry import (
     parse_tree_document,
     puzzle_numbering,
     tree_from_dict,
-    tree_from_json,
     tree_to_dict,
     tree_to_json,
 )
@@ -85,12 +82,12 @@ def test_graham_trace_steps_name_their_edges():
 def test_rip_violation_reports_first_bad_position():
     assert first_rip_violation([(1, 2), (3, 4), (2, 3)]) == 2
     assert first_rip_violation([(1, 2), (2, 3), (3, 4)]) is None
-    assert check_running_intersection([(1, 2, 3), (2, 3, 4), (3, 4, 5)])
-    assert not check_running_intersection([(1, 2, 3), (3, 4, 5), (1, 5, 6)])
+    assert first_rip_violation([(1, 2, 3), (2, 3, 4), (3, 4, 5)]) is None
+    assert first_rip_violation([(1, 2, 3), (3, 4, 5), (1, 5, 6)]) == 2
 
 
 def test_rip_on_single_cluster_holds():
-    assert check_running_intersection([(1, 2, 3)])
+    assert first_rip_violation([(1, 2, 3)]) is None
 
 
 # -- construction -----------------------------------------------------------
@@ -184,7 +181,7 @@ def test_direct_constructor_validates_whole_tree():
 
 def test_cluster_hypergraph_round_trip():
     t = chain_tree()
-    h = cluster_hypergraph(t)
+    h = Hypergraph(t.vertices, t.clusters)
     assert h.hyperedges == t.clusters
     assert graham_reduce(h).is_acyclic
 
@@ -227,8 +224,8 @@ def test_random_trees_always_pass_structural_checks():
         k = int(rng.integers(2, min(d, 4) + 1))
         t = random_tree(rng, d, k)
         assert len(t.clusters) == d - k + 1
-        assert check_running_intersection(t.clusters)
-        assert graham_reduce(cluster_hypergraph(t)).is_acyclic
+        assert first_rip_violation(t.clusters) is None
+        assert graham_reduce(Hypergraph(t.vertices, t.clusters)).is_acyclic
         n = puzzle_numbering(t, t.parent)
         assert sorted(n.order) == list(t.vertices)
         # nu bookkeeping: 1 + number of links labeled S.
@@ -241,7 +238,7 @@ def test_random_trees_always_pass_structural_checks():
 
 def test_tree_json_round_trip():
     t = chain_tree()
-    back = tree_from_json(tree_to_json(t))
+    back = tree_from_dict(json.loads(tree_to_json(t)))
     assert back == t
     assert back.links == t.links
 
@@ -264,8 +261,6 @@ def test_tree_from_dict_rejects_missing_fields():
         tree_from_dict({"k": 2, "clusters": [[1, 2]], "parent": [1, 2]})
     with pytest.raises(DataFormatError, match="object"):
         tree_from_dict([1, 2])
-    with pytest.raises(DataFormatError, match="JSON"):
-        tree_from_json("{nope")
 
 
 def test_tree_from_dict_parent_must_be_first_cluster():

@@ -1,6 +1,8 @@
 """Module boundaries of the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tcherry"
@@ -17,3 +19,36 @@ def test_no_private_names_imported_across_modules():
             found += [f"{path.name}:{node.lineno}: {alias.name}"
                       for alias in node.names if alias.name.startswith("_")]
     assert SRC.is_dir() and not found
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def test_perfbench_imports_resolve():
+    # The benchmark's own tests are outside tier-1, so a name removed from
+    # the package would break them unseen.
+    missing = []
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module, name in targets:
+                if module.split(".")[0] != "tcherry":
+                    continue
+                found = importlib.util.find_spec(module) is not None
+                if found and name is not None:
+                    found = hasattr(importlib.import_module(module), name)
+                if not found:
+                    missing.append(f"{path.name}:{node.lineno}: {module} {name or ''}")
+    assert PERFBENCH.is_dir() and not missing
+
+
+def test_cache_keeps_the_methods_the_tracer_patches():
+    from tcherry.distribution import MarginalCache
+
+    assert all(callable(vars(MarginalCache).get(name))
+               for name in ("marginal", "h", "info", "point"))

@@ -2,17 +2,24 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import tcherry.distribution
+import tcherry.learner
 from conftest import random_table, random_tree
+from test_candidates import CASES, TIES
 from tcherry import (
     CapacityError,
     Candidate,
+    ConsistencyError,
     DomainError,
+    JointTable,
     MarginalCache,
+    add_hypercherry,
     enumerate_candidates,
     find_parent_cluster,
     fit_chow_liu,
@@ -21,11 +28,12 @@ from tcherry import (
     fit_sk,
     fit_to_dict,
     generate_tcherry_distribution,
-    information_content,
     iter_structures,
     kl_exact,
-    tree_from_trace,
+    make_scheme,
+    new_parent,
 )
+from tcherry.cli import main
 
 SK4_KL = 0.013091417653743331
 M4_KL = 0.022440270192606082
@@ -163,10 +171,12 @@ def test_sk_never_loses_to_malvestuto_on_lizard(lizard, lizard_cache):
 
 
 def test_trace_replay_rebuilds_the_tree(lizard, lizard_cache):
-    for fit in (fit_sk, fit_malvestuto):
+    for fit in (fit_sk, fit_malvestuto, fit_exhaustive):
         for k in (2, 3, 4):
-            fr = fit(lizard, k, lizard_cache)
-            assert tree_from_trace(fr.tree.k, fr.trace) == fr.tree
+            fr = fit(lizard, k, cache=lizard_cache)
+            assert fr.trace[0].cluster == fr.tree.parent and fr.trace[0].separator is None
+            assert ([(s.cluster, s.separator) for s in fr.trace[1:]]
+                    == list(zip(fr.tree.clusters[1:], fr.tree.separators)))
 
 
 def test_trace_weights_sum_to_score(lizard, lizard_cache):
@@ -187,23 +197,83 @@ def test_candidate_table_is_sorted(lizard, lizard_cache):
 
 # -- spanning-tree equivalence ----------------------------------------------
 
-def test_chow_liu_equals_sk_at_order_two(lizard, lizard_cache):
-    cl = fit_chow_liu(lizard, lizard_cache)
-    sk = fit_sk(lizard, 2, lizard_cache)
-    assert cl.score.weight == pytest.approx(SK2_WEIGHT, abs=1e-12)
-    assert abs(cl.score.weight - sk.score.weight) < 1e-10
-    assert set(cl.tree.clusters) == set(sk.tree.clusters)
+class UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def kruskal_tree(p, cache):
+    """Reference: Kruskal's maximum-MI spanning tree under the order
+    (−I, edge), its edges then reordered so that each adds one new vertex
+    (the first remaining edge that touches the tree goes next)."""
+    ranked = sorted(combinations(p.variables, 2), key=lambda e: (-cache.info(e), e))
+    uf = UnionFind(p.variables)
+    chosen = [e for e in ranked if uf.union(*e)]
+    tree, remaining = new_parent(2, chosen[0]), chosen[1:]
+    while remaining:
+        u, v = next(e for e in remaining if tree.covers(e[0]) != tree.covers(e[1]))
+        tree = add_hypercherry(tree, *((v, (u,)) if tree.covers(u) else (u, (v,))))
+        remaining.remove((u, v))
+    return tree
+
+
+def assert_chow_liu_is_kruskal(p):
+    cache = MarginalCache(p)
+    cl, sk = fit_chow_liu(p, cache), fit_sk(p, 2, cache)
+    assert cl.tree == sk.tree == kruskal_tree(p, cache)
+    assert cl.trace == sk.trace
+    assert cl.score == sk.score
+    assert (cl.algorithm, list(cl.candidate_table)) == ("chow_liu", list(sk.candidate_table))
+
+
+def test_chow_liu_equals_sk_at_order_two(lizard):
+    assert_chow_liu_is_kruskal(lizard)
+    assert fit_chow_liu(lizard).score.weight == pytest.approx(SK2_WEIGHT, abs=1e-12)
 
 
 def test_chow_liu_equivalence_on_random_tables():
-    rng = np.random.default_rng(73)
-    for _ in range(10):
-        d = int(rng.integers(3, 7))
-        cards = tuple(int(c) for c in rng.integers(2, 4, size=d))
-        t = random_table(rng, cards)
-        cl = fit_chow_liu(t)
-        sk = fit_sk(t, 2)
-        assert abs(cl.score.weight - sk.score.weight) < 1e-10
+    # The random tables of test_candidates, then its tables with exact ties.
+    for case in CASES + TIES:
+        assert_chow_liu_is_kruskal(case.values[0])
+
+
+def test_chow_liu_needs_two_variables(tmp_path, capsys):
+    with pytest.raises(DomainError, match="^chow_liu needs at least two variables$"):
+        fit_chow_liu(JointTable(make_scheme([2]), [0.3, 0.7]))
+    (tmp_path / "one.csv").write_text("x1\n1\n2\n2\n")
+    assert main(["fit", "--algorithm", "chow_liu", str(tmp_path / "one.csv")]) == 2
+    assert capsys.readouterr().err == "error: chow_liu needs at least two variables\n"
+
+
+# -- the shared accumulator check --------------------------------------------
+
+def test_every_fit_checks_its_weight_accumulator(lizard, monkeypatch, capsys):
+    real = tcherry.learner.tree_weight
+
+    def shifted(*args):
+        sb = real(*args)
+        return replace(sb, weight=sb.weight + 1e-6)
+
+    monkeypatch.setattr(tcherry.learner, "tree_weight", shifted)
+    for fit in (lambda: fit_sk(lizard, 3), lambda: fit_malvestuto(lizard, 3),
+                lambda: fit_chow_liu(lizard), lambda: fit_exhaustive(lizard, 3)):
+        with pytest.raises(ConsistencyError, match="accumulator"):
+            fit()
+    assert main(["fit", "--k", "3", "lizards.csv"]) == 4
+    assert capsys.readouterr().out == ""
 
 
 # -- exhaustive oracle ------------------------------------------------------
@@ -271,7 +341,7 @@ def test_generator_is_deterministic_per_seed():
 
 def test_generator_strength_zero_gives_independence():
     table, tree = generate_tcherry_distribution(5, 5, 3, 2, 0.0)
-    assert information_content(table, (1, 2, 3, 4, 5)) == pytest.approx(0.0, abs=1e-12)
+    assert MarginalCache(table).info((1, 2, 3, 4, 5)) == pytest.approx(0.0, abs=1e-12)
     assert fit_sk(table, 3).score.weight == pytest.approx(0.0, abs=1e-12)
 
 

@@ -16,10 +16,8 @@ from tcherry import (
     PuzzleNumbering,
     check_recovery_conditions,
     entropy,
-    evaluate_tree_pd,
     fit_malvestuto,
     fit_sk,
-    information_content,
     kl_entropy_form,
     kl_exact,
     make_scheme,
@@ -103,7 +101,7 @@ def test_three_divergence_paths_agree_on_random_pairs():
 
 
 def test_divergence_identity_on_lizard_fits(lizard, lizard_cache):
-    i_total = information_content(lizard, (1, 2, 3, 4, 5))
+    i_total = oracle_info(cells_of(lizard), (1, 2, 3, 4, 5))
     for k in (2, 3, 4):
         for fit in (fit_sk, fit_malvestuto):
             sb = fit(lizard, k, lizard_cache).score
@@ -126,6 +124,14 @@ def test_tree_pd_table_is_a_distribution():
         assert float(q.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
+def pointwise_tree_pd(tree, state, cache):
+    """q(x) as a product of cluster marginals over separator marginals, each
+    read at one full state; 0 where a separator marginal vanishes."""
+    num = math.prod(cache.point(c, state) for c in tree.clusters)
+    den = math.prod(cache.point(s, state) ** (n - 1) for s, n in tree.nu.items())
+    return num / den if den > 0.0 else 0.0
+
+
 def test_pointwise_evaluation_matches_dense_table():
     rng = np.random.default_rng(71)
     t = random_table(rng, (2, 3, 2), zero_fraction=0.2)
@@ -133,7 +139,7 @@ def test_pointwise_evaluation_matches_dense_table():
     q = tree_pd_table(t, tree)
     cache = MarginalCache(t)
     for state in product(range(1, 3), range(1, 4), range(1, 3)):
-        direct = evaluate_tree_pd(t, tree, state, cache)
+        direct = pointwise_tree_pd(tree, state, cache)
         assert direct == pytest.approx(float(q[tuple(s - 1 for s in state)]), abs=1e-12)
 
 

@@ -6,6 +6,10 @@ table became columnar: every algorithm at k = 2..4 for ``fit``, ``sk``
 and ``malvestuto`` for ``report``, text and JSON, on ``lizards`` and on a
 ``synth --d 10 --k 3 --n 5000 --seed 3`` counts file. A change to any
 byte of these outputs must be deliberate and comes with new hashes.
+The three ``fit lizards exhaustive {2,3,4} json`` entries were
+re-recorded when ``exhaustive`` began to score from the marginals its
+candidate table prefetches, as the other fits do: its w, ω and score
+then equal, to the last bit, its entry in ``--algorithm all``.
 
 ``SAMPLES_EXPECTED`` does the same for samples files, which the reader
 parses on another path: ``fit`` at k=3 (sk and malvestuto, text and
@@ -54,21 +58,21 @@ EXPECTED = {
     ("fit", "lizards", "sk", 2, "json"): (0, "652a24cb74b623d8fcc8ef7d1f847baed8bfa2906b1f276ad33f1d313f1b3fe8"),
     ("fit", "lizards", "malvestuto", 2, "json"): (0, "8339a00e526d55a9e4ac2eba4ca51a73635e92746fab553d89f46fdaec1461f1"),
     ("fit", "lizards", "chow_liu", 2, "json"): (0, "2d98987230392362a4431ef883145a53325becf5511ad7e13cd4f4e21b967ac6"),
-    ("fit", "lizards", "exhaustive", 2, "json"): (0, "a35b62768ffe1a885034389a7bcb634458b3f402a11bc12db30b785f81c7edec"),
+    ("fit", "lizards", "exhaustive", 2, "json"): (0, "00a1906b38829ad118493c1f856a519d585e0e1b96e777d4702193692ba9bab7"),
     ("fit", "lizards", "all", 2, "json"): (0, "25d0e55f15b3e81a8329de23ca6f3976fc583a6f0c3e48ab8e0339aff3c583f5"),
     ("report", "lizards", "sk", 2, "json"): (0, "ecee046d65fe3966b77e28b8fcd256bddf0c7513bebc8384395744163817edbe"),
     ("report", "lizards", "malvestuto", 2, "json"): (0, "f8667163bf453d8f54c56e2a86d975c85d2104eb5f32af02c71d3cb7e7ae9b50"),
     ("fit", "lizards", "sk", 3, "json"): (0, "dba8adc4b1ac745d6655179c5394bda2fe3baebb3c4516528197f6877d601c31"),
     ("fit", "lizards", "malvestuto", 3, "json"): (0, "d32cc923a418fc589ae4cb171818f2bc8c3fc4cb35d3efe6a91e9f5de4c441b6"),
     ("fit", "lizards", "chow_liu", 3, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "lizards", "exhaustive", 3, "json"): (0, "8564bb5adbbd297af4c3e1e62d9f52f157331a935f7383bc0303f9e1d39c948a"),
+    ("fit", "lizards", "exhaustive", 3, "json"): (0, "f025e2b3f153a24463dc21f46773173d296d24efa64fe70994d1da56e5f1b8a8"),
     ("fit", "lizards", "all", 3, "json"): (0, "74a4403aecd41a5f57384a21af9b2fd4a906fe9426b4d58df5b488d50d53c1f4"),
     ("report", "lizards", "sk", 3, "json"): (0, "0f4d9821e3c15ea6ec46043ff536b9151e466de3f5152c0d430299dc65d0de16"),
     ("report", "lizards", "malvestuto", 3, "json"): (0, "6f5a7e4f2f0a0b9415373c41ed857a5acc7e29148e33c0052a442d4d9f61dc07"),
     ("fit", "lizards", "sk", 4, "json"): (0, "7c43bd3f512fb3df275d4d01bf68da7fc016671481e00c86ebac36413b0404ef"),
     ("fit", "lizards", "malvestuto", 4, "json"): (0, "8a39eefdb1de148302829a90cb2e675612f43019a3f9027ed48df9d512cc8f83"),
     ("fit", "lizards", "chow_liu", 4, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "lizards", "exhaustive", 4, "json"): (0, "a5b259f646eca1afb1b282e408955e2dd579f6c111c76416b2605ffe94b34b25"),
+    ("fit", "lizards", "exhaustive", 4, "json"): (0, "bab4cc3d36d6c6891a9b2c1fab1e7729d3b1a917fb7b689f0eae732b0d758c8a"),
     ("fit", "lizards", "all", 4, "json"): (0, "f99f46de34d196ac7834ca80973cb165d43b7d2294af8b344432b14242ce2df7"),
     ("report", "lizards", "sk", 4, "json"): (0, "ab0166aa11d1d91daad5a7d7af76bcbfa8b3e06a535d5c9c9ad18f34ab3fe9cd"),
     ("report", "lizards", "malvestuto", 4, "json"): (0, "ede0c1263a85aa04861b4b7c67fa75e9978ba92dcd2bffc1c02b1779528a10cc"),
