@@ -37,7 +37,6 @@ from .junction_tree import (
     tree_to_json,
 )
 from .learner import (
-    Candidate,
     CandidateTable,
     FitResult,
     TraceStep,
@@ -47,7 +46,6 @@ from .learner import (
     fit_exhaustive,
     fit_malvestuto,
     fit_sk,
-    fit_to_dict,
     generate_tcherry_distribution,
     iter_structures,
     random_factorizing_table,

@@ -42,18 +42,22 @@ from .junction_tree import (
     tree_to_json,
 )
 from .learner import (
-    CandidateRows,
+    CandidateTable,
     FitResult,
     fit_chow_liu,
     fit_exhaustive,
     fit_malvestuto,
     fit_sk,
-    fit_to_dict,
     generate_tcherry_distribution,
 )
 from .scoring import check_recovery_conditions, score_to_dict, tree_weight
 
 _LN2 = math.log(2.0)
+
+
+def _unit(x: float, nats: bool) -> float:
+    """``x`` bits in the unit the text output asks for."""
+    return x * _LN2 if nats else x
 
 
 def _fmt_set(vertices) -> str:
@@ -109,19 +113,21 @@ def _emit_json(obj) -> None:
 def _json_chunks(obj, pad: str):
     """Pieces of json.dumps(obj, indent=2) with every line after the first
     indented by ``pad``. json with ``indent`` has no C encoder, so a list of
-    same-shaped rows is formatted from one template, 2,048 rows a piece."""
+    same-shaped rows, or a candidate table, is formatted from one template,
+    2,048 rows a piece."""
     inner = pad + "  "
     sep = ",\n" + inner
+    fields = (_candidate_fields(obj) if isinstance(obj, CandidateTable)
+              else _row_fields(obj) if isinstance(obj, list) and obj else None)
+    template, columns = _row_template(fields, inner) if fields else (None, None)
+    if template is not None:
+        rows, head = zip(*columns), "[\n" + inner
+        while batch := list(islice(rows, 2048)):
+            yield head + sep.join(map(template.__mod__, batch))
+            head = sep
+        yield f"\n{pad}]"
+        return
     if isinstance(obj, list) and obj:
-        fields = _row_fields(obj)
-        template, columns = _row_template(fields, inner) if fields else (None, None)
-        if template is not None:
-            rows, head = zip(*columns), "[\n" + inner
-            while batch := list(islice(rows, 2048)):
-                yield head + sep.join(map(template.__mod__, batch))
-                head = sep
-            yield f"\n{pad}]"
-            return
         brackets, items = "[]", [("", item) for item in obj]
     elif type(obj) is dict and obj and all(type(key) is str for key in obj):
         brackets, items = "{}", [(json.dumps(key) + ": ", value) for key, value in obj.items()]
@@ -141,9 +147,7 @@ def _row_fields(rows):
     """``[(key, nested, columns)]`` when every row is a dict with the same
     string keys and each key holds, in every row, a scalar or, marked
     ``nested``, a list of one length whose positions are its columns.
-    None otherwise. Candidate rows give their columns from the table."""
-    if isinstance(rows, CandidateRows):
-        return rows.fields()
+    None otherwise."""
     keys = tuple(rows[0]) if type(rows[0]) is dict else ()
     if (not keys or set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}
             or not all(type(key) is str for key in keys)):
@@ -154,6 +158,19 @@ def _row_fields(rows):
         nested = set(map(type, column)) == {list} and len(set(map(len, column))) == 1
         fields.append((key, nested, list(zip(*column)) if nested else [column]))
     return fields
+
+
+def _candidate_fields(table: CandidateTable):
+    """The ``_row_fields`` of the candidate rows of the fit document, read
+    from the table's columns: cluster, separator (the base), new_vertex, w
+    and omega."""
+    return [
+        ("cluster", True, table.members[table.cluster_rank].T.tolist()),
+        ("separator", True, table.bases().T.tolist()),
+        ("new_vertex", False, [table.new_vertices().tolist()]),
+        ("w", False, [table.w.tolist()]),
+        ("omega", False, [table.omega.tolist()]),
+    ]
 
 
 def _row_template(fields, pad: str):
@@ -186,23 +203,37 @@ def _slot(values) -> str | None:
 # fit
 
 
-def _run_algorithm(name: str, p: JointTable, k: int | None,
-                   cache: MarginalCache) -> FitResult:
-    if name == "sk":
-        return fit_sk(p, k, cache)
-    if name == "malvestuto":
-        return fit_malvestuto(p, k, cache)
-    if name == "chow_liu":
-        return fit_chow_liu(p, cache)
-    if name == "exhaustive":
-        return fit_exhaustive(p, k, cache=cache)
-    raise DomainError(f"unknown algorithm {name!r}")
+#: Each ``--algorithm`` by name, in the order ``all`` runs them. The fits
+#: are looked up when called, so a patched module attribute takes effect.
+_FITS = {
+    "sk": lambda p, k, cache: fit_sk(p, k, cache),
+    "malvestuto": lambda p, k, cache: fit_malvestuto(p, k, cache),
+    "chow_liu": lambda p, k, cache: fit_chow_liu(p, cache),
+    "exhaustive": lambda p, k, cache: fit_exhaustive(p, k, cache=cache),
+}
+
+
+def _fit_doc(fr: FitResult) -> dict:
+    """The JSON document of a fit: tree, score, trace and candidate table."""
+    return {
+        "algorithm": fr.algorithm,
+        "k": fr.tree.k,
+        "tree": tree_to_dict(fr.tree),
+        "score": score_to_dict(fr.score),
+        "trace": [
+            {
+                "cluster": list(s.cluster),
+                "separator": None if s.separator is None else list(s.separator),
+                "w": s.w,
+                "omega": s.omega,
+            }
+            for s in fr.trace
+        ],
+        "candidates": fr.candidate_table,
+    }
 
 
 def _fit_lines(fr: FitResult, nats: bool) -> list[str]:
-    def u(x: float) -> float:
-        return x * _LN2 if nats else x
-
     entropy_style = fr.algorithm == "malvestuto"
     lines = [
         f"algorithm: {fr.algorithm}",
@@ -216,19 +247,19 @@ def _fit_lines(fr: FitResult, nats: bool) -> list[str]:
     else:
         lines.append("separators: (none)")
     sc = fr.score
-    lines.append(f"weight: {u(sc.weight):.6f}")
-    lines.append(f"I(X): {u(sc.total_information):.6f}")
-    lines.append(f"KL: {u(sc.kl):.6g}")
+    lines.append(f"weight: {_unit(sc.weight, nats):.6f}")
+    lines.append(f"I(X): {_unit(sc.total_information, nats):.6f}")
+    lines.append(f"KL: {_unit(sc.kl, nats):.6g}")
     lines.append("trace:")
     head = fr.trace[0]
     # The head step records I(parent) in w and H(parent) in omega.
     if entropy_style:
-        lines.append(f"  parent {_fmt_set(head.cluster)}  H={u(head.omega):.6f}")
+        lines.append(f"  parent {_fmt_set(head.cluster)}  H={_unit(head.omega, nats):.6f}")
     else:
-        lines.append(f"  parent {_fmt_set(head.cluster)}  I={u(head.w):.6f}")
+        lines.append(f"  parent {_fmt_set(head.cluster)}  I={_unit(head.w, nats):.6f}")
     for step in fr.trace[1:]:
-        value = (f"omega={u(step.omega):.6f}" if entropy_style
-                 else f"w={u(step.w):.6f}")
+        value = (f"omega={_unit(step.omega, nats):.6f}" if entropy_style
+                 else f"w={_unit(step.w, nats):.6f}")
         lines.append(
             f"  add {_fresh_vertex(step.cluster, step.separator)}"
             f" via {_fmt_set(step.separator)}  {value}"
@@ -245,30 +276,26 @@ def cmd_fit(args) -> int:
         raise DomainError(f"--k is required for algorithm {algo!r}")
     p = _load_input(args.input, args.scheme, args.smoothing, args.cap)
     cache = MarginalCache(p)
+    names = [algo] if algo != "all" else [n for n in _FITS if n != "chow_liu" or args.k == 2]
+    results, skipped = [], {}
+    for name in names:
+        try:
+            results.append(_FITS[name](p, args.k, cache))
+        except CapacityError as exc:
+            if algo != "all":
+                raise
+            skipped[name] = str(exc)
 
     if algo != "all":
-        fr = _run_algorithm(algo, p, args.k, cache)
+        (fr,) = results
         if args.format == "json":
-            _emit_json(fit_to_dict(fr))
+            _emit_json(_fit_doc(fr))
         else:
             _emit(_fit_lines(fr, args.nats))
         return 0
-
-    results = [fit_sk(p, args.k, cache), fit_malvestuto(p, args.k, cache)]
-    if args.k == 2:
-        results.append(fit_chow_liu(p, cache))
-    skipped: dict[str, str] = {}
-    try:
-        results.append(fit_exhaustive(p, args.k, cache=cache))
-    except CapacityError as exc:
-        skipped["exhaustive"] = str(exc)
-
-    def u(x: float) -> float:
-        return x * _LN2 if args.nats else x
-
     if args.format == "json":
         doc = {
-            "results": [fit_to_dict(fr) for fr in results],
+            "results": [_fit_doc(fr) for fr in results],
             "comparison": {fr.algorithm: fr.score.kl for fr in results},
         }
         if skipped:
@@ -280,7 +307,7 @@ def cmd_fit(args) -> int:
         lines.extend(_fit_lines(fr, args.nats))
         lines.append("")
     lines.append("comparison: " + " | ".join(
-        f"{fr.algorithm} KL={u(fr.score.kl):.6g}" for fr in results
+        f"{fr.algorithm} KL={_unit(fr.score.kl, args.nats):.6g}" for fr in results
     ))
     for name, why in skipped.items():
         lines.append(f"{name}: skipped ({why})")
@@ -301,18 +328,20 @@ def _accepted_summary(fr: FitResult) -> str:
     return "accepted: " + "; ".join(parts)
 
 
+def _table_rows(table: CandidateTable, weight, measure, n: int | None = None) -> list[dict]:
+    """Report rows of the first ``n`` rows of ``table`` (all by default): the
+    cluster and the separator, ``measure`` of each and the row's ``weight``."""
+    clusters = [table.clusters[rank] for rank in table.cluster_rank[:n].tolist()]
+    bases = map(tuple, table.bases()[:n].tolist())
+    return [{"cluster": c, "separator": b, "values": (measure(c), measure(b), x)}
+            for c, b, x in zip(clusters, bases, weight[:n].tolist())]
+
+
 def _sk_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
     """Decreasing-w candidate rows, cut after the last accepted growth row."""
     table = fr.candidate_table
     last = max((table.index(s.cluster, s.separator) for s in fr.trace[1:]), default=0)
-    return [
-        {
-            "cluster": c.cluster,
-            "separator": c.base,
-            "values": (cache.info(c.cluster), cache.info(c.base), c.w),
-        }
-        for c in table[: last + 1]
-    ]
+    return _table_rows(table, table.w, cache.info, last + 1)
 
 
 def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
@@ -322,11 +351,8 @@ def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
             "values": (cache.h(head), None, None)}]
     tree = new_parent(fr.tree.k, head)
     for step in fr.trace[1:]:
-        out.extend({
-            "cluster": c.cluster,
-            "separator": c.base,
-            "values": (cache.h(c.cluster), cache.h(c.base), c.omega),
-        } for c in fr.candidate_table.admissible(tree))
+        block = fr.candidate_table.admissible(tree)
+        out.extend(_table_rows(block, block.omega, cache.h))
         tree = add_hypercherry(
             tree, _fresh_vertex(step.cluster, step.separator), step.separator
         )
@@ -484,21 +510,18 @@ def cmd_score(args) -> int:
         _emit_json(score_to_dict(sb))
         return 0
 
-    def u(x: float) -> float:
-        return x * _LN2 if args.nats else x
-
     lines = [
-        f"weight: {u(sb.weight):.6f}",
-        f"I(X): {u(sb.total_information):.6f}",
-        f"KL: {u(sb.kl):.6g}",
+        f"weight: {_unit(sb.weight, args.nats):.6f}",
+        f"I(X): {_unit(sb.total_information, args.nats):.6f}",
+        f"KL: {_unit(sb.kl, args.nats):.6g}",
         "clusters:",
     ]
     for c, i in sb.per_cluster:
-        lines.append(f"  {_fmt_set(c)}  I={u(i):.6f}")
+        lines.append(f"  {_fmt_set(c)}  I={_unit(i, args.nats):.6f}")
     lines.append("separators:")
     if sb.per_separator:
         for s, n, i in sb.per_separator:
-            lines.append(f"  {_fmt_set(s)}  nu={n}  I={u(i):.6f}")
+            lines.append(f"  {_fmt_set(s)}  nu={n}  I={_unit(i, args.nats):.6f}")
     else:
         lines.append("  (none)")
     _emit(lines)

@@ -267,9 +267,9 @@ def find_scheme_sidecar(data_path) -> Path | None:
     return sidecar if sidecar.is_file() else None
 
 
-def load_table(path, scheme_path=None, cap: int = DEFAULT_CELL_CAP,
-               kind: str = "auto") -> JointTable:
-    """Load counts or samples CSV, resolving the scheme sidecar if present."""
+def load_table(path, scheme_path=None, cap: int = DEFAULT_CELL_CAP) -> JointTable:
+    """Load counts or samples CSV, as ``sniff_kind`` tells them apart,
+    resolving the scheme sidecar if present."""
     scheme = None
     if scheme_path is not None:
         scheme = read_scheme_json(scheme_path)
@@ -277,13 +277,8 @@ def load_table(path, scheme_path=None, cap: int = DEFAULT_CELL_CAP,
         sidecar = find_scheme_sidecar(path)
         if sidecar is not None:
             scheme = read_scheme_json(sidecar)
-    if kind == "auto":
-        kind = sniff_kind(path)
-    if kind == "counts":
-        return read_counts_csv(path, scheme=scheme, cap=cap)
-    if kind == "samples":
-        return read_samples_csv(path, scheme=scheme, cap=cap)
-    raise DataFormatError(f"unknown input kind {kind!r}")
+    read = read_counts_csv if sniff_kind(path) == "counts" else read_samples_csv
+    return read(path, scheme=scheme, cap=cap)
 
 
 def _state_labels(cards):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
@@ -44,23 +44,6 @@ from .scoring import ScoreBreakdown, tree_weight
 WEIGHT_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """One scored extension: attach ``new_vertex`` across ``base``.
-
-    ``cluster``, their sorted union, is computed once at construction.
-    """
-
-    new_vertex: int
-    base: IndexSet
-    w: float
-    omega: float
-    cluster: IndexSet = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cluster", tuple(sorted(self.base + (self.new_vertex,))))
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One accepted growth step; the first step records the parent pick."""
@@ -78,7 +61,7 @@ class CandidateTable:
     ``clusters[cluster_rank[i]]`` across the rest of that cluster, the
     (k−1)-subset of rank ``base_rank[i]``. Ranks are lexicographic, the
     order ``combinations`` yields, so they order exactly as the tuples
-    do. Indexing or iterating builds ``Candidate`` objects; a slice is
+    do. ``by_w``, ``by_omega`` and ``admissible`` give their rows as
     another table.
     """
 
@@ -91,20 +74,6 @@ class CandidateTable:
 
     def __len__(self) -> int:
         return len(self.w)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._take(i)
-        return self._candidate(int(self.cluster_rank[i]), int(self.pos[i]),
-                               float(self.w[i]), float(self.omega[i]))
-
-    def __iter__(self):
-        return map(self._candidate, self.cluster_rank.tolist(), self.pos.tolist(),
-                   self.w.tolist(), self.omega.tolist())
-
-    def _candidate(self, rank, j, w, omega) -> Candidate:
-        cluster = self.clusters[rank]
-        return Candidate(cluster[j], cluster[:j] + cluster[j + 1:], w, omega)
 
     def _take(self, rows) -> CandidateTable:
         return CandidateTable(self.d, self.clusters, self.members, self.cluster_rank[rows],
@@ -127,6 +96,12 @@ class CandidateTable:
     def new_vertices(self) -> np.ndarray:
         return self.members[self.cluster_rank, self.pos]
 
+    def bases(self) -> np.ndarray:
+        """The base of each row, ascending: an (n, k−1) array."""
+        k = self.members.shape[1]
+        keep = np.arange(k) != self.pos[:, None]
+        return self.members[self.cluster_rank][keep].reshape(len(self), k - 1)
+
     def index(self, cluster: IndexSet, base: IndexSet) -> int:
         """Position of the candidate that attaches ``cluster`` across ``base``."""
         (vertex,) = set(cluster) - set(base)
@@ -143,59 +118,6 @@ class CandidateTable:
         eligible[_lex_ranks(np.array(list(eligible_separators(tree))), self.d)] = True
         return self._take(np.flatnonzero(~covered[self.new_vertices()]
                                          & eligible[self.base_rank]))
-
-
-class CandidateRows(list):
-    """The ``fit_to_dict`` rows of a candidate table, built on access.
-
-    It is a list so that ``json`` writes it as one; its own storage stays
-    empty and every read goes through the table. The CLI's JSON writer
-    formats it straight from the columns ``fields`` gives.
-    """
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: CandidateTable):
-        super().__init__()
-        self.table = table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self):
-        return map(self._row, self.table)
-
-    def __getitem__(self, i):
-        return list(map(self._row, self.table[i])) if isinstance(i, slice) \
-            else self._row(self.table[i])
-
-    def __eq__(self, other):
-        return list(self) == other
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __repr__(self) -> str:
-        return f"CandidateRows({len(self)} rows)"
-
-    @staticmethod
-    def _row(c: Candidate) -> dict:
-        return {"cluster": list(c.cluster), "separator": list(c.base),
-                "new_vertex": c.new_vertex, "w": c.w, "omega": c.omega}
-
-    def fields(self) -> list[tuple[str, bool, list]]:
-        """``(key, nested, columns)`` per row key: a list-valued key has one
-        column per position, a scalar key one column."""
-        t, k = self.table, self.table.members.shape[1]
-        clusters = t.members[t.cluster_rank]
-        bases = clusters[np.arange(k) != t.pos[:, None]].reshape(len(t), k - 1)
-        return [
-            ("cluster", True, clusters.T.tolist()),
-            ("separator", True, bases.T.tolist()),
-            ("new_vertex", False, [t.new_vertices().tolist()]),
-            ("w", False, [t.w.tolist()]),
-            ("omega", False, [t.omega.tolist()]),
-        ]
 
 
 @dataclass(frozen=True)
@@ -251,7 +173,8 @@ def enumerate_candidates(p: JointTable, k: int,
 def find_parent_cluster(p: JointTable, k: int,
                         cache: MarginalCache | None = None) -> IndexSet:
     """Cluster of the best candidate: argmax over K of max_v I(K) − I(K∖{v})."""
-    return enumerate_candidates(p, k, cache_for(p, cache)).by_w()[0].cluster
+    order = enumerate_candidates(p, k, cache_for(p, cache)).by_w()
+    return order.clusters[order.cluster_rank[0]]
 
 
 def _grow(p, table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSet]]:
@@ -269,7 +192,7 @@ def _grow(p, table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSe
     by_base = np.argsort(table.base_rank, kind="stable").reshape(-1, p.d - k + 1).tolist()
     bases_of = np.empty(table.members.shape, dtype=np.int64)
     bases_of[table.cluster_rank, table.pos] = table.base_rank
-    vertices = table.new_vertices().tolist()
+    vertices, bases = table.new_vertices().tolist(), table.bases()
     eligible, heap, covered, steps = set(), [], set(parent), []
 
     def open_bases(cluster_rank):
@@ -286,9 +209,8 @@ def _grow(p, table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSe
         i = heappop(heap)
         if vertices[i] in covered:
             continue
-        cand = table[i]
-        covered.add(cand.new_vertex)
-        steps.append((cand.new_vertex, cand.base))
+        covered.add(vertices[i])
+        steps.append((vertices[i], tuple(bases[i].tolist())))
         open_bases(table.cluster_rank[i])
     return steps
 
@@ -330,7 +252,7 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     k = _validate_k(p, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_w()
-    parent = order[0].cluster
+    parent = order.clusters[order.cluster_rank[0]]
     return _fit("sk", p, cache, order, parent, _grow(p, order, parent))
 
 
@@ -518,26 +440,3 @@ def generate_tcherry_distribution(seed: int, d: int, k: int,
     scheme = make_scheme(cardinalities)
     table = random_factorizing_table(tree, scheme, rng, strengths, cap=cap)
     return table, tree
-
-
-def fit_to_dict(fr: FitResult) -> dict:
-    """Plain-dict form of a fit: tree + score + trace + candidate table."""
-    from .junction_tree import tree_to_dict
-    from .scoring import score_to_dict
-
-    return {
-        "algorithm": fr.algorithm,
-        "k": fr.tree.k,
-        "tree": tree_to_dict(fr.tree),
-        "score": score_to_dict(fr.score),
-        "trace": [
-            {
-                "cluster": list(s.cluster),
-                "separator": None if s.separator is None else list(s.separator),
-                "w": s.w,
-                "omega": s.omega,
-            }
-            for s in fr.trace
-        ],
-        "candidates": CandidateRows(fr.candidate_table),
-    }

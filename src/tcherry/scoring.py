@@ -34,21 +34,26 @@ class ScoreBreakdown:
 
 
 def _check_tree(p: JointTable, t: TCherryJunctionTree):
+    # I(X) − weight, the entropy form and the cell-by-cell sum are one
+    # divergence only for a tree over exactly the table's variables.
     if not set(t.vertices) <= set(p.variables):
         raise DomainError(
             f"tree vertices {t.vertices} are not all variables of the table (d={p.d})"
         )
+    missing = sorted(set(p.variables) - set(t.vertices))
+    if missing:
+        raise DomainError(f"tree leaves variables {missing} of the table (d={p.d}) uncovered")
 
 
 def tree_weight(p: JointTable, t: TCherryJunctionTree,
                 cache: MarginalCache | None = None) -> ScoreBreakdown:
     """Information weight Σ_C I(X_C) − Σ_S (ν_S−1)·I(X_S), itemized.
 
-    ``kl`` is I(X) − weight, which is the divergence of the tree
-    distribution whenever the tree covers every variable.
+    ``kl`` is I(X) − weight, the divergence of the tree distribution;
+    the tree must cover exactly the table's variables.
     """
-    _check_tree(p, t)
     cache = cache_for(p, cache)
+    _check_tree(p, t)
     per_cluster = tuple((c, cache.info(c)) for c in t.clusters)
     per_separator = tuple((s, n, cache.info(s)) for s, n in t.nu.items())
     weight = math.fsum(i for _, i in per_cluster) - math.fsum(
@@ -61,8 +66,8 @@ def tree_weight(p: JointTable, t: TCherryJunctionTree,
 def kl_entropy_form(p: JointTable, t: TCherryJunctionTree,
                     cache: MarginalCache | None = None) -> float:
     """Divergence as −H(X) + Σ_C H(X_C) − Σ_S (ν_S−1)·H(X_S)."""
-    _check_tree(p, t)
     cache = cache_for(p, cache)
+    _check_tree(p, t)
     return (
         -cache.h(p.variables)
         + math.fsum(cache.h(c) for c in t.clusters)
@@ -78,8 +83,8 @@ def tree_pd_table(p: JointTable, t: TCherryJunctionTree,
     marginal over a vanished separator is impossible for marginals of
     one table and raises.
     """
-    _check_tree(p, t)
     cache = cache_for(p, cache)
+    _check_tree(p, t)
     d = p.d
     num = np.ones(p.probs.shape)
     for c in t.clusters:
@@ -153,8 +158,8 @@ def check_recovery_conditions(p: JointTable, t: TCherryJunctionTree,
     separators containing the later vertex are skipped (no candidate
     attaches a vertex across a set containing it).
     """
-    _check_tree(p, t)
     cache = cache_for(p, cache)
+    _check_tree(p, t)
     k = t.k
     order = numbering.order
     if k != numbering.k:

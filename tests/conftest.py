@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,31 @@ def random_tree(rng, d, k):
         sep = options[int(rng.integers(len(options)))]
         tree = add_hypercherry(tree, int(v), sep)
     return tree
+
+
+class CandidateRow(NamedTuple):
+    cluster: tuple
+    base: tuple
+    new_vertex: int
+    w: float
+    omega: float
+
+
+def candidate_rows(table) -> list[CandidateRow]:
+    """Reference rows of a candidate table, read from its public columns:
+    row i attaches the vertex at position ``pos[i]`` of its cluster across
+    the rest of the cluster."""
+    rows = []
+    for rank, j, w, omega in zip(table.cluster_rank.tolist(), table.pos.tolist(),
+                                 table.w.tolist(), table.omega.tolist()):
+        cluster = table.clusters[rank]
+        rows.append(CandidateRow(cluster, cluster[:j] + cluster[j + 1:], cluster[j], w, omega))
+    return rows
+
+
+def candidate_dicts(table) -> list[dict]:
+    """The ``candidates`` rows of ``fit --format json`` for ``table``; a
+    ``default`` for ``json.dumps`` of a fit document."""
+    return [{"cluster": list(r.cluster), "separator": list(r.base),
+             "new_vertex": r.new_vertex, "w": r.w, "omega": r.omega}
+            for r in candidate_rows(table)]

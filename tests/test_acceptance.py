@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_table, random_tree
+from conftest import candidate_rows, random_table, random_tree
 from tcherry import (
     MarginalCache,
     check_recovery_conditions,
@@ -59,7 +59,7 @@ K4_CANDIDATE_ROWS = [
 
 def test_c01_candidate_table_values(capsys, lizard, lizard_cache):
     with criterion(capsys, 1, "k=4 candidate table information contents within 1e-5"):
-        table = fit_sk(lizard, 4, lizard_cache).candidate_table[:12]
+        table = candidate_rows(fit_sk(lizard, 4, lizard_cache).candidate_table)[:12]
         assert len(table) == 12
         for cand, (cluster, sep, ic, isep, w) in zip(table, K4_CANDIDATE_ROWS):
             assert cand.cluster == cluster and cand.base == sep

@@ -1,20 +1,18 @@
-"""The columnar candidate table: its order, the heap growth and its views.
+"""The columnar candidate table: its order, the heap growth and its subtables.
 
 The references are the tuple-key sort and the scan growth the table
-replaced: sort every ``Candidate`` by (−w, cluster, base, vertex) or
-(ω, cluster, base, vertex), then accept, step by step, the first
-candidate in that order the tree admits.
+replaced: sort every row (``conftest.candidate_rows``) by
+(−w, cluster, base, vertex) or (ω, cluster, base, vertex), then accept,
+step by step, the first candidate in that order the tree admits.
 """
 
-import json
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import random_table, random_tree
+from conftest import candidate_rows, random_table, random_tree
 from tcherry import (
-    Candidate,
     ConsistencyError,
     JointTable,
     MarginalCache,
@@ -25,7 +23,6 @@ from tcherry import (
     fit_exhaustive,
     fit_malvestuto,
     fit_sk,
-    fit_to_dict,
     generate_tcherry_distribution,
     make_scheme,
     new_parent,
@@ -81,9 +78,9 @@ def test_lexsort_order_equals_tuple_key_sort(table, orders):
     cache = MarginalCache(table)
     for k in orders:
         cands = enumerate_candidates(table, k, cache)
-        plain = list(cands)
-        assert list(cands.by_w()) == sorted(plain, key=sk_key)
-        assert list(cands.by_omega()) == sorted(plain, key=malvestuto_key)
+        plain = candidate_rows(cands)
+        assert candidate_rows(cands.by_w()) == sorted(plain, key=sk_key)
+        assert candidate_rows(cands.by_omega()) == sorted(plain, key=malvestuto_key)
         assert find_parent_cluster(table, k, cache) == min(plain, key=sk_key).cluster
 
 
@@ -98,14 +95,14 @@ def test_tie_tables_have_exact_ties(table, orders):
 def test_heap_growth_equals_scan_growth(table, orders):
     cache = MarginalCache(table)
     for k in orders:
-        plain = list(enumerate_candidates(table, k, cache))
+        plain = candidate_rows(enumerate_candidates(table, k, cache))
         for fit, key in ((fit_sk, sk_key), (fit_malvestuto, malvestuto_key)):
             fr = fit(table, k, cache)
             tree, steps = scan_grow(table.d, new_parent(k, fr.tree.parent),
                                     sorted(plain, key=key))
             assert fr.tree == tree
             assert [(s.cluster, s.separator) for s in fr.trace[1:]] == steps
-            assert list(fr.candidate_table) == sorted(plain, key=key)
+            assert candidate_rows(fr.candidate_table) == sorted(plain, key=key)
         assert fit_sk(table, k, cache).tree.parent == min(plain, key=sk_key).cluster
 
 
@@ -113,26 +110,8 @@ def test_exhaustive_table_is_the_sk_order():
     t = random_table(np.random.default_rng(17), (2, 3, 2, 2, 3))
     cache = MarginalCache(t)
     fr = fit_exhaustive(t, 3, cache=cache)
-    assert list(fr.candidate_table) == sorted(enumerate_candidates(t, 3, cache), key=sk_key)
-
-
-def test_table_indexing_slicing_and_iteration_match_a_list():
-    t = random_table(np.random.default_rng(23), (2, 3, 2, 4, 2, 3))
-    table = fit_sk(t, 3).candidate_table
-    cands = list(table)
-    assert len(table) == len(cands) == 60
-    assert all(type(c) is Candidate for c in cands)
-    for i in (0, 1, 17, 59, -1, -60):
-        assert table[i] == cands[i]
-    for s in (slice(None), slice(12), slice(5, 40, 3), slice(-7, None), slice(50, 10, -4),
-              slice(70, 80)):
-        part = table[s]
-        assert len(part) == len(cands[s])
-        assert list(part) == cands[s]
-        assert [part[i] for i in range(len(part))] == cands[s]
-    assert table[10:20][3] == cands[13]
-    with pytest.raises(IndexError):
-        table[60]
+    assert candidate_rows(fr.candidate_table) == sorted(
+        candidate_rows(enumerate_candidates(t, 3, cache)), key=sk_key)
 
 
 def test_index_and_admissible_match_a_scan():
@@ -140,14 +119,16 @@ def test_index_and_admissible_match_a_scan():
     t = random_table(rng, (2, 3, 2, 2, 3, 2, 2))
     for k in (2, 3, 4):
         table = fit_malvestuto(t, k).candidate_table
-        cands = list(table)
+        cands = candidate_rows(table)
+        assert table.bases().tolist() == [list(c.base) for c in cands]
+        assert table.new_vertices().tolist() == [c.new_vertex for c in cands]
         for i in (0, len(cands) // 2, len(cands) - 1):
             assert table.index(cands[i].cluster, cands[i].base) == i
         for _ in range(4):
             tree = new_parent(k, random_tree(rng, 7, k).parent)
             while True:
                 want = [c for c in cands if tree.admits(c.new_vertex, c.base)]
-                assert list(table.admissible(tree)) == want
+                assert candidate_rows(table.admissible(tree)) == want
                 if not want:
                     break
                 c = want[int(rng.integers(len(want)))]
@@ -158,21 +139,6 @@ def test_lex_ranks_follow_combinations():
     for d, m in ((1, 1), (5, 1), (6, 3), (7, 6), (9, 4)):
         subsets = np.array(list(combinations(range(1, d + 1), m)))
         assert _lex_ranks(subsets, d).tolist() == list(range(len(subsets)))
-
-
-def test_candidate_rows_read_like_the_dict_rows():
-    t = random_table(np.random.default_rng(31), (2, 3, 2, 2, 3))
-    fr = fit_sk(t, 3)
-    rows = fit_to_dict(fr)["candidates"]
-    want = [{"cluster": list(c.cluster), "separator": list(c.base),
-             "new_vertex": c.new_vertex, "w": c.w, "omega": c.omega}
-            for c in fr.candidate_table]
-    assert len(rows) == len(want) and rows
-    assert rows[0] == want[0] and rows[-1] == want[-1] and rows[3:9] == want[3:9]
-    assert list(rows) == want and rows == want and not rows != want
-    assert json.dumps(rows, indent=2) == json.dumps(want, indent=2)
-    assert [[len(column) for column in cols] for _, _, cols in rows.fields()] == \
-        [[len(want)] * 3, [len(want)] * 2, [len(want)], [len(want)], [len(want)]]
 
 
 def test_tree_covers_exactly_its_vertices():

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import tcherry.cli
-from tcherry import (ConsistencyError, fit_malvestuto, fit_sk, generate_tcherry_distribution,
+from conftest import candidate_dicts
+from tcherry import (ConsistencyError, add_hypercherry, fit_chow_liu, fit_exhaustive,
+                     fit_malvestuto, fit_sk, generate_tcherry_distribution, new_parent,
                      tree_to_json)
 from tcherry.cli import main
 from tcherry.io import load_table
@@ -88,10 +90,35 @@ def test_fit_json_layout(capsys):
     code, out, _ = run(capsys, "fit", "--k", "4", "--format", "json", "lizards.csv")
     assert code == 0
     doc = json.loads(out)
-    assert doc["algorithm"] == "sk"
+    assert set(doc) == {"algorithm", "k", "tree", "score", "trace", "candidates"}
+    assert (doc["algorithm"], doc["k"]) == ("sk", 4)
     assert doc["tree"]["clusters"] == [[1, 3, 4, 5], [1, 2, 4, 5]]
     assert doc["score"]["kl"] == pytest.approx(0.013091, abs=1e-5)
-    assert len(doc["candidates"]) == 20
+    assert doc["trace"][0]["separator"] is None
+    assert len(doc["candidates"]) == 20  # C(5,4) * 4 orientations
+    assert doc["candidates"][0]["w"] == pytest.approx(0.08368016907134557, abs=1e-12)
+
+
+FITS = {"sk": fit_sk, "malvestuto": fit_malvestuto,
+        "chow_liu": lambda p, k: fit_chow_liu(p), "exhaustive": fit_exhaustive}
+
+
+@pytest.mark.parametrize("algorithm", ["sk", "malvestuto", "chow_liu", "exhaustive", "all"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fit_json_candidates_are_the_table_rows(capsys, lizard, algorithm, k):
+    code, out, _ = run(capsys, "fit", "--k", str(k), "--algorithm", algorithm,
+                       "--format", "json", "lizards.csv")
+    if algorithm == "chow_liu" and k > 2:
+        assert code == 2
+        return
+    assert code == 0
+    doc = json.loads(out)
+    results = doc["results"] if algorithm == "all" else [doc]
+    assert [r["algorithm"] for r in results] == \
+        ([algorithm] if algorithm != "all" else [n for n in FITS if n != "chow_liu" or k == 2])
+    for result in results:
+        fr = FITS[result["algorithm"]](lizard, k)
+        assert result["candidates"] == candidate_dicts(fr.candidate_table)
 
 
 def test_fit_all_runs_every_algorithm(capsys):
@@ -259,7 +286,7 @@ def test_fit_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, dat
         assert (code, out, docs) == ((2 if algorithm == "chow_liu" else 3), "", [])
         return
     assert code == 0 and len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2) + "\n"
+    assert out == json.dumps(docs[0], indent=2, default=candidate_dicts) + "\n"
     for result in docs[0].get("results", docs):
         assert len(result["candidates"]) == math.comb(d, result["k"]) * result["k"]
 
@@ -419,6 +446,16 @@ def test_score_invalid_tree_is_a_structure_failure(tmp_path, capsys):
     code, _, err = run(capsys, "score", str(path), "lizards.csv")
     assert code == 1
     assert "junction tree" in err
+
+
+def test_tree_that_leaves_variables_uncovered_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(tree_to_json(add_hypercherry(new_parent(2, (1, 2)), 3, (2,))))
+    assert run(capsys, "check", str(path))[0] == 0
+    for argv in (["score", str(path), "lizards.csv"], ["check", str(path), "lizards.csv"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "leaves variables [4, 5] of the table (d=5) uncovered" in err
 
 
 # -- synth ------------------------------------------------------------------

@@ -157,13 +157,6 @@ def test_empty_data_file_rejected(tmp_path):
         load_table(path)
 
 
-def test_unknown_kind_rejected(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("x1,count\n1,1\n2,1\n")
-    with pytest.raises(DataFormatError, match="kind"):
-        load_table(path, kind="parquet")
-
-
 def test_sniff_reads_only_the_header(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("x1,x2,count\n1,1,2\n1,oops\n")

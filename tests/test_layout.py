@@ -21,6 +21,20 @@ def test_no_private_names_imported_across_modules():
     assert SRC.is_dir() and not found
 
 
+def test_no_private_attributes_read_across_objects():
+    # A module reads a private attribute only of its own instance or class.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            dunder = node.attr.startswith("__") and node.attr.endswith("__")
+            own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            if not (dunder or own):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert SRC.is_dir() and not found
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 

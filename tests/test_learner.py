@@ -10,11 +10,10 @@ import pytest
 
 import tcherry.distribution
 import tcherry.learner
-from conftest import random_table, random_tree
+from conftest import candidate_rows, random_table, random_tree
 from test_candidates import CASES, TIES
 from tcherry import (
     CapacityError,
-    Candidate,
     ConsistencyError,
     DomainError,
     JointTable,
@@ -26,7 +25,6 @@ from tcherry import (
     fit_exhaustive,
     fit_malvestuto,
     fit_sk,
-    fit_to_dict,
     generate_tcherry_distribution,
     iter_structures,
     kl_exact,
@@ -47,7 +45,7 @@ BEST_W4 = 0.08368016907134557
 # -- candidate enumeration --------------------------------------------------
 
 def test_candidate_count_and_values(lizard, lizard_cache):
-    cands = enumerate_candidates(lizard, 2, lizard_cache)
+    cands = candidate_rows(enumerate_candidates(lizard, 2, lizard_cache))
     assert len(cands) == 20  # C(5,2) * 2 orientations
     assert len({round(c.w, 12) for c in cands}) == 10  # w ignores orientation at k=2
     for c in cands:
@@ -59,28 +57,20 @@ def test_candidate_count_and_values(lizard, lizard_cache):
 def test_candidates_are_scored_once_per_subset(monkeypatch):
     t = random_table(np.random.default_rng(71), (2, 3, 2, 2, 3, 2))
     cache = MarginalCache(t)
-    first = list(enumerate_candidates(t, 3, cache))
+    first = candidate_rows(enumerate_candidates(t, 3, cache))
     calls = Counter()
     for name in ("canonical_subset", "entropy", "marginalize"):
         real = getattr(tcherry.distribution, name)
         monkeypatch.setattr(tcherry.distribution, name,
                             lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
     # A second pass only reads memoized I and H by their exact tuples.
-    assert list(enumerate_candidates(t, 3, cache)) == first
+    assert candidate_rows(enumerate_candidates(t, 3, cache)) == first
     assert calls == Counter()
     assert cache.info([3, 1, 2]) == cache.info((3, 1, 2)) == cache.info((1, 2, 3))
 
 
-def test_candidate_cluster_is_stored_at_construction():
-    c = Candidate(2, (3, 1), 0.5, 1.5)
-    assert c.cluster == (1, 2, 3) and c.cluster is c.cluster
-    assert c == Candidate(2, (3, 1), 0.5, 1.5)
-    with pytest.raises(TypeError):
-        Candidate(2, (3, 1), 0.5, 1.5, (1, 2, 3))
-
-
 def _order(fr):
-    return [(c.cluster, c.base, c.new_vertex) for c in fr.candidate_table]
+    return [(c.cluster, c.base, c.new_vertex) for c in candidate_rows(fr.candidate_table)]
 
 
 @pytest.mark.parametrize("fit", [fit_sk, fit_malvestuto])
@@ -97,7 +87,8 @@ def test_prefetch_keeps_trees_and_candidate_order(fit, seed, monkeypatch):
         assert fast.tree.clusters == slow.tree.clusters
         assert fast.tree.nu == slow.tree.nu
         assert _order(fast) == _order(slow)
-        for a, b in zip(fast.candidate_table, slow.candidate_table):
+        for a, b in zip(candidate_rows(fast.candidate_table),
+                        candidate_rows(slow.candidate_table)):
             assert a.w == pytest.approx(b.w, abs=1e-12)
             assert a.omega == pytest.approx(b.omega, abs=1e-12)
         assert fast.score.weight == pytest.approx(slow.score.weight, abs=1e-12)
@@ -105,7 +96,8 @@ def test_prefetch_keeps_trees_and_candidate_order(fit, seed, monkeypatch):
 
 
 def test_best_candidate_weight(lizard, lizard_cache):
-    best = max(enumerate_candidates(lizard, 4, lizard_cache), key=lambda c: c.w)
+    best = max(candidate_rows(enumerate_candidates(lizard, 4, lizard_cache)),
+               key=lambda c: c.w)
     assert best.cluster == (1, 3, 4, 5)
     assert best.base == (1, 3, 5)
     assert best.w == pytest.approx(BEST_W4, abs=1e-12)
@@ -188,10 +180,10 @@ def test_trace_weights_sum_to_score(lizard, lizard_cache):
 
 def test_candidate_table_is_sorted(lizard, lizard_cache):
     sk = fit_sk(lizard, 3, lizard_cache)
-    ws = [c.w for c in sk.candidate_table]
+    ws = [c.w for c in candidate_rows(sk.candidate_table)]
     assert ws == sorted(ws, reverse=True)
     mv = fit_malvestuto(lizard, 3, lizard_cache)
-    os_ = [c.omega for c in mv.candidate_table]
+    os_ = [c.omega for c in candidate_rows(mv.candidate_table)]
     assert os_ == sorted(os_)
 
 
@@ -236,7 +228,8 @@ def assert_chow_liu_is_kruskal(p):
     assert cl.tree == sk.tree == kruskal_tree(p, cache)
     assert cl.trace == sk.trace
     assert cl.score == sk.score
-    assert (cl.algorithm, list(cl.candidate_table)) == ("chow_liu", list(sk.candidate_table))
+    assert (cl.algorithm, candidate_rows(cl.candidate_table)) == \
+        ("chow_liu", candidate_rows(sk.candidate_table))
 
 
 def test_chow_liu_equals_sk_at_order_two(lizard):
@@ -367,19 +360,6 @@ def test_generator_checks_the_cap_before_allocating():
 def test_generator_strength_schedule_accepted():
     table, tree = generate_tcherry_distribution(3, 5, 3, 2, (3.0, 1.5, 0.75))
     assert kl_exact(table, tree) == pytest.approx(0.0, abs=1e-10)
-
-
-# -- serialization ----------------------------------------------------------
-
-def test_fit_to_dict_schema(lizard, lizard_cache):
-    doc = fit_to_dict(fit_sk(lizard, 4, lizard_cache))
-    assert set(doc) == {"algorithm", "k", "tree", "score", "trace", "candidates"}
-    assert doc["algorithm"] == "sk"
-    assert doc["k"] == 4
-    assert doc["tree"]["clusters"][0] == [1, 3, 4, 5]
-    assert doc["trace"][0]["separator"] is None
-    assert len(doc["candidates"]) == 20  # C(5,4) * 4 orientations
-    assert doc["candidates"][0]["w"] == pytest.approx(BEST_W4, abs=1e-12)
 
 
 # -- greedy beats nothing it should not -------------------------------------

@@ -80,6 +80,16 @@ def test_cache_must_belong_to_the_scored_table(lizard, lizard_cache):
         tree_weight(other, pair_tree(), lizard_cache)
 
 
+def test_every_route_rejects_a_tree_that_leaves_variables_uncovered(lizard, lizard_cache):
+    # Scored anyway, weight and entropy routes disagree: 0.16936 against −2.07760.
+    tree = pair_tree()
+    routes = (tree_weight, kl_entropy_form, kl_exact, tree_pd_table,
+              lambda p, t, c: check_recovery_conditions(p, t, puzzle_numbering(t, t.parent), c))
+    for route in routes:
+        with pytest.raises(DomainError, match=r"leaves variables \[4, 5\] of the table"):
+            route(lizard, tree, lizard_cache)
+
+
 # -- divergence forms -------------------------------------------------------
 
 
