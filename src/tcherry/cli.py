@@ -458,22 +458,35 @@ def cmd_check(args) -> int:
         construction_error = str(exc)
         lines.append(f"construction: INVALID ({exc})")
 
-    recovery = None
+    recovery = unavailable = None
     if args.data is not None and tree is not None:
         p = _load_input(args.data, args.scheme, args.smoothing, args.cap)
-        recovery = check_recovery_conditions(p, tree, numbering)
-        verdict = "hold" if recovery.holds else "VIOLATED"
-        lines.append(
-            f"recovery conditions: {verdict}"
-            f" ({len(recovery.violations)} violations, {len(recovery.ties)} ties,"
-            f" {recovery.checked} comparisons)"
-        )
-        for v in recovery.violations[:10]:
+        try:
+            report = check_recovery_conditions(p, tree, numbering)
+        except DomainError as exc:
+            # The structural report stands; the error still sets the exit code.
+            unavailable = exc
+            recovery = {"error": str(exc)}
+            lines.append(f"recovery conditions: unavailable ({exc})")
+        else:
+            recovery = {
+                "holds": report.holds,
+                "violations": len(report.violations),
+                "ties": len(report.ties),
+                "checked": report.checked,
+            }
+            verdict = "hold" if report.holds else "VIOLATED"
             lines.append(
-                f"  vertex {v.later} over {_fmt_set(v.separator)} gains"
-                f" {v.later_gain:.6f} > {v.earlier_gain:.6f} taken by"
-                f" vertex {v.earlier} at position {v.earlier_pos}"
+                f"recovery conditions: {verdict}"
+                f" ({len(report.violations)} violations, {len(report.ties)} ties,"
+                f" {report.checked} comparisons)"
             )
+            for v in report.violations[:10]:
+                lines.append(
+                    f"  vertex {v.later} over {_fmt_set(v.separator)} gains"
+                    f" {v.later_gain:.6f} > {v.earlier_gain:.6f} taken by"
+                    f" vertex {v.earlier} at position {v.earlier_pos}"
+                )
 
     lines.append("result: " + ("ok" if ok else "FAIL"))
     if args.format == "json":
@@ -485,16 +498,13 @@ def cmd_check(args) -> int:
             "valid_construction": tree is not None,
             "construction_error": construction_error,
             "puzzle_numbering": list(numbering.order) if numbering else None,
-            "recovery": None if recovery is None else {
-                "holds": recovery.holds,
-                "violations": len(recovery.violations),
-                "ties": len(recovery.ties),
-                "checked": recovery.checked,
-            },
+            "recovery": recovery,
             "ok": ok,
         })
     else:
         _emit(lines)
+    if unavailable is not None:
+        raise unavailable
     return 0 if ok else 1
 
 
@@ -553,12 +563,12 @@ def cmd_synth(args) -> int:
     strengths = _parse_floats(args.strength, "--strength")
     strength = strengths[0] if len(strengths) == 1 else strengths
     cards = _parse_cards(args.cards, args.d)
+    if args.n is not None and not 0 < args.n < math.inf:
+        raise DomainError(f"--n must be positive and finite, got {args.n}")
     table, tree = generate_tcherry_distribution(
         args.seed, args.d, args.k, cards, strength, cap=args.cap
     )
     if args.n is not None:
-        if not 0 < args.n < math.inf:
-            raise DomainError(f"--n must be positive and finite, got {args.n}")
         table = JointTable(table.scheme, table.probs, total_count=args.n)
 
     out = Path(args.out)

@@ -6,10 +6,12 @@ States are 1-based integers. When no scheme is supplied, cardinalities
 are inferred as the maximum observed state per variable (floored at 2,
 since one-state variables are not representable).
 
-A sample CSV is decoded straight from its bytes for as long as it has
-the canonical form (header ``x1,...,xd``, rows of single-digit states
-with '\\n' line ends); the text reader takes the rest of the file at the
-first byte that breaks it, so it alone decides what the grammar accepts.
+A file is decoded straight from its bytes for as long as it has the
+canonical form: header ``x1,...,xd`` (samples) or ``x1,...,xd,count``
+(counts), rows of single-digit states each followed by ',', the last by
+'\\n' in a sample row and by a plain decimal count and '\\n' in a counts
+row. The text reader takes the rest of the file at the first chunk that
+breaks it, so it alone decides what the grammar accepts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from io import TextIOWrapper
 from itertools import islice, product
@@ -30,7 +33,7 @@ from .errors import DataFormatError
 #: Lines parsed per array chunk, and cells formatted per write chunk.
 _CHUNK_LINES = 65_536
 
-#: Bytes per chunk the samples byte decoder reads, rounded down to whole rows.
+#: Bytes per chunk the byte decoders read, rounded down to whole sample rows.
 _CHUNK_BYTES = 1 << 20
 
 #: States are parsed as int32.
@@ -124,39 +127,86 @@ def _open(path, binary=False):
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _digit_codes(pairs, last):
+    """The 0-based codes of an (n, d) array of little-endian uint16 pairs,
+    each a digit 1-9 and then ',' (``last`` after the last digit), as
+    uint8; None if any pair is not."""
+    # Minus '1' followed by the separator due there: the code when both
+    # bytes are right, a value above 8 otherwise.
+    due = np.full(pairs.shape[1], ord("1") | ord(",") << 8, dtype=np.uint16)
+    due[-1] = ord("1") | ord(last) << 8
+    codes = pairs - due
+    return codes.astype(np.uint8) if codes.max(initial=0) <= 8 else None
+
+
 def _decode_digits(chunk, d):
     """The 0-based codes of ``chunk`` as an (n, d) uint8 array when it is n
     rows of d digits 1-9 joined by ',', each row ended by '\\n'; else None."""
     if len(chunk) % (2 * d):
         return None
-    # A digit and the byte after it, read as one little-endian uint16, minus
-    # '1' followed by the separator due there ('\n' after the last digit):
-    # the code when both bytes are right, a value above 8 otherwise.
-    due = np.full(d, ord("1") | ord(",") << 8, dtype=np.uint16)
-    due[-1] = ord("1") | ord("\n") << 8
-    pairs = np.frombuffer(chunk, dtype="<u2").reshape(-1, d) - due
-    return pairs.astype(np.uint8) if pairs.max(initial=0) <= 8 else None
+    return _digit_codes(np.frombuffer(chunk, dtype="<u2").reshape(-1, d), "\n")
 
 
-def _read_digits(f):
-    """Decode a samples file opened in binary for as long as it keeps the
-    canonical form: header ``x1,...,xd`` and rows ``_decode_digits`` takes.
+def _decode_counts(chunk, d):
+    """The codes and counts of ``chunk`` up to its last '\\n', when each row
+    there is d digits 1-9 each followed by ',', then a count of the bytes
+    ``0-9.eE+-`` that reads whole as one finite non-negative float, then
+    '\\n'; else None."""
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    widths = np.diff(ends, prepend=-1) - 1 - 2 * d
+    if not len(ends) or widths.min() < 1:
+        return None
+    # Each row is a run of 2d state bytes, then a run of count bytes and '\n'.
+    runs = np.empty(2 * len(ends), dtype=np.intp)
+    runs[0::2] = 2 * d
+    runs[1::2] = widths + 1
+    in_count = np.repeat(np.tile([False, True], len(ends)), runs)
+    rows = buf[:len(in_count)]
+    codes = _digit_codes(rows[~in_count].view("<u2").reshape(-1, d), ",")
+    if codes is None:
+        return None
+    text = rows[in_count].tobytes()
+    if text.translate(None, b"0123456789.eE+-\n"):
+        return None
+    try:
+        # Older numpy only warns where a field does not read whole.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            counts = np.fromstring(text, sep="\n")
+    except (ValueError, DeprecationWarning):
+        return None
+    return (codes, counts) if counts.min() >= 0 and counts.max() < math.inf else None
 
-    Returns d (0 when the header is not canonical) and the code chunks,
-    and leaves ``f`` at the first byte not decoded. That rest, if any,
-    goes to the text reader, the only authority on the full grammar.
+
+def _read_digits(f, has_count):
+    """Decode a file opened in binary for as long as it keeps the canonical
+    form: header ``x1,...,xd`` and rows ``_decode_digits`` takes, or with
+    ``has_count`` header ``x1,...,xd,count`` and rows ``_decode_counts`` takes.
+
+    Returns d (0 when the header is not canonical), the code chunks and
+    the count chunks, and leaves ``f`` at the first byte not decoded.
+    That rest, if any, goes to the text reader, the only authority on
+    the full grammar.
     """
     header = f.readline()
-    d = header.count(b",") + 1
-    if header != ",".join(f"x{i + 1}" for i in range(d)).encode() + b"\n":
+    d = header.count(b",") + 1 - has_count
+    names = [f"x{i + 1}" for i in range(d)] + ["count"] * has_count
+    if d < 1 or header != ",".join(names).encode() + b"\n":
         f.seek(0)
-        return 0, []
+        return 0, [], []
+    decode = _decode_counts if has_count else _decode_digits
     size = max(_CHUNK_BYTES // (2 * d), 1) * 2 * d
-    codes = []
-    while (chunk := f.read(size)) and (c := _decode_digits(chunk, d)) is not None:
-        codes.append(c)
+    codes, counts = [], []
+    while (chunk := f.read(size)) and (got := decode(chunk, d)) is not None:
+        if has_count:
+            got, c = got
+            counts.append(c)
+        codes.append(got)
+        # A chunk decodes up to its last line end; the rest is read again.
+        f.seek(chunk.rfind(b"\n") + 1 - len(chunk), 1)
     f.seek(-len(chunk), 1)
-    return d, codes
+    return d, codes, counts
 
 
 def _read_body(f, d, has_count, path, first_line=2):
@@ -197,10 +247,8 @@ def sniff_kind(path) -> str:
 
 def _read_table(path, want_count, scheme, cap):
     with _open(path, binary=True) as raw:
-        # Counts files skip the byte decoder: their float counts are most of the parse.
-        d, codes = (0, []) if want_count else _read_digits(raw)
+        d, codes, counts = _read_digits(raw, want_count)
         f = TextIOWrapper(raw, encoding="utf-8")
-        has_count = False
         if not d:
             d, has_count = _read_header(f, path)
             if want_count and not has_count:
@@ -209,8 +257,9 @@ def _read_table(path, want_count, scheme, cap):
                 raise DataFormatError(
                     f"{path}:1: header ends in 'count'; this is a contingency table, not samples"
                 )
-        more, counts = _read_body(f, d, has_count, path, 2 + sum(map(len, codes)))
+        more, more_counts = _read_body(f, d, want_count, path, 2 + sum(map(len, codes)))
         codes += more
+        counts += more_counts
     if not codes:
         raise DataFormatError(f"{path}: no data rows")
     if scheme is not None and len(scheme) != d:
@@ -219,7 +268,7 @@ def _read_table(path, want_count, scheme, cap):
         )
     # Rebinding frees the chunk lists before the table is built.
     codes = np.concatenate(codes)
-    counts = np.concatenate(counts) if has_count else None
+    counts = np.concatenate(counts) if want_count else None
     return from_codes(codes, counts, scheme, cap=cap)
 
 
@@ -311,7 +360,8 @@ def write_counts_csv(path, table: JointTable):
             counts = probs[pos] if n is None else probs[pos] * n
             whole = np.round(counts)
             integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)
-            text = np.array([str(int(w)) if i else repr(c) for c, w, i in
-                             zip(counts.tolist(), whole.tolist(), integral.tolist())], dtype=object)
-            text = head[pos // len(tail)] + tail[pos % len(tail)] + text
-            f.write("\n".join(text.tolist()) + "\n")
+            text = list(map(repr, counts.tolist()))
+            for i in np.flatnonzero(integral).tolist():
+                text[i] = str(int(whole[i]))
+            lines = zip(head[pos // len(tail)].tolist(), tail[pos % len(tail)].tolist(), text)
+            f.write("\n".join(map("".join, lines)) + "\n")

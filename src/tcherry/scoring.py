@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .distribution import JointTable, MarginalCache, cache_for, expand_marginal
 from .errors import ConsistencyError, DomainError
 from .junction_tree import IndexSet, PuzzleNumbering, TCherryJunctionTree
-
-from itertools import combinations
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ shows the eleven criteria at a glance.
 
 import time
 from contextlib import contextmanager
-from itertools import combinations
 
 import numpy as np
 import pytest

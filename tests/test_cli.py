@@ -452,10 +452,31 @@ def test_tree_that_leaves_variables_uncovered_is_an_input_error(tmp_path, capsys
     path = tmp_path / "t.json"
     path.write_text(tree_to_json(add_hypercherry(new_parent(2, (1, 2)), 3, (2,))))
     assert run(capsys, "check", str(path))[0] == 0
-    for argv in (["score", str(path), "lizards.csv"], ["check", str(path), "lizards.csv"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert "leaves variables [4, 5] of the table (d=5) uncovered" in err
+    code, out, err = run(capsys, "score", str(path), "lizards.csv")
+    assert (code, out) == (2, "")
+    assert "leaves variables [4, 5] of the table (d=5) uncovered" in err
+
+
+def test_check_keeps_its_report_when_the_recovery_sweep_raises(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(tree_to_json(add_hypercherry(new_parent(2, (1, 2)), 3, (2,))))
+    message = "tree leaves variables [4, 5] of the table (d=5) uncovered"
+    _, alone, _ = run(capsys, "check", str(path))
+    code, out, err = run(capsys, "check", str(path), "lizards.csv")
+    assert (code, err) == (2, f"error: {message}\n")
+    # The structural lines of the data-free report, then the sweep's error;
+    # the result still reflects structural health only.
+    *structure, result = alone.splitlines()
+    assert result == "result: ok"
+    assert out.splitlines() == [*structure, f"recovery conditions: unavailable ({message})",
+                                result]
+    _, alone, _ = run(capsys, "check", "--format", "json", str(path))
+    code, out, err = run(capsys, "check", "--format", "json", str(path), "lizards.csv")
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads(out) == {**json.loads(alone), "recovery": {"error": message}}
+    # A data file that fails to load still leaves stdout empty.
+    code, out, err = run(capsys, "check", str(path), str(tmp_path / "missing.csv"))
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 # -- synth ------------------------------------------------------------------
@@ -492,8 +513,13 @@ def test_synth_scaled_counts_round_trip(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("n", ["inf", "nan", "1e309"])
-def test_synth_n_must_be_finite(tmp_path, capsys, n):
+@pytest.mark.parametrize("n", ["inf", "nan", "1e309", "0", "-1"])
+def test_synth_n_must_be_finite(tmp_path, capsys, monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table generated before --n was checked")
+
+    # --n is checked before the table is generated.
+    monkeypatch.setattr(tcherry.cli, "generate_tcherry_distribution", refuse)
     code, out, err = run(capsys, "synth", "--d", "4", "--k", "2", "--n", n,
                          "--out", str(tmp_path / "s"))
     assert (code, out) == (2, "")

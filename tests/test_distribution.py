@@ -16,7 +16,6 @@ from conftest import random_table
 from tcherry import (
     CapacityError,
     ConsistencyError,
-    DataFormatError,
     DomainError,
     JointTable,
     MarginalCache,

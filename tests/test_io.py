@@ -326,13 +326,13 @@ def _samples_bytes(rng, cards, n):
 
 
 def _load_recording(path, monkeypatch):
-    """``load_table(path)`` and the codes it handed to ``from_codes``, or
-    the error it raised."""
+    """``load_table(path)`` and the codes and counts it handed to
+    ``from_codes``, or the error it raised."""
     seen = []
 
-    def recording(codes, *args, **kwargs):
-        seen.append(codes)
-        return from_codes(codes, *args, **kwargs)
+    def recording(codes, counts, *args, **kwargs):
+        seen.append((codes, counts))
+        return from_codes(codes, counts, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(tcherry.io, "from_codes", recording)
@@ -340,26 +340,34 @@ def _load_recording(path, monkeypatch):
             t = load_table(path)
         except (DataFormatError, DomainError) as exc:
             return type(exc), str(exc)
-    return seen[0].dtype, seen[0].tobytes(), t.cardinalities, t.probs.tobytes(), t.total_count
+    codes, counts = seen[0]
+    return (codes.dtype, codes.tobytes(), None if counts is None else counts.tobytes(),
+            t.cardinalities, t.probs.tobytes(), t.total_count)
 
 
 @contextmanager
 def _text_path_only(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tcherry.io, "_decode_digits", lambda chunk, d: None)
+        m.setattr(tcherry.io, "_decode_counts", lambda chunk, d: None)
         yield
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed):
-    # d = 1..20, cardinalities 2..9 (binary where more would pass 2^20 cells).
-    rng = np.random.default_rng(seed)
-    d = seed + 1
+def _random_cards(rng, d):
+    """d cardinalities 2..9, binary where more would pass 2^20 cells."""
     cards = [2] * d
     for i in rng.permutation(d):
         cards[i] = int(rng.integers(2, 10))
         if np.prod(cards) > 2 ** 20:
             cards[i] = 2
+    return cards
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    d = seed + 1
+    cards = _random_cards(rng, d)
     path = tmp_path / "s.csv"
     path.write_bytes(_samples_bytes(rng, cards, int(rng.integers(1, 5001))))
     with _text_path_only(monkeypatch):
@@ -448,6 +456,135 @@ def test_canonical_samples_never_reach_loadtxt(tmp_path, monkeypatch):
     assert t.cardinalities == expected.cardinalities
     assert t.probs.tobytes() == expected.probs.tobytes()
     assert t.total_count == expected.total_count == 3000
+
+
+# -- counts byte decoder --------------------------------------------------------
+
+#: Count spellings the writer never makes, every one in the canonical form.
+COUNT_SPELLINGS = ["0", "-0", ".5", "5.", "+1", "2.5E-7", "1e+3", "007", "1.2345678901234567",
+                   "9007199254740993", "4.9406564584124654e-324", "2.2250738585072009e-308",
+                   "1e-400", "1.7976931348623157e300"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_counts_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed):
+    # d = 1..20, cardinalities 2..9; the cells of a sparse table, written by
+    # write_counts_csv as counts and as probabilities, and rows of raw spellings.
+    rng = np.random.default_rng(100 + seed)
+    d = seed + 1
+    cards = _random_cards(rng, d)
+    n = int(rng.integers(1, 2001))
+    states = rng.integers(1, np.array(cards) + 1, size=(n, d))
+    counts = rng.random(n) * 10.0 ** rng.integers(-300, 290, n)
+    counts[rng.random(n) < 0.3] = rng.integers(1, 1000)
+    table = from_codes(states - 1, counts, make_scheme(cards))
+    header = ",".join(f"x{i + 1}" for i in range(d)) + ",count\n"
+    spelled = rng.choice(COUNT_SPELLINGS, n)
+    raw = header + "".join(",".join(map(str, s)) + f",{c}\n"
+                           for s, c in zip(states.tolist(), spelled))
+    paths = [tmp_path / name for name in ("counts.csv", "probs.csv", "raw.csv")]
+    write_counts_csv(paths[0], table)
+    write_counts_csv(paths[1], JointTable(table.scheme, table.probs))
+    paths[2].write_text(raw)
+    for path in paths:
+        with _text_path_only(monkeypatch):
+            expected = _load_recording(path, monkeypatch)
+        # Chunks below a row, and chunks that split rows.
+        for chunk_bytes in (2 * d, 97, 1000, 4096, tcherry.io._CHUNK_BYTES):
+            monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
+            assert _load_recording(path, monkeypatch) == expected
+
+
+def test_counts_byte_decoder_takes_exactly_the_canonical_rows():
+    # Every value of every byte of a row: only digits 1-9 where the states
+    # go, each followed by ',', then a count digit and '\n' decode.
+    row = bytearray(b"3,7,5\n")
+    for pos in range(len(row)):
+        for value in range(256):
+            trial = bytearray(row)
+            trial[pos] = value
+            got = tcherry.io._decode_counts(bytes(trial * 2), 2)
+            canonical = (bytes(trial[1:4:2]) == b",," and trial[5] == ord("\n")
+                         and all(ord("1") <= trial[i] <= ord("9") for i in (0, 2))
+                         and ord("0") <= trial[4] <= ord("9"))
+            if canonical:
+                codes, counts = got
+                assert codes.dtype == np.uint8
+                assert codes.tolist() == [[trial[0] - 49, trial[2] - 49]] * 2
+                assert counts.tolist() == [trial[4] - 48] * 2
+            else:
+                assert got is None
+    # A chunk decodes up to its last line end, and needs one.
+    codes, counts = tcherry.io._decode_counts(b"1,2,0.5\n2,1,", 2)
+    assert codes.tolist() == [[0, 1]] and counts.tolist() == [0.5]
+    assert tcherry.io._decode_counts(b"1,2,0.5", 2) is None
+
+
+ODD_COUNTS_ROWS = {
+    "two-digit state": b"1,10,2,5\n",
+    "quoted field": b'1,2,2,"5"\n',
+    "padded field": b"1,2,2, 5\n",
+    "nan count": b"1,2,2,nan\n",
+    "inf count": b"1,2,2,inf\n",
+    "overflowing count": b"1,2,2,1e999\n",
+    "negative count": b"1,2,2,-1\n",
+    "malformed count": b"1,2,2,1-2\n",
+    "digit-group count": b"1,2,2,1_0\n",
+    "empty count": b"1,2,2,\n",
+    "crlf line end": b"1,2,2,5\r\n",
+    "blank line": b"\n",
+    "non-UTF-8 byte": b"1,2,2,5\xff\n",
+    "no final line end": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_COUNTS_ROWS))
+def test_odd_counts_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, monkeypatch,
+                                                                       name):
+    # 2,000 rows of 8 bytes, 75 to a 600-byte chunk.
+    rng = np.random.default_rng(7)
+    lines = [b"x1,x2,x3,count\n"] + [b"%d,%d,%d,%d\n" % (*s, c) for s, c in
+                                     zip(rng.integers(1, 4, (2000, 3)), rng.integers(1, 10, 2000))]
+    if ODD_COUNTS_ROWS[name] is None:
+        lines[-1] = lines[-1][:-1]
+    else:
+        lines[1451] = ODD_COUNTS_ROWS[name]  # file line 1452, in the 20th chunk
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"".join(lines))
+    with _text_path_only(monkeypatch):
+        expected = _load_recording(path, monkeypatch)
+    real, calls = tcherry.io._decode_counts, []
+
+    def decode(chunk, d):
+        calls.append(real(chunk, d))
+        return calls[-1]
+
+    monkeypatch.setattr(tcherry.io, "_decode_counts", decode)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
+    assert _load_recording(path, monkeypatch) == expected
+    # Decoded chunks came first, and after the first refusal the decoder
+    # was not tried again. With no final line end, the chunk before the
+    # last line decodes and the last line alone is refused.
+    assert len(calls) == (28 if ODD_COUNTS_ROWS[name] is None else 20) and calls[-1] is None
+    assert all(c is not None for c in calls[:-1])
+
+
+def test_canonical_counts_never_reach_loadtxt(tmp_path, monkeypatch):
+    table = random_table(np.random.default_rng(4), (2, 9, 3, 4), zero_fraction=0.2)
+    path = tmp_path / "c.csv"
+    write_counts_csv(path, JointTable(table.scheme, table.probs, total_count=1e6))
+    with _text_path_only(monkeypatch):
+        expected = load_table(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100)
+    t = load_table(path)
+    assert t.cardinalities == expected.cardinalities
+    assert t.probs.tobytes() == expected.probs.tobytes()
+    assert t.total_count == expected.total_count
 
 
 # -- writer --------------------------------------------------------------------

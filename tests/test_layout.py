@@ -66,3 +66,24 @@ def test_cache_keeps_the_methods_the_tracer_patches():
 
     assert all(callable(vars(MarginalCache).get(name))
                for name in ("marginal", "h", "info", "point"))
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports are the public API, read by the package's users.
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert SRC.is_dir() and not found

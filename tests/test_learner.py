@@ -10,7 +10,7 @@ import pytest
 
 import tcherry.distribution
 import tcherry.learner
-from conftest import candidate_rows, random_table, random_tree
+from conftest import candidate_rows, random_table
 from test_candidates import CASES, TIES
 from tcherry import (
     CapacityError,

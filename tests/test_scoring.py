@@ -9,7 +9,6 @@ import pytest
 import tcherry.distribution
 from conftest import random_table, random_tree
 from tcherry import (
-    ConsistencyError,
     DomainError,
     JointTable,
     MarginalCache,
