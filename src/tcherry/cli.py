@@ -459,8 +459,13 @@ def cmd_check(args) -> int:
         lines.append(f"construction: INVALID ({exc})")
 
     recovery = unavailable = None
-    if args.data is not None and tree is not None:
-        p = _load_input(args.data, args.scheme, args.smoothing, args.cap)
+    # Data given is always loaded, so a file that fails to load exits 2.
+    p = None if args.data is None else _load_input(args.data, args.scheme, args.smoothing,
+                                                   args.cap)
+    if p is not None and tree is None:
+        recovery = {"error": "tree is not a t-cherry tree"}
+        lines.append(f"recovery conditions: unavailable ({recovery['error']})")
+    elif p is not None:
         try:
             report = check_recovery_conditions(p, tree, numbering)
         except DomainError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from itertools import accumulate, combinations, count, islice
+from itertools import combinations, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,36 +205,6 @@ class MarginalTable:
             )
         object.__setattr__(self, "probs", arr)
 
-    @classmethod
-    def derived(cls, tables: dict, cells: int) -> dict:
-        """Marginal tables from ``{subset: probs}`` reduced inside the package
-        from a validated joint of ``cells`` cells.
-
-        Sums of finite non-negative cells stay finite and non-negative, so
-        only their mass can drift; it is checked for all tables in one
-        reduction, against MASS_TOL + cells·eps as with ``summed``. The
-        first subset past it, in ``tables`` order, raises
-        ``ConsistencyError``.
-        """
-        if not tables:
-            return {}
-        arrays = list(tables.values())
-        offsets = np.fromiter(accumulate((a.size for a in arrays[:-1]), initial=0),
-                              np.intp, len(arrays))
-        totals = np.add.reduceat(np.concatenate(arrays, axis=None), offsets)
-        ok = np.abs(totals - 1.0) <= MASS_TOL + cells * _EPS
-        if not ok.all():
-            subset, arr = list(tables.items())[int(np.argmin(ok))]
-            raise ConsistencyError(
-                f"marginal table over {subset} entries sum to {float(arr.sum())!r}, not 1")
-        out = {}
-        for subset, arr in tables.items():
-            arr.flags.writeable = False
-            table = out[subset] = object.__new__(cls)
-            object.__setattr__(table, "subset", subset)
-            object.__setattr__(table, "probs", arr)
-        return out
-
     def prob(self, state: Sequence[int]) -> float:
         """Probability of a 1-based state vector over the subset."""
         if len(state) != len(self.subset):
@@ -333,39 +303,69 @@ def entropy(table) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
+def _check_mass(keys: list, stack: np.ndarray, cells: int) -> None:
+    """Raise ``ConsistencyError`` at the first row of ``stack``, the marginal
+    over ``keys[row]`` summed from a validated joint of ``cells`` cells, whose
+    mass is off 1 by more than MASS_TOL + cells·eps: sums of finite
+    non-negative cells stay finite and non-negative, so only mass can drift."""
+    totals = stack.reshape(len(keys), -1).sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= MASS_TOL + cells * _EPS))
+    if len(bad):
+        raise ConsistencyError(f"marginal table over {keys[bad[0]]} entries sum to "
+                               f"{float(totals[bad[0]])!r}, not 1")
+
+
 class MarginalCache:
     """Memoizes marginals, entropies and information contents per subset.
 
     ``fill(subsets)`` caches any set of marginals in one pass over the
     joint, and ``prefetch(k)`` fills every k-subset; a smaller subset
-    requested after a prefetch is reduced from a cached k-superset.
+    requested after a prefetch is summed out of a cached k-superset.
+    Marginals are kept in stacks, one C-ordered (rows, *shape) array per
+    cardinality shape of a batch, rows in ascending subset order; each
+    stack's mass and entropies are computed in one pass as it is made.
     Values are deterministic, so concurrent writers racing on a key
     would store identical floats; within one process a plain dict is
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_h", "_info", "_singles", "_order")
+    __slots__ = ("table", "_marginals", "_tables", "_h", "_info", "_singles", "_order")
 
     def __init__(self, table: JointTable):
         self.table = table
-        self._marginals: dict[tuple[int, ...], MarginalTable] = {}
+        self._marginals: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}  # (stack, row)
+        self._tables: dict[tuple[int, ...], MarginalTable] = {}  # handed out by marginal
         self._h: dict[tuple[int, ...], float] = {}
         self._info: dict[tuple[int, ...], float] = {}
         self._singles: list[float] = []  # H(X_i) at i - 1, filled on first use
         self._order = 0  # every subset of this size is cached
 
+    def _key(self, subset) -> tuple[int, ...]:
+        """``subset`` as the canonical tuple; a cached key is taken as is."""
+        if type(subset) is tuple and subset in self._marginals:
+            return subset
+        return canonical_subset(subset, self.table.d)
+
     def fill(self, subsets) -> None:
         """Cache the marginal of every subset in ``subsets``, of any sizes;
         subsets already cached keep their values. A subset smaller than the
-        prefetched order is reduced from its cached superset, as ``marginal``
-        does; the rest come from one walk over the joint."""
-        store, d = self._marginals, self.table.d
+        prefetched order is summed out of its prefetched superset padded
+        with the lowest missing indices, in one sum per superset stack and
+        axes summed out; the rest come from one walk over the joint."""
+        store, order, d = self._marginals, self._order, self.table.d
         keys = {s if type(s) is tuple and s in store else canonical_subset(s, d)
-                for s in subsets}
-        small = sorted(key for key in keys - store.keys() if len(key) < self._order)
-        store.update(MarginalTable.derived({key: self._superset_sum(key) for key in small},
-                                           self.table.probs.size))
-        self._walk(keys.difference(small))
+                for s in subsets}.difference(store)
+        groups: dict = {}
+        for key in sorted(key for key in keys if len(key) < order):
+            pad = tuple(i for i in range(1, order + 1) if i not in key)[:order - len(key)]
+            stack, row = store[tuple(sorted(key + pad))]
+            groups.setdefault((id(stack), pad), []).append((key, stack, row))
+        for (_, pad), members in groups.items():
+            group, stacks, rows = zip(*members)
+            # Every index up to a padded one is in the superset, so padded
+            # index i is axis i - 1 of a marginal and axis i of its stack.
+            self._add_stack(list(group), stacks[0][list(rows)].sum(axis=pad))
+        self._walk(sorted(key for key in keys if len(key) >= order))
 
     def prefetch(self, k: int) -> None:
         """Cache the marginal of every k-subset in one pass, which reads
@@ -375,98 +375,125 @@ class MarginalCache:
             raise DomainError(f"prefetch order must be in 1..{d}, got {k}")
         if k <= self._order:
             return
-        self._walk(set(combinations(range(1, d + 1), k)))
+        self._walk([key for key in combinations(range(1, d + 1), k)
+                    if key not in self._marginals])
         self._order = k
 
-    def _walk(self, keys: set[tuple[int, ...]]) -> None:
-        """Fill the canonical ``keys`` by a depth-first walk over their prefixes.
+    def _walk(self, keys: list[tuple[int, ...]]) -> None:
+        """Fill the sorted, canonical, uncached ``keys`` by a depth-first
+        walk over their prefixes.
 
         The node for a prefix a1 < … < aj holds the table over
         {a1..aj} ∪ {aj+1..d}, and a key equal to the prefix is summed out
-        of its trailing axes there. Before each child b the node sums
-        out, in one call, the axes of the variables from the previous
-        child (or aj+1) up to b − 1. Every new partial sum is at most half the table it
-        came from, so the live ones add up to less than the joint.
+        of its trailing axes there, into its row of the stack of its
+        shape. Before each child b the node sums out, in one call, the
+        axes of the variables from the previous child (or aj+1) up to
+        b − 1. Every new partial sum is at most half the table it came
+        from, so the live ones add up to less than the joint.
         """
-        store = self._marginals
-        if keys <= store.keys():
+        if not keys:
             return
+        cards = (0, *self.table.cardinalities)
         trie: dict = {}
+        by_shape: dict[tuple[int, ...], list] = {}
         for key in keys:
             node = trie
             for i in key:
                 node = node.setdefault(i, {})
-        cells = self.table.probs.size
-
-        new: dict[tuple[int, ...], np.ndarray] = {}
+            by_shape.setdefault(tuple(map(cards.__getitem__, key)), []).append(key)
+        stacks = [(group, np.empty((len(group), *shape))) for shape, group in by_shape.items()]
+        rows = {key: row for group, stack in stacks for key, row in zip(group, stack)}
 
         def visit(prefix, probs, node):
             j = len(prefix)
-            if prefix in keys and prefix not in store:
-                new[prefix] = probs.sum(axis=tuple(range(j, probs.ndim)))
+            row = rows.get(prefix)
+            if row is not None:
+                probs.sum(axis=tuple(range(j, probs.ndim)), out=row)
             nxt = prefix[-1] + 1 if prefix else 1  # the variable on axis j
-            for b in sorted(node):
+            for b in node:  # ascending, as the sorted keys made them
                 if b > nxt:
                     probs = probs.sum(axis=tuple(range(j, j + b - nxt)))
                 visit(prefix + (b,), probs, node[b])
                 nxt = b
 
         visit((), self.table.probs, trie)
-        store.update(MarginalTable.derived(new, cells))
+        for group, stack in stacks:
+            self._add_stack(group, stack)
+
+    def _add_stack(self, keys: list[tuple[int, ...]], stack: np.ndarray) -> None:
+        """Check and cache ``stack``, row r the marginal over ``keys[r]``,
+        with the entropy of every row."""
+        _check_mass(keys, stack, self.table.probs.size)
+        stack.flags.writeable = False
+        self._marginals.update(zip(keys, zip(repeat(stack), range(len(keys)))))
+        flat = stack.reshape(len(keys), -1)
+        # Each row is summed pairwise, as ``entropy`` sums its nonzero
+        # cells; a row with a zero cell comes out nan and is left to it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = (-(flat * np.log2(flat)).sum(axis=1)).tolist()
+        for r in np.flatnonzero(np.isnan(h)).tolist():
+            h[r] = entropy(self.marginal(keys[r]))
+        self._h.update(zip(keys, h))
 
     def marginal(self, subset) -> MarginalTable:
-        m = self._marginals.get(subset) if type(subset) is tuple else None
+        m = self._tables.get(subset) if type(subset) is tuple else None
         if m is None:
-            key = canonical_subset(subset, self.table.d)
-            m = self._marginals.get(key)
+            key = self._key(subset)
+            m = self._tables.get(key)
             if m is None:
-                m = self._reduce(key)
-                self._marginals[key] = m
+                if key in self._marginals or len(key) < self._order:
+                    self.fill((key,))
+                    stack, row = self._marginals[key]
+                    m = MarginalTable(key, stack[row], self.table.probs.size)
+                else:
+                    # No prefetched superset covers the key: reduce the joint.
+                    m = marginalize(self.table, key)
+                    self._marginals[key] = (m.probs[np.newaxis], 0)
+                self._tables[key] = m
         return m
-
-    def _reduce(self, key: tuple[int, ...]) -> MarginalTable:
-        """``key``'s marginal from its cached superset; a subset no prefetch
-        covers uses the joint."""
-        if len(key) >= self._order:
-            return marginalize(self.table, key)
-        return MarginalTable.derived({key: self._superset_sum(key)},
-                                     self.table.probs.size)[key]
-
-    def _superset_sum(self, key: tuple[int, ...]) -> np.ndarray:
-        """Sum ``key``'s marginal out of its prefetched superset padded with
-        the lowest missing indices."""
-        pad = islice((i for i in count(1) if i not in key), self._order - len(key))
-        sup = self._marginals[tuple(sorted(key + tuple(pad)))]
-        return sup.probs.sum(axis=tuple(a for a, i in enumerate(sup.subset) if i not in key))
 
     def h(self, subset) -> float:
         """Entropy in bits of the marginal over ``subset``."""
         value = self._h.get(subset) if type(subset) is tuple else None
         if value is None:
-            # The marginal's subset is the canonical key; a cached marginal
-            # is found without canonicalizing again.
-            m = self.marginal(subset)
-            value = self._h.get(m.subset)
+            key = self._key(subset)
+            m = self.marginal(key)  # a marginal filled now comes with its entropy
+            value = self._h.get(key)
             if value is None:
-                value = self._h[m.subset] = entropy(m)
+                value = self._h[key] = entropy(m)
         return value
 
     def info(self, subset) -> float:
         """Information content of ``subset``: Σ H(X_i) − H(X_subset)."""
         value = self._info.get(subset) if type(subset) is tuple else None
         if value is None:
-            key = self.marginal(subset).subset
+            key = self._key(subset)
             value = self._info.get(key)
             if value is None:
                 if len(key) == 1:
                     value = 0.0
                 else:
-                    if not self._singles:
-                        self._singles = [self.h((i,)) for i in range(1, self.table.d + 1)]
-                    singles = self._singles
+                    singles = self._single_h()
                     value = math.fsum(singles[i - 1] for i in key) - self.h(key)
                 self._info[key] = value
         return value
+
+    def _single_h(self) -> list[float]:
+        """H(X_i) at i - 1."""
+        if not self._singles:
+            self._singles = [self.h((i,)) for i in range(1, self.table.d + 1)]
+        return self._singles
+
+    def info_h(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+        """I and H of each of ``subsets``, canonical tuples of one size, as
+        two arrays: the floats ``info`` and ``h`` give, filled per stack."""
+        subsets = list(subsets)
+        self.fill(subsets)
+        h = np.fromiter(map(self.h, subsets), np.float64, len(subsets))
+        singles = np.array(self._single_h())[np.array(subsets) - 1]
+        info = np.fromiter(map(math.fsum, singles.tolist()), np.float64, len(subsets)) - h
+        self._info.update(zip(subsets, info.tolist()))
+        return info, h
 
     def point(self, subset, full_state: Sequence[int]) -> float:
         """Marginal probability of ``full_state`` restricted to ``subset``."""

@@ -182,19 +182,22 @@ def _decode_counts(chunk, d):
 def _read_digits(f, has_count):
     """Decode a file opened in binary for as long as it keeps the canonical
     form: header ``x1,...,xd`` and rows ``_decode_digits`` takes, or with
-    ``has_count`` header ``x1,...,xd,count`` and rows ``_decode_counts`` takes.
+    ``has_count`` header ``x1,...,xd,count`` and rows ``_decode_counts``
+    takes. ``has_count`` None takes either header.
 
-    Returns d (0 when the header is not canonical), the code chunks and
-    the count chunks, and leaves ``f`` at the first byte not decoded.
-    That rest, if any, goes to the text reader, the only authority on
-    the full grammar.
+    Returns d (0 when the header is not canonical), whether the header
+    has a count column, the code chunks and the count chunks, and leaves
+    ``f`` at the first byte not decoded. That rest, if any, goes to the
+    text reader, the only authority on the full grammar.
     """
     header = f.readline()
+    if has_count is None:
+        has_count = header.endswith(b",count\n")
     d = header.count(b",") + 1 - has_count
     names = [f"x{i + 1}" for i in range(d)] + ["count"] * has_count
     if d < 1 or header != ",".join(names).encode() + b"\n":
         f.seek(0)
-        return 0, [], []
+        return 0, has_count, [], []
     decode = _decode_counts if has_count else _decode_digits
     size = max(_CHUNK_BYTES // (2 * d), 1) * 2 * d
     codes, counts = [], []
@@ -206,7 +209,7 @@ def _read_digits(f, has_count):
         # A chunk decodes up to its last line end; the rest is read again.
         f.seek(chunk.rfind(b"\n") + 1 - len(chunk), 1)
     f.seek(-len(chunk), 1)
-    return d, codes, counts
+    return d, has_count, codes, counts
 
 
 def _read_body(f, d, has_count, path, first_line=2):
@@ -238,26 +241,21 @@ def _read_body(f, d, has_count, path, first_line=2):
     return codes, counts
 
 
-def sniff_kind(path) -> str:
-    """Peek at the header line: 'counts' when it ends in a count column, else 'samples'."""
-    with _open(path) as f:
-        _, has_count = _read_header(f, path)
-    return "counts" if has_count else "samples"
-
-
 def _read_table(path, want_count, scheme, cap):
+    """Load counts (``want_count`` True) or samples (False), or with
+    ``want_count`` None whichever the header names."""
     with _open(path, binary=True) as raw:
-        d, codes, counts = _read_digits(raw, want_count)
+        d, has_count, codes, counts = _read_digits(raw, want_count)
         f = TextIOWrapper(raw, encoding="utf-8")
         if not d:
             d, has_count = _read_header(f, path)
             if want_count and not has_count:
                 raise DataFormatError(f"{path}:1: header has no trailing 'count' column")
-            if has_count and not want_count:
+            if has_count and want_count is False:
                 raise DataFormatError(
                     f"{path}:1: header ends in 'count'; this is a contingency table, not samples"
                 )
-        more, more_counts = _read_body(f, d, want_count, path, 2 + sum(map(len, codes)))
+        more, more_counts = _read_body(f, d, has_count, path, 2 + sum(map(len, codes)))
         codes += more
         counts += more_counts
     if not codes:
@@ -268,7 +266,7 @@ def _read_table(path, want_count, scheme, cap):
         )
     # Rebinding frees the chunk lists before the table is built.
     codes = np.concatenate(codes)
-    counts = np.concatenate(counts) if want_count else None
+    counts = np.concatenate(counts) if has_count else None
     return from_codes(codes, counts, scheme, cap=cap)
 
 
@@ -317,7 +315,7 @@ def find_scheme_sidecar(data_path) -> Path | None:
 
 
 def load_table(path, scheme_path=None, cap: int = DEFAULT_CELL_CAP) -> JointTable:
-    """Load counts or samples CSV, as ``sniff_kind`` tells them apart,
+    """Load counts or samples CSV, as its header tells them apart,
     resolving the scheme sidecar if present."""
     scheme = None
     if scheme_path is not None:
@@ -326,8 +324,7 @@ def load_table(path, scheme_path=None, cap: int = DEFAULT_CELL_CAP) -> JointTabl
         sidecar = find_scheme_sidecar(path)
         if sidecar is not None:
             scheme = read_scheme_json(sidecar)
-    read = read_counts_csv if sniff_kind(path) == "counts" else read_samples_csv
-    return read(path, scheme=scheme, cap=cap)
+    return _read_table(path, None, scheme, cap)
 
 
 def _state_labels(cards):

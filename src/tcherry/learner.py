@@ -154,11 +154,8 @@ def enumerate_candidates(p: JointTable, k: int,
     cache = cache_for(p, cache)
     cache.prefetch(k)
     clusters = tuple(combinations(p.variables, k))
-    bases = list(combinations(p.variables, k - 1))
-    cache.fill(bases)
-    info, h = cache.info, cache.h
-    i_base, h_base = np.array([(info(b), h(b)) for b in bases]).T
-    i_cluster, h_cluster = np.array([(info(c), h(c)) for c in clusters]).T
+    i_base, h_base = cache.info_h(combinations(p.variables, k - 1))
+    i_cluster, h_cluster = cache.info_h(clusters)
     members = np.array(clusters)
     base_rank = np.stack([_lex_ranks(np.delete(members, j, axis=1), p.d)
                           for j in range(k)], axis=1)

@@ -16,7 +16,6 @@ from tcherry import (
     ConsistencyError,
     JointTable,
     MarginalCache,
-    MarginalTable,
     add_hypercherry,
     enumerate_candidates,
     find_parent_cluster,
@@ -27,6 +26,7 @@ from tcherry import (
     make_scheme,
     new_parent,
 )
+from tcherry.distribution import _check_mass
 from tcherry.learner import _lex_ranks
 
 
@@ -150,12 +150,18 @@ def test_tree_covers_exactly_its_vertices():
 
 def test_derived_tables_check_mass_once_and_name_the_first_bad_subset():
     good, bad = np.array([0.25, 0.75]), np.array([0.5, 0.5 - 1e-9])
-    out = MarginalTable.derived({(1,): good.copy(), (2, 3): np.full((2, 2), 0.25)}, 4)
-    assert list(out) == [(1,), (2, 3)]
-    assert out[(2, 3)].subset == (2, 3) and not out[(1,)].probs.flags.writeable
+    _check_mass([(1,), (2,)], np.stack([good, good]), 4)
     with pytest.raises(ConsistencyError, match=r"over \(3,\) entries sum to"):
-        MarginalTable.derived({(1,): good.copy(), (3,): bad.copy(), (2,): bad.copy()}, 4)
+        _check_mass([(1,), (3,), (2,)], np.stack([good, bad, bad]), 4)
     with pytest.raises(ConsistencyError, match=r"over \(2,\) entries sum to nan"):
-        MarginalTable.derived({(2,): np.array([np.nan, 1.0])}, 4)
+        _check_mass([(2,)], np.array([[np.nan, 1.0]]), 4)
     # The tolerance grows with the cells summed.
-    assert MarginalTable.derived({(1,): bad.copy()}, 2**24)[(1,)].subset == (1,)
+    _check_mass([(1,)], bad[np.newaxis], 2**24)
+    # What the cache stacks is frozen.
+    cache = MarginalCache(random_table(np.random.default_rng(19), (2, 3, 2)))
+    cache.prefetch(2)
+    cache.fill([(1,)])
+    for key in ((1, 2), (2, 3), (1,)):
+        assert cache.marginal(key).subset == key
+        stack, _ = cache._marginals[key]
+        assert not stack.flags.writeable

@@ -479,6 +479,42 @@ def test_check_keeps_its_report_when_the_recovery_sweep_raises(tmp_path, capsys)
     assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+
+def _invalid_tree(tmp_path):
+    # A cluster of the wrong size: structurally reported, never a t-cherry tree.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"k": 3, "clusters": [[1, 2, 3], [2, 3, 4, 5]],
+                                "separators": [{"set": [2, 3], "attach_to": 0}],
+                                "parent": [1, 2, 3]}))
+    return str(path)
+
+
+def test_check_loads_its_data_even_for_an_invalid_tree(tmp_path, capsys):
+    tree = _invalid_tree(tmp_path)
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, "check", tree, missing)
+    assert (code, out) == (2, "") and missing in err
+    broken = tmp_path / "broken.csv"
+    broken.write_text("x1,x2\n1,oops\n")
+    code, out, err = run(capsys, "check", "--format", "json", tree, str(broken))
+    assert (code, out) == (2, "") and f"{broken}:2:" in err
+
+
+def test_check_says_why_an_invalid_tree_gets_no_recovery_sweep(tmp_path, capsys):
+    tree = _invalid_tree(tmp_path)
+    message = "tree is not a t-cherry tree"
+    _, alone, _ = run(capsys, "check", tree)
+    code, out, err = run(capsys, "check", tree, "lizards.csv")
+    assert (code, err) == (1, "")
+    *structure, result = alone.splitlines()
+    assert result == "result: FAIL"
+    assert out.splitlines() == [*structure, f"recovery conditions: unavailable ({message})",
+                                result]
+    _, alone, _ = run(capsys, "check", "--format", "json", tree)
+    code, out, _ = run(capsys, "check", "--format", "json", tree, "lizards.csv")
+    assert code == 1
+    assert json.loads(out) == {**json.loads(alone), "recovery": {"error": message}}
+
 # -- synth ------------------------------------------------------------------
 
 

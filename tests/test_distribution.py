@@ -291,6 +291,36 @@ def test_cache_point_restricts_full_states():
     )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_entropies_and_informations_are_bit_identical(seed):
+    # The cache sums marginals and computes H per stack, and I from H; each
+    # must be the very float the one-subset computation gives.
+    rng = np.random.default_rng(700 + seed)
+    t = random_table(rng, rng.integers(2, 6, size=5 + seed % 3), zero_fraction=0.2)
+    zero_rows = 0
+    for k in range(1, 6):
+        cache = MarginalCache(t)
+        cache.prefetch(k)
+        singles = [entropy(cache.marginal((v,))) for v in t.variables]
+        for m in range(max(k - 1, 1), k + 1):
+            subsets = list(combinations(t.variables, m))
+            info, h = cache.info_h(subsets)
+            for s, got_i, got_h in zip(subsets, info.tolist(), h.tolist()):
+                probs = cache.marginal(s).probs
+                zero_rows += bool((probs == 0.0).any())
+                if m < k:
+                    # Summed out of the k-superset padded with the lowest
+                    # missing indices, one subset at a time.
+                    sup = tuple(sorted(s + tuple(v for v in t.variables if v not in s)[:k - m]))
+                    drop = tuple(a for a, v in enumerate(sup) if v not in s)
+                    assert np.array_equal(probs, cache.marginal(sup).probs.sum(axis=drop))
+                want_h = entropy(cache.marginal(s))
+                want_i = math.fsum(singles[v - 1] for v in s) - want_h
+                assert got_h.hex() == want_h.hex() == cache.h(s).hex()
+                assert got_i.hex() == want_i.hex() == cache.info(s).hex()
+    assert zero_rows > 0
+
+
 # -- marginal lattice -------------------------------------------------------
 
 

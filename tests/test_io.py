@@ -17,7 +17,6 @@ from tcherry.io import (
     read_counts_csv,
     read_samples_csv,
     read_scheme_json,
-    sniff_kind,
     write_counts_csv,
 )
 
@@ -58,8 +57,8 @@ def test_counts_rows_are_sorted_ascending(tmp_path):
 def test_samples_csv_counted(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text("x1,x2\n1,1\n1,1\n2,1\n2,2\n")
-    assert sniff_kind(path) == "samples"
     t = read_samples_csv(path)
+    assert np.array_equal(load_table(path).probs, t.probs)
     assert t.total_count == 4.0
     assert t.prob((1, 1)) == 0.5
     assert t.prob((1, 2)) == 0.0
@@ -68,9 +67,9 @@ def test_samples_csv_counted(tmp_path):
 def test_sniff_detects_counts_header(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("x1,x2,count\n1,1,4\n2,2,1\n")
-    assert sniff_kind(path) == "counts"
     t = load_table(path)
     assert t.prob((1, 1)) == 0.8
+    assert t.total_count == 5.0
 
 
 def test_header_must_name_variables_in_order(tmp_path):
@@ -160,7 +159,7 @@ def test_empty_data_file_rejected(tmp_path):
 def test_sniff_reads_only_the_header(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("x1,x2,count\n1,1,2\n1,oops\n")
-    assert sniff_kind(path) == "counts"
+    # Read as counts from the header alone: the bad row is named by line.
     with pytest.raises(DataFormatError) as exc:
         load_table(path)
     assert str(exc.value) == f"{path}:3: expected 3 fields, got 2"
@@ -415,7 +414,7 @@ ODD_ROWS = {
 
 @pytest.mark.parametrize("name", sorted(ODD_ROWS))
 def test_odd_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, monkeypatch, name):
-    # 2,000 rows, so that the odd row lies past the bytes sniff_kind decodes.
+    # 2,000 rows, so that the odd row lies past the first decoded chunks.
     lines = [b"x1,x2,x3\n"] + [b"%d,%d,%d\n" % tuple(r)
                                for r in np.random.default_rng(5).integers(1, 4, (2000, 3))]
     if ODD_ROWS[name] is None:

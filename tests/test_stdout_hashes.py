@@ -17,7 +17,10 @@ JSON) on two files built here from fixed seeds, a binary d=10 one whose
 rows are all single digits and one with a variable of cardinality 12,
 whose two-digit states the byte decoder leaves to the general reader.
 These hashes were recorded before the samples reader gained its byte
-decoder.
+decoder. The ``fit --k 4`` entries on a binary d=14 file of 20,000 rows
+and on a d=9 file of cardinalities 2 to 4, where the 4-marginals come
+in many shapes, were recorded before the marginal cache stacked its
+marginals and computed entropies per stack.
 
 The JSON outputs carry floats at full precision. They were recorded on
 x86-64 with numpy 2.4; another numpy build may sum in another order and
@@ -130,6 +133,14 @@ SAMPLES_EXPECTED = {
     ("fit", "card12", "malvestuto", 3, "text"): (0, "12c758a73fd5fc38ceb2134c4e625c0c2b227a80d9716ff74ff872089f51a797"),
     ("fit", "card12", "sk", 3, "json"): (0, "2715e3bf64c33d53a53d2102bfb7564459982609abecfe184d17106e10cb14a3"),
     ("fit", "card12", "malvestuto", 3, "json"): (0, "61e1a039a0f31d5f7edeee81338a74a4f882090be435718c9cd02546a374bb9b"),
+    ("fit", "binary14", "sk", 4, "text"): (0, "12519e60c1be58a40578be01118cfba6ec996d5398b794d01c58706ce49c4b98"),
+    ("fit", "binary14", "malvestuto", 4, "text"): (0, "bb8e8d70aaac43f33948c2dda55ac536ebf4fef8eb4345f0416668cb3248db8c"),
+    ("fit", "binary14", "sk", 4, "json"): (0, "db70fb347998fdcd0879100d4fe1b5b9d188121efe555fe5206ab8b19b894b1c"),
+    ("fit", "binary14", "malvestuto", 4, "json"): (0, "d10ab82f061be877079574930ed8ed5d4150b054aa400209340db43c3bd4fbfe"),
+    ("fit", "card9", "sk", 4, "text"): (0, "55c5c8ab6a9f65ecb9ae7a85782e0653d5e14cb12538278b812ce5ae40e3e03f"),
+    ("fit", "card9", "malvestuto", 4, "text"): (0, "66c5a7604f56198a980800470d2b1e03be68cc13b9216906782f07324e6aa232"),
+    ("fit", "card9", "sk", 4, "json"): (0, "6b0a0f4d86f041c781febd1ac1d87f2dfed4352a03f2963152e150ca9de8c67b"),
+    ("fit", "card9", "malvestuto", 4, "json"): (0, "db609074dd90a2a711e7f7b740296573d41c4075a7648b6b118e3c353e29a502"),
 }
 
 
@@ -152,7 +163,9 @@ def _write_samples(path, cards, n, seed):
 def samples_files(tmp_path_factory):
     base = tmp_path_factory.mktemp("samples")
     return {"binary10": _write_samples(base / "binary10.csv", [2] * 10, 5000, 17),
-            "card12": _write_samples(base / "card12.csv", [3, 12, 2, 5, 4, 2], 4000, 18)}
+            "card12": _write_samples(base / "card12.csv", [3, 12, 2, 5, 4, 2], 4000, 18),
+            "binary14": _write_samples(base / "binary14.csv", [2] * 14, 20000, 19),
+            "card9": _write_samples(base / "card9.csv", [2, 3, 4, 4, 2, 3, 3, 4, 2], 20000, 20)}
 
 
 @pytest.fixture(scope="module")
