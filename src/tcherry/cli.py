@@ -566,6 +566,8 @@ def _parse_cards(text: str, d: int) -> list[int]:
 
 def cmd_synth(args) -> int:
     strengths = _parse_floats(args.strength, "--strength")
+    if not all(map(math.isfinite, strengths)):
+        raise DomainError(f"--strength must be finite, got {args.strength!r}")
     strength = strengths[0] if len(strengths) == 1 else strengths
     cards = _parse_cards(args.cards, args.d)
     if args.n is not None and not 0 < args.n < math.inf:

@@ -428,11 +428,13 @@ class MarginalCache:
         self._marginals.update(zip(keys, zip(repeat(stack), range(len(keys)))))
         flat = stack.reshape(len(keys), -1)
         # Each row is summed pairwise, as ``entropy`` sums its nonzero
-        # cells; a row with a zero cell comes out nan and is left to it.
+        # cells; a row with a zero cell comes out nan and is summed again
+        # over its nonzero cells alone, as ``entropy`` does.
         with np.errstate(divide="ignore", invalid="ignore"):
             h = (-(flat * np.log2(flat)).sum(axis=1)).tolist()
         for r in np.flatnonzero(np.isnan(h)).tolist():
-            h[r] = entropy(self.marginal(keys[r]))
+            nz = flat[r][flat[r] > 0.0]
+            h[r] = float(-np.sum(nz * np.log2(nz)))
         self._h.update(zip(keys, h))
 
     def marginal(self, subset) -> MarginalTable:
@@ -457,10 +459,11 @@ class MarginalCache:
         value = self._h.get(subset) if type(subset) is tuple else None
         if value is None:
             key = self._key(subset)
-            m = self.marginal(key)  # a marginal filled now comes with its entropy
+            if key not in self._h and len(key) < self._order:
+                self.fill((key,))  # summed out of a superset, with its entropy
             value = self._h.get(key)
             if value is None:
-                value = self._h[key] = entropy(m)
+                value = self._h[key] = entropy(self.marginal(key))
         return value
 
     def info(self, subset) -> float:

@@ -17,6 +17,7 @@ breaks it, so it alone decides what the grammar accepts.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -327,14 +328,222 @@ def load_table(path, scheme_path=None, cap: int = DEFAULT_CELL_CAP) -> JointTabl
     return _read_table(path, None, scheme, cap)
 
 
-def _state_labels(cards):
-    """Spell each state combination of the leading and of the trailing
-    variables once, as 's1,...,sm,', split where the longer list is shortest."""
+#: The doubles ``_shortest_digits`` spells itself; repr takes the rest.
+_FAST_RANGE = (1e-280, 1e280)
+
+#: A distance this close to a rounding decision is left to repr.
+_MARGIN = 1e-9
+
+#: ``_spelling_tables`` holds 10^s for s in -_POW_BIAS.._POW_BIAS + 32.
+_POW_BIAS = 266
+
+#: Layout keys of ``_spell_floats``: 20 positional forms (decpt -3..16)
+#: and two exponent widths, each times 17 digit counts; key _KEYS keeps
+#: nothing.
+_KEYS = 22 * 17
+
+#: The spelling template of ``_spell_floats``: '0.000', the digits before
+#: the point right-aligned in 16, '.', the digits after it left-aligned in
+#: 17, and 'e±XX' left-aligned in 8.
+_TEMPLATE = np.dtype({"names": ["zero", "head", "dot", "lead", "tail", "exp"],
+                      "formats": ["S5", ("<u8", 2), "S1", "u1", ("<u8", 2), "<u8"],
+                      "offsets": [0, 5, 21, 22, 23, 39], "itemsize": 47})
+
+
+@functools.cache
+def _spelling_tables():
+    """The tables of ``_shortest_digits`` and ``_spell_floats``, built on
+    first use:
+
+    - 10^s for s in -266..298 as a double-double (hi, lo), and hi split
+      in halves whose products are exact;
+    - the ASCII digits of 0..9999 as little-endian uint32;
+    - for exponents -400..399 'e', the sign and at least two digits,
+      left-aligned in a little-endian uint64;
+    - for each layout key the bytes of the spelling template it keeps.
+    """
+    hi, lo = [], []
+    for s in range(-_POW_BIAS, _POW_BIAS + 33):
+        exact = 10 ** abs(s)
+        if s >= 0:
+            hi.append(float(exact))
+            lo.append(float(exact - int(hi[-1])))
+        else:
+            hi.append(1 / exact)  # int division rounds correctly
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * exact) / (den * exact))
+    hi, lo = np.array(hi), np.array(lo)
+    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype="<u4")
+    exps = np.array([b"e%+03d" % i for i in range(-400, 400)], dtype="S8").view("<u8")
+    keep = np.zeros((_KEYS + 1, _TEMPLATE.itemsize), dtype=bool)
+    for key in range(_KEYS):
+        form, n = divmod(key, 17)
+        n += 1
+        if form < 20:  # positional, decpt = form - 3
+            decpt = form - 3
+            if decpt <= 0:  # '0.', -decpt zeros, the digits
+                cols = [*range(2 - decpt), *range(22, 22 + n)]
+            else:  # decpt digits, '.', the rest or '0'
+                cols = [*range(21 - decpt, 22 + max(n - decpt, 1))]
+        else:  # d.ddde±XX (form 20) or d.ddde±XXX (form 21)
+            cols = [20, *range(21, 21 + n)] if n > 1 else [20]
+            cols += range(39, 23 + form)
+        keep[key, cols] = True
+    tables = hi, lo, *_split(hi), quads, exps, keep
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _split(a):
+    """``a`` as two doubles of 26 significant bits each (Dekker), so that
+    products of halves are exact."""
+    t = a * 134217729.0
+    head = t - (t - a)
+    return head, a - head
+
+
+def _scale(x, s):
+    """x·10^s as an int64 integer part and a double fraction in [0, 1],
+    exact to about 1e-14 for the x·10^s near [1e16, 1e17) it is used for."""
+    hi, lo, hi_head, hi_tail = (t[s + _POW_BIAS] for t in _spelling_tables()[:4])
+    p = x * hi
+    x_head, x_tail = _split(x)
+    err = ((x_head * hi_head - p) + x_head * hi_tail + x_tail * hi_head) + x_tail * hi_tail
+    c = err + x * lo
+    total = p + c
+    rest = c - (total - p)  # x·10^s = total + rest, to double-double accuracy
+    whole = np.floor(total)
+    frac = (total - whole) + rest
+    carry = np.floor(frac)
+    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
+
+
+def _shortest_digits(x):
+    """The digits of ``repr`` for each positive double of ``x``.
+
+    repr spells the shortest decimal that reads back as x, and the one
+    closest to x among the shortest. Here x is scaled to X = x·10^(16−E),
+    E = ⌊log10 x⌋, so X is in [1e16, 1e17), as an exact integer part and
+    a fraction; the half-gaps to x's neighbours, scaled the same way,
+    bound the interval of decimals that read back as x. For j = 0, 1, …
+    the multiple of 10^j in that interval closest to X is kept, for as
+    long as one exists; the last one kept is the answer.
+
+    Fallback: a value outside ``_FAST_RANGE``, or one where X's distance
+    to a candidate multiple is within ``_MARGIN`` of a half-gap (an
+    interval end, whose inclusion depends on round-half-even) or of the
+    other candidate's distance (a tie), is not decided here, and repr
+    spells it. The arithmetic errs by about 1e-14, far inside the margin.
+
+    Returns ``(digits, count, decpt, fast)``: ``digits`` the significant
+    digits left-aligned in 17 as int64, ``count`` how many are
+    significant, and ``decpt`` the decimal point's position, so that x
+    reads 0.d1d2…·10^decpt. Where not ``fast`` they spell 1.0.
+    """
+    fast = (x >= _FAST_RANGE[0]) & (x <= _FAST_RANGE[1])
+    x = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    whole, frac = _scale(x, 16 - e)
+    # log10 can be off by one next to a power of ten; the integer part
+    # says which way, where a float sum could round up to 1e17.
+    off = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    if off.any():
+        fix = np.flatnonzero(off)
+        e[fix] += off[fix]
+        whole[fix], frac[fix] = _scale(x[fix], 16 - e[fix])
+        fast &= (whole >= 10**16) & (whole < 10**17)
+    # The half-gaps, scaled with hi alone: lo would move them by < 1e-14.
+    scale = 0.5 * _spelling_tables()[0][16 - e + _POW_BIAS]
+    gap_down = (x - np.nextafter(x, 0)) * scale
+    gap_up = np.spacing(x) * scale
+    # j = 0: both half-gaps exceed X·2^-54 > 0.55, so the nearest integer is in.
+    fast &= np.abs(frac - 0.5) >= _MARGIN
+    digits = whole + (frac > 0.5)
+    zeros = np.zeros_like(whole)
+    rows = np.flatnonzero(fast)
+    whole, frac, gap_down, gap_up = whole[rows], frac[rows], gap_down[rows], gap_up[rows]
+    for j in range(1, 18):
+        unit = 10**j
+        q, r = np.divmod(whole, unit)
+        # The distances from X to the multiple at or below it and to the
+        # one above; a half-gap is below 11, so a capped one is outside.
+        down = np.minimum(r, 64) + frac
+        up = np.minimum(unit - r, 64) - frac
+        has_down, has_up = down < gap_down, up < gap_up
+        unsure = ((np.abs(down - gap_down) < _MARGIN) | (np.abs(up - gap_up) < _MARGIN)
+                  | (has_down & has_up & (np.abs(down - up) < _MARGIN)))
+        fast[rows[unsure]] = False
+        found = (has_down | has_up) & ~unsure
+        rows = rows[found]
+        if not len(rows):
+            break
+        digits[rows] = (q + (has_up & (~has_down | (up < down))))[found] * unit
+        zeros[rows] = j
+        whole, frac, gap_down, gap_up = whole[found], frac[found], gap_down[found], gap_up[found]
+    # 10^17 is the digit 1 one place up.
+    top = digits == 10**17
+    digits[top], zeros[top], e[top] = 10**16, 16, e[top] + 1
+    digits[~fast], zeros[~fast], e[~fast] = 10**16, 16, 0
+    return digits, 17 - zeros, e + 1, fast
+
+
+def _spell_floats(x):
+    """``repr`` of each double of ``x`` as a ``_TEMPLATE`` row and a keep
+    mask, both (len(x), 47) bytes: the kept bytes of row i, in order,
+    spell x[i]. Also returns where ``_shortest_digits`` took the value;
+    elsewhere nothing is kept.
+
+    The digits are split where the point goes (after the first in the
+    d.ddde±XX form, before all in the 0.000ddd form), so that each
+    spelling is one or two runs of the template, which the caller's mask
+    compacts quickly. Which bytes are kept depends on the form, the
+    decimal point and the digit count: repr is positional when
+    -4 < decpt <= 16, and d.ddde±XX otherwise.
+    """
+    quads, exps, keep = _spelling_tables()[4:]
+    digits, count, decpt, fast = _shortest_digits(x)
+    positional = (decpt > -4) & (decpt <= 16)
+    point = np.where(positional, np.maximum(decpt, 0), 1)  # digits before it
+    unit = 10 ** (17 - point)
+    head = digits // unit
+    tail = (digits - head * unit) * 10**point
+    out = np.empty(len(x), dtype=_TEMPLATE)
+    out["zero"], out["dot"] = b"0.000", b"."
+    out["head"] = _ascii16(head, quads)
+    out["lead"] = tail // 10**16 + ord("0")
+    out["tail"] = _ascii16(tail % 10**16, quads)
+    out["exp"] = exps[decpt + 399]
+    key = np.where(positional, decpt + 3, 20 + (np.abs(decpt - 1) >= 100)) * 17
+    key = np.where(fast, key + count - 1, _KEYS)
+    return out.view(np.uint8).reshape(len(x), -1), np.take(keep, key, axis=0), fast
+
+
+def _ascii16(v, quads):
+    """The 16 decimal digits of each of ``v`` (below 10^16) as two
+    little-endian uint64 of ASCII."""
+    return np.stack([quads[v // 10**12] | quads[v // 10**8 % 10_000].astype("<u8") << 32,
+                     quads[v // 10**4 % 10_000] | quads[v % 10_000].astype("<u8") << 32], axis=1)
+
+
+def _label_bytes(cards):
+    """Each state combination of the leading and of the trailing variables
+    spelled once as 's1,...,sm,', split where the longer list is shortest,
+    as a pair of ``_byte_rows`` tables."""
     m = min(range(len(cards) + 1),
             key=lambda m: max(math.prod(cards[:m]), math.prod(cards[m:])))
-    return [np.array(["".join(f"{s}," for s in states)
-                      for states in product(*(range(1, c + 1) for c in group))], dtype=object)
+    return [_byte_rows(["".join(f"{s}," for s in states).encode()
+                        for states in product(*(range(1, c + 1) for c in group))])
             for group in (cards[:m], cards[m:])]
+
+
+def _byte_rows(texts):
+    """``texts`` (bytes) as a zero-padded uint8 matrix and the mask of its
+    bytes that belong to them."""
+    width = max(map(len, texts), default=1) or 1
+    matrix = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    return matrix, np.arange(width) < lengths[:, np.newaxis]
 
 
 def write_counts_csv(path, table: JointTable):
@@ -343,22 +552,36 @@ def write_counts_csv(path, table: JointTable):
     A table with a ``total_count`` is written as counts, and a count
     within 1e-9 of a nonzero integer is written as that integer, so
     integer contingency data round-trips readably. Every other count,
-    and every probability of a table without one, is written with
-    ``repr``, which round-trips every double however small: no positive
-    cell is ever written as 0.
+    and every probability of a table without one, is written exactly as
+    ``repr`` spells it, which round-trips every double however small: no
+    positive cell is ever written as 0.
     """
     probs, n = table.probs.reshape(-1), table.total_count
-    head, tail = _state_labels(table.cardinalities)
-    with open(path, "w", newline="") as f:
-        f.write(",".join(f"x{i + 1}" for i in range(table.d)) + ",count\n")
+    (head, head_keep), (tail, tail_keep) = _label_bytes(table.cardinalities)
+    with open(path, "wb") as f:
+        f.write(",".join(f"x{i + 1}" for i in range(table.d)).encode() + b",count\n")
         nonzero = np.flatnonzero(probs)
         for start in range(0, len(nonzero), _CHUNK_LINES):
             pos = nonzero[start:start + _CHUNK_LINES]
             counts = probs[pos] if n is None else probs[pos] * n
             whole = np.round(counts)
             integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)
-            text = list(map(repr, counts.tolist()))
-            for i in np.flatnonzero(integral).tolist():
-                text[i] = str(int(whole[i]))
-            lines = zip(head[pos // len(tail)].tolist(), tail[pos % len(tail)].tolist(), text)
-            f.write("\n".join(map("".join, lines)) + "\n")
+            text, text_keep, fast = _spell_floats(counts)
+            # Integral counts, and what the kernel leaves, are spelled by Python.
+            slow = np.flatnonzero(integral | ~fast)
+            text_keep[slow] = False
+            words, words_keep = _byte_rows([
+                str(int(w)).encode() if i else repr(c).encode()
+                for i, w, c in zip(integral[slow].tolist(), whole[slow].tolist(),
+                                   counts[slow].tolist())])
+            spare = np.zeros((len(pos), words.shape[1]), dtype=np.uint8)
+            spare_keep = np.zeros(spare.shape, dtype=bool)
+            spare[slow], spare_keep[slow] = words, words_keep
+            h, t = np.divmod(pos, len(tail))
+            body = np.concatenate([np.take(head, h, axis=0), np.take(tail, t, axis=0), text,
+                                   spare, np.full((len(pos), 1), ord("\n"), dtype=np.uint8)],
+                                  axis=1)
+            keep = np.concatenate([np.take(head_keep, h, axis=0), np.take(tail_keep, t, axis=0),
+                                   text_keep, spare_keep, np.ones((len(pos), 1), dtype=bool)],
+                                  axis=1)
+            f.write(body.ravel()[keep.ravel()].tobytes())

@@ -353,8 +353,15 @@ def fit_exhaustive(p: JointTable, k: int, max_vertices: int = 7,
     return fr
 
 
-def _softmax(logits: np.ndarray, axis=None) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+def _softmax(strength: float, z: np.ndarray, axis=None) -> np.ndarray:
+    """Softmax of the logits ``strength·z`` along ``axis``; a logit that
+    overflows (or a non-finite strength) is a ``DomainError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = strength * z
+        if not np.isfinite(logits).all():
+            raise DomainError(f"strength {strength!r} makes the factor logits non-finite")
+        # A shifted logit that overflows is -inf: probability 0, the exact limit.
+        shifted = logits - np.max(logits, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
@@ -384,14 +391,14 @@ def random_factorizing_table(tree: TCherryJunctionTree, scheme, rng,
     shape = tuple(v.cardinality for v in scheme)
     parent = tree.parent
     block_shape = tuple(cards[i] for i in parent)
-    block = _softmax(strengths[0] * rng.standard_normal(block_shape))
+    block = _softmax(strengths[0], rng.standard_normal(block_shape))
     table = np.ones(shape) * expand_marginal(block, parent, d)
     for j, link in enumerate(tree.links, start=1):
         cluster = tree.clusters[j]
         fresh = (set(cluster) - set(link.separator)).pop()
         cond_shape = tuple(cards[i] for i in cluster)
         axis = cluster.index(fresh)
-        cond = _softmax(strengths[j] * rng.standard_normal(cond_shape), axis=axis)
+        cond = _softmax(strengths[j], rng.standard_normal(cond_shape), axis=axis)
         table = table * expand_marginal(cond, cluster, d)
     table = table / np.sum(table)
     return JointTable(scheme, table, cap=cap)

@@ -574,6 +574,38 @@ def test_synth_largest_finite_n_reads_back(tmp_path, capsys):
     assert code == 0 and out.endswith("result: ok\n")
 
 
+@pytest.mark.parametrize("strength", ["inf", "nan", "2,-inf"])
+def test_synth_strength_must_be_finite(tmp_path, capsys, monkeypatch, strength):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table generated before --strength was checked")
+
+    monkeypatch.setattr(tcherry.cli, "generate_tcherry_distribution", refuse)
+    code, out, err = run(capsys, "synth", "--d", "3", "--k", "2", "--strength", strength,
+                         "--out", str(tmp_path / "s"))
+    assert (code, out) == (2, "")
+    assert err == f"error: --strength must be finite, got {strength!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_strength_that_overflows_the_logits_is_refused(tmp_path, capsys):
+    # Seed 3 draws a z whose 1e308·z overflows.
+    code, out, err = run(capsys, "synth", "--d", "4", "--k", "2", "--seed", "3",
+                         "--strength", "1e308", "--out", str(tmp_path / "s"))
+    assert (code, out) == (2, "")
+    assert err == "error: strength 1e+308 makes the factor logits non-finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_strength_whose_shifted_logits_overflow_runs(tmp_path, capsys):
+    # Seed 1's logits are finite but their spread is not: the shifted
+    # logit overflows to -inf, and its probability is 0.
+    code, _, err = run(capsys, "synth", "--d", "4", "--k", "2", "--seed", "1",
+                       "--strength", "1e308", "--out", str(tmp_path / "s"))
+    assert (code, err) == (0, "")
+    table = load_table(tmp_path / "s.csv")
+    assert table.probs.max() == 1.0 and np.count_nonzero(table.probs) == 1
+
+
 def test_synth_strength_schedule_validation(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--d", "5", "--k", "3", "--strength",
                        "1,2", "--out", str(tmp_path / "x"))

@@ -301,10 +301,13 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
     for k in range(1, 6):
         cache = MarginalCache(t)
         cache.prefetch(k)
+        sizes = [list(combinations(t.variables, m)) for m in range(max(k - 1, 1), k + 1)]
+        got = [cache.info_h(subsets) for subsets in sizes]
+        # No marginal table is built to score a stack, not even for a row
+        # with an empty cell.
+        assert not cache._tables
         singles = [entropy(cache.marginal((v,))) for v in t.variables]
-        for m in range(max(k - 1, 1), k + 1):
-            subsets = list(combinations(t.variables, m))
-            info, h = cache.info_h(subsets)
+        for m, subsets, (info, h) in zip(range(max(k - 1, 1), k + 1), sizes, got):
             for s, got_i, got_h in zip(subsets, info.tolist(), h.tolist()):
                 probs = cache.marginal(s).probs
                 zero_rows += bool((probs == 0.0).any())

@@ -609,8 +609,8 @@ def _reference_write(table):
     return "\n".join(out) + "\n"
 
 
-@pytest.mark.parametrize("total", [None, 1000.0, 7.0, 1e30])
-@pytest.mark.parametrize("cards", [(2, 3), (5, 2, 3, 2), (7,), (3, 3, 3, 3)])
+@pytest.mark.parametrize("total", [None, 1000.0, 7.0, 1e30, 1e300])
+@pytest.mark.parametrize("cards", [(2, 3), (5, 2, 3, 2), (7,), (3, 3, 3, 3), (12, 3), (10,)])
 def test_writer_matches_reference_loop(tmp_path, monkeypatch, cards, total):
     monkeypatch.setattr(tcherry.io, "_CHUNK_LINES", 5)
     rng = np.random.default_rng(len(cards))
@@ -624,6 +624,60 @@ def test_writer_matches_reference_loop(tmp_path, monkeypatch, cards, total):
     path = tmp_path / "w.csv"
     write_counts_csv(path, t)
     assert path.read_text() == _reference_write(t)
+
+
+def _spellings(x):
+    """What ``_spell_floats`` spells for each of ``x``, None where it leaves
+    the value to repr."""
+    text, keep, fast = tcherry.io._spell_floats(x)
+    rows = np.concatenate([text, np.full((len(x), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    keep = np.concatenate([keep, np.ones((len(x), 1), dtype=bool)], axis=1)
+    words = rows.ravel()[keep.ravel()].tobytes().decode().split("\n")
+    return [w if ok else None for w, ok in zip(words, fast.tolist())]
+
+
+def _spelling_cases():
+    rng = np.random.default_rng(12)
+    bits = rng.integers(1, 0x7FF0_0000_0000_0000, size=60_000, dtype=np.int64).view(np.float64)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             [float(f"1e{i}") for i in range(-323, 309)]])
+    switches = [float(f"{m}e{e}") for m in (1, 9.999999999999999, 1.5, 9.5)
+                for e in (-6, -5, -4, -3, 15, 16, 17)]
+    x = np.concatenate([
+        bits, rng.random(20_000) * 10.0 ** rng.integers(-8, 9, 20_000), powers, switches,
+        [5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308],
+        rng.integers(1, 2**52, 1_000, dtype=np.int64) * 2.0 ** -1074,  # subnormals
+        2.0**53 + rng.integers(0, 2**62, 10_000, dtype=np.int64).astype(float),
+        [float(f"{v:.{k}g}") for k in range(1, 18) for v in rng.random(500).tolist()],
+    ])
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    return x[np.isfinite(x) & (x > 0)]
+
+
+def test_float_spelling_matches_repr():
+    x = _spelling_cases()
+    got = _spellings(x)
+    spelled = [(w, repr(v)) for w, v in zip(got, x.tolist()) if w is not None]
+    assert [w for w, r in spelled if w != r] == []
+    # Every digit count and both format switches were spelled here.
+    assert {len(r.split("e")[0].replace(".", "").strip("0")) for _, r in spelled} \
+        == set(range(1, 18))
+    assert {"1e-05", "0.0001", "1e+16", "1000000000000000.0"} <= {w for w, _ in spelled}
+    # repr takes only values outside the fast range, ties and interval ends.
+    low, high = tcherry.io._FAST_RANGE
+    inside = (x >= low) & (x <= high)
+    assert sum(w is None for w, ok in zip(got, inside.tolist()) if ok) < 0.02 * inside.sum()
+
+
+@pytest.mark.parametrize("seed", [201, 301, 401])
+def test_synth_counts_never_fall_back_to_repr(seed):
+    # The benchmark's synth table: every one of its 262,144 counts is spelled
+    # by the kernel.
+    table, _ = generate_tcherry_distribution(seed, 18, 3, 2, 2.0)
+    counts = table.probs.reshape(-1) * 1e6
+    assert len(counts) == 262_144
+    assert tcherry.io._spell_floats(counts)[2].all()
 
 
 def test_exact_synth_keeps_every_cell(tmp_path, capsys):

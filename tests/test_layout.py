@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tcherry"
@@ -93,3 +96,23 @@ def test_every_imported_name_is_read():
                 found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
                           if (alias.asname or alias.name.split(".")[0]) not in read]
     assert SRC.is_dir() and not found
+
+
+def test_import_binds_little_array_data():
+    # Every command pays for what importing the package builds; lookup
+    # tables belong in functions that build them on first use.
+    code = ("import sys, numpy, tcherry.cli\n"
+            "def arrays(v):\n"
+            "    if isinstance(v, numpy.ndarray):\n"
+            "        yield v\n"
+            "    elif isinstance(v, (tuple, list, dict)):\n"
+            "        for item in (v.values() if isinstance(v, dict) else v):\n"
+            "            yield from arrays(item)\n"
+            "print(sum(a.nbytes for name, m in list(sys.modules.items())\n"
+            "          if name.split('.')[0] == 'tcherry'\n"
+            "          for v in vars(m).values() for a in arrays(v)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert int(proc.stdout) < 64 * 1024
