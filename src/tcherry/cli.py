@@ -576,6 +576,11 @@ def cmd_synth(args) -> int:
         args.seed, args.d, args.k, cards, strength, cap=args.cap
     )
     if args.n is not None:
+        # A subnormal count would keep too few bits of its probability.
+        smallest = float(table.probs[table.probs > 0].min()) * args.n
+        if smallest < sys.float_info.min:
+            raise DomainError(f"--n {args.n!r} makes the smallest nonzero count {smallest!r}, "
+                              f"below the smallest normal double {sys.float_info.min!r}")
         table = JointTable(table.scheme, table.probs, total_count=args.n)
 
     out = Path(args.out)

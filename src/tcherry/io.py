@@ -20,19 +20,22 @@ import csv
 import functools
 import json
 import math
-import warnings
 from contextlib import contextmanager
 from io import TextIOWrapper
 from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distribution import DEFAULT_CELL_CAP, JointTable, VariableSpec, from_codes
 from .errors import DataFormatError
 
-#: Lines parsed per array chunk, and cells formatted per write chunk.
+#: Lines parsed per array chunk.
 _CHUNK_LINES = 65_536
+
+#: Cells formatted per write chunk, few enough that its arrays stay in cache.
+_WRITE_CELLS = 8_192
 
 #: Bytes per chunk the byte decoders read, rounded down to whole sample rows.
 _CHUNK_BYTES = 1 << 20
@@ -158,26 +161,223 @@ def _decode_counts(chunk, d):
     widths = np.diff(ends, prepend=-1) - 1 - 2 * d
     if not len(ends) or widths.min() < 1:
         return None
-    # Each row is a run of 2d state bytes, then a run of count bytes and '\n'.
-    runs = np.empty(2 * len(ends), dtype=np.intp)
-    runs[0::2] = 2 * d
-    runs[1::2] = widths + 1
-    in_count = np.repeat(np.tile([False, True], len(ends)), runs)
-    rows = buf[:len(in_count)]
-    codes = _digit_codes(rows[~in_count].view("<u2").reshape(-1, d), ",")
+    # Each row is 2d state bytes, then the count's bytes from ``fields`` on.
+    fields = ends - widths
+    codes = _digit_codes(sliding_window_view(buf, 2 * d)[fields - 2 * d].view("<u2"), ",")
     if codes is None:
         return None
-    text = rows[in_count].tobytes()
-    if text.translate(None, b"0123456789.eE+-\n"):
-        return None
-    try:
-        # Older numpy only warns where a field does not read whole.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            counts = np.fromstring(text, sep="\n")
-    except (ValueError, DeprecationWarning):
+    counts = _decode_floats(buf, fields, ends)
+    if counts is None:
         return None
     return (codes, counts) if counts.min() >= 0 and counts.max() < math.inf else None
+
+
+#: Bytes of a count the decoder reads per row: three 8-byte words.
+_WINDOW = 24
+
+
+def _windows(buf, stops):
+    """The ``_WINDOW`` bytes before each of ``stops`` (ascending offsets
+    into ``buf``) as the rows of a uint8 matrix, '0' before ``buf``."""
+    lead = np.searchsorted(stops, _WINDOW)
+    head = np.concatenate([np.full(_WINDOW, ord("0"), dtype=np.uint8), buf[:_WINDOW]])
+    if lead == len(stops):
+        return sliding_window_view(head, _WINDOW)[stops]
+    rows = sliding_window_view(buf, _WINDOW)[np.maximum(stops - _WINDOW, 0)]
+    rows[:lead] = sliding_window_view(head, _WINDOW)[stops[:lead]]
+    return rows
+
+
+def _zero_before(words, skip):
+    """Set the first ``skip`` bytes of each row of ``words``, (n, k) little-
+    endian uint64 words of ASCII with k <= 3, to '0'."""
+    k = words.shape[1]
+    masks = _decoding_tables()[2][np.minimum(np.maximum(skip, 0), 8 * k), :k]
+    words &= ~masks
+    words |= masks & 0x3030303030303030
+
+
+def _parse_words(words):
+    """The decimal value of each of ``words``, little-endian uint64 words
+    of eight ASCII digits, most significant first, as uint64 in place of
+    the words, and where every byte is a digit 0-9 (elsewhere the value
+    is meaningless). The digits are summed in pairs, then fours, then
+    eights."""
+    high = words & 0xF0F0F0F0F0F0F0F0
+    low = words + 0x0606060606060606
+    low &= 0xF0F0F0F0F0F0F0F0
+    low >>= 4
+    high |= low
+    digits = high == 0x3333333333333333
+    words -= 0x3030303030303030
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        np.right_shift(words, shift, out=low)
+        words *= 10 ** (shift // 8)
+        words += low
+        words &= mask
+    return words, digits
+
+
+def _decode_floats(buf, fields, ends):
+    """The float of each ``buf[fields[i]:ends[i]]`` as ``float()`` reads it,
+    or None where one has a byte outside ``0-9.eE+-`` or does not read.
+
+    A count is an optional sign, a mantissa of digits with at most one
+    '.', and optionally 'e' or 'E', a sign and exponent digits. It is
+    read from the ``_WINDOW`` bytes before its end: the exponent from the
+    last word, and the mantissa, shifted to end the window and with what
+    lies before it set to '0', from all three. The point reads as '0'; m
+    is the mantissa's integer without it, r the number of digits after
+    it, and the count is m·10^q with q = exponent − r.
+
+    ``_scale_decimals`` rounds m·10^q. ``float()`` reads a count longer
+    than the window, with a nonzero digit more than 19 places before the
+    mantissa's end, with more than 4 exponent digits, with no mantissa
+    digit or any other byte out of place, or that ``_scale_decimals``
+    leaves undecided. A second '.', or a second 'e' in the last word,
+    makes None.
+    """
+    n = len(ends)
+    win = _windows(buf, ends)
+    skip = _WINDOW - (ends - fields)  # bytes before the count in its window
+    dots = _find(win == ord("."), 0, skip)
+    es = _find((win[:, 16:] | 0x20) == ord("e"), 16, skip)
+    if dots is None or es is None:
+        return None
+    (dot_row, dot_col), (e_row, e_col) = dots, es
+    ok = skip >= 0
+    q = np.zeros(n, dtype=np.int64)
+    q[e_row], e_ok = _exponents(win, e_row, e_col)
+    ok[e_row] &= e_ok
+    # The mantissa, shifted past the 'e' and what follows it to end the
+    # window, without its sign.
+    shift = np.zeros(n, dtype=np.int64)
+    shift[e_row] = _WINDOW - e_col
+    words = win.view("<u8")
+    bits = (8 * np.minimum(shift[e_row], 7)).astype(np.uint64)
+    w0, w1, w2 = words[e_row].T
+    words[e_row] = np.stack([w0 << bits, w1 << bits | w0 >> 64 - bits,
+                             w2 << bits | w1 >> 64 - bits], axis=1)
+    lead = buf[fields]
+    neg = lead == ord("-")
+    skip += shift + (neg | (lead == ord("+")))
+    _zero_before(words, skip)
+    # The point reads as '0', which ``_mantissas`` removes.
+    dot_col += shift[dot_row]
+    inside = dot_col < _WINDOW
+    dot_row, dot_col = dot_row[inside], dot_col[inside]
+    win.reshape(-1)[dot_row * _WINDOW + dot_col] = ord("0")
+    has_dot = np.zeros(n, dtype=bool)
+    has_dot[dot_row] = True
+    after_dot = np.zeros(n, dtype=np.int64)
+    after_dot[dot_row] = _WINDOW - 1 - dot_col
+    m, m_ok = _mantissas(words, after_dot, has_dot)
+    # At least one digit.
+    ok &= m_ok & (skip + has_dot < _WINDOW)
+    q -= after_dot
+    counts = _scale_decimals(m, np.where(ok, q, 0), ok)
+    counts[neg] *= -1
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        values = _float_fields([buf[i:j].tobytes()
+                                for i, j in zip(fields[slow].tolist(), ends[slow].tolist())])
+        if values is None:
+            return None
+        counts[slow] = values
+    return counts
+
+
+def _find(match, offset, skip):
+    """The row and column (``offset`` plus the index) of each True of the
+    matrix ``match`` at or after column ``skip`` of its row; None if a row
+    has two."""
+    row, col = np.divmod(np.flatnonzero(match), match.shape[1])
+    col += offset
+    keep = col >= skip[row]
+    row, col = row[keep], col[keep]
+    return None if (np.diff(row) == 0).any() else (row, col)
+
+
+def _exponents(win, e_row, e_col):
+    """The exponent after each 'e' of ``win`` at (``e_row``, ``e_col``), and
+    where it is an optional sign and 1-4 digits, from the last word."""
+    after = np.where(e_col < _WINDOW - 1, win[e_row, np.minimum(e_col + 1, _WINDOW - 1)], 0)
+    neg = after == ord("-")
+    first = e_col + 1 + (neg | (after == ord("+")))
+    words = win.view("<u8")[e_row, 2:]
+    _zero_before(words, first - 16)
+    value, ok = _parse_words(words)
+    value = value[:, 0].astype(np.int64)
+    return np.where(neg, -value, value), ok[:, 0] & (first >= _WINDOW - 4) & (first < _WINDOW)
+
+
+def _mantissas(words, after_dot, has_dot):
+    """m of each row of ``words``, (n, 3) uint64 words of ASCII digits,
+    where ``has_dot``, with a '0' ``after_dot`` digits before the end
+    where the point was, and where the row is digits with none but zeros
+    more than 19 places before the end; ``words`` is overwritten."""
+    x, ok = _parse_words(words)
+    ok = ok[:, 0] & ok[:, 1] & ok[:, 2] & (x[:, 0] < 1000)
+    v = (x[:, 0] * 10**8 + x[:, 1]) * 10**8 + x[:, 2]
+    # m = v with its digit at 10^r removed: the 0 the point was read as.
+    tens = _decoding_tables()[1]
+    high, low = np.divmod(v, tens[np.minimum(after_dot + has_dot, 19)])
+    return high * tens[np.minimum(after_dot, 18)] + low, ok
+
+
+def _float_fields(fields):
+    """``float()`` of each of ``fields`` (bytes); None if one has a byte
+    outside ``0-9.eE+-`` or does not read."""
+    if any(field.translate(None, b"0123456789.eE+-") for field in fields):
+        return None
+    try:
+        return [float(field) for field in fields]
+    except ValueError:
+        return None
+
+
+def _scale_decimals(m, q, ok):
+    """m·10^q, correctly rounded, for each uint64 m below 10^19 and int q
+    where ``ok``; clears ``ok`` where it does not decide the rounding.
+
+    Where m < 2^53 and |q| <= 22, m and 10^|q| are exact doubles, and one
+    multiplication or division rounds m·10^q correctly (Clinger 1990).
+    Elsewhere m, split into two exact doubles, times 10^q as a
+    double-double (``_powers``) gives m·10^q as a sum tot + rem, with a
+    relative error below 2^-90, and tot is the nearest double unless
+    |rem| is within ``_MARGIN`` of the half-gap to tot's neighbour, or
+    m·10^q is not a normal double.
+    """
+    counts = m.astype(np.float64)
+    power = _decoding_tables()[0][np.minimum(np.abs(q), 22)]
+    np.multiply(counts, power, out=counts, where=q >= 0)
+    np.divide(counts, power, out=counts, where=q < 0)
+    rows = np.flatnonzero(ok & ((m >= 2**53) | (np.abs(q) > 22)))
+    q = q[rows]
+    inside = (q >= -_POW_BIAS) & (q <= _POW_TOP)
+    ok[rows[~inside]] = False
+    rows, q = rows[inside], q[inside]
+    if not len(rows):
+        return counts
+    hi, lo, hi_head, hi_tail, exp = (t[q + _POW_BIAS] for t in _powers())
+    # m = a + b, a with at most 53 significant bits and b < 2^11.
+    b = np.where(m[rows] >= 2**53, m[rows] & 0x7FF, 0)
+    a, b = (m[rows] - b).astype(np.float64), b.astype(np.float64)
+    p = a * hi
+    a_head, a_tail = _split(a)
+    err = ((a_head * hi_head - p) + a_head * hi_tail + a_tail * hi_head) + a_tail * hi_tail
+    c = err + a * lo + b * hi
+    tot = p + c
+    rem = c - (tot - p)  # m·10^q = (tot + rem)·2^exp, to double-double accuracy
+    # The half-gap below tot, which is never wider than the one above.
+    half = 0.5 * (tot - np.nextafter(tot, 0))
+    with np.errstate(over="ignore"):
+        counts[rows] = np.ldexp(tot, exp)
+        # Scaling by 2^exp keeps every bit where the value is a normal double.
+        sure = ((np.abs(rem) < half * (1 - _MARGIN)) & (counts[rows] >= _NORMAL)
+                & (np.ldexp(counts[rows], -exp) == tot))
+    ok[rows[~sure]] = False
+    return counts
 
 
 def _read_digits(f, has_count):
@@ -334,8 +534,13 @@ _FAST_RANGE = (1e-280, 1e280)
 #: A distance this close to a rounding decision is left to repr.
 _MARGIN = 1e-9
 
-#: ``_spelling_tables`` holds 10^s for s in -_POW_BIAS.._POW_BIAS + 32.
-_POW_BIAS = 266
+#: ``_powers`` holds 10^s for s in -_POW_BIAS.._POW_TOP: every power that
+#: scales a normal double to [1e16, 1e17), or a mantissa below 10^19 to a
+#: normal double.
+_POW_BIAS, _POW_TOP = 327, 308
+
+#: The smallest positive normal double.
+_NORMAL = 2.2250738585072014e-308
 
 #: Layout keys of ``_spell_floats``: 20 positional forms (decpt -3..16)
 #: and two exponent widths, each times 17 digit counts; key _KEYS keeps
@@ -351,29 +556,49 @@ _TEMPLATE = np.dtype({"names": ["zero", "head", "dot", "lead", "tail", "exp"],
 
 
 @functools.cache
-def _spelling_tables():
-    """The tables of ``_shortest_digits`` and ``_spell_floats``, built on
-    first use:
+def _powers():
+    """10^s for s in -327..308 as (hi + lo)·2^exp, where hi in [1, 2] and lo
+    form a double-double, hi is split in halves whose products are exact
+    and exp is an integer; built on first use, read-only. Scaled by
+    2^exp, hi and lo are 10^s rounded and its remainder rounded."""
+    hi, lo, exp = [], [], []
+    for s in range(-_POW_BIAS, _POW_TOP + 1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        e = num.bit_length() - den.bit_length()
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
+        if num < den:
+            num, e = num << 1, e - 1
+        hi.append(num / den)  # int division rounds correctly
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+        exp.append(e)
+    hi = np.array(hi)
+    return _read_only(hi, np.array(lo), *_split(hi), np.array(exp))
 
-    - 10^s for s in -266..298 as a double-double (hi, lo), and hi split
-      in halves whose products are exact;
+
+@functools.cache
+def _decoding_tables():
+    """The small tables of ``_decode_floats``: 10^0..10^22 as exact
+    doubles, 10^0..10^19 as uint64 and, for s = 0..24, the masks of the
+    first s bytes of three little-endian uint64 words."""
+    return _read_only(np.array([float(10**k) for k in range(23)]),
+                      np.array([10**k for k in range(20)], dtype=np.uint64),
+                      np.array([[(1 << 8 * min(max(s - 8 * k, 0), 8)) - 1 for k in range(3)]
+                                for s in range(25)], dtype=np.uint64))
+
+
+@functools.cache
+def _spelling_tables():
+    """The tables of ``_spell_floats``, built on first use:
+
     - the ASCII digits of 0..9999 as little-endian uint32;
     - for exponents -400..399 'e', the sign and at least two digits,
       left-aligned in a little-endian uint64;
     - for each layout key the bytes of the spelling template it keeps.
     """
-    hi, lo = [], []
-    for s in range(-_POW_BIAS, _POW_BIAS + 33):
-        exact = 10 ** abs(s)
-        if s >= 0:
-            hi.append(float(exact))
-            lo.append(float(exact - int(hi[-1])))
-        else:
-            hi.append(1 / exact)  # int division rounds correctly
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * exact) / (den * exact))
-    hi, lo = np.array(hi), np.array(lo)
-    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype="<u4")
+    i = np.arange(10_000)
+    quads = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+             + ord("0")).astype(np.uint8).view("<u4").reshape(-1)
     exps = np.array([b"e%+03d" % i for i in range(-400, 400)], dtype="S8").view("<u8")
     keep = np.zeros((_KEYS + 1, _TEMPLATE.itemsize), dtype=bool)
     for key in range(_KEYS):
@@ -389,8 +614,12 @@ def _spelling_tables():
             cols = [20, *range(21, 21 + n)] if n > 1 else [20]
             cols += range(39, 23 + form)
         keep[key, cols] = True
-    tables = hi, lo, *_split(hi), quads, exps, keep
-    for table in tables:  # shared by every call
+    return _read_only(quads, exps, keep)
+
+
+def _read_only(*tables):
+    """``tables``, each made read-only: they are shared by every call."""
+    for table in tables:
         table.flags.writeable = False
     return tables
 
@@ -406,7 +635,8 @@ def _split(a):
 def _scale(x, s):
     """x·10^s as an int64 integer part and a double fraction in [0, 1],
     exact to about 1e-14 for the x·10^s near [1e16, 1e17) it is used for."""
-    hi, lo, hi_head, hi_tail = (t[s + _POW_BIAS] for t in _spelling_tables()[:4])
+    hi, lo, hi_head, hi_tail, exp = (t[s + _POW_BIAS] for t in _powers())
+    x = np.ldexp(x, exp)  # exact: x·2^exp is near x·10^s, a normal double
     p = x * hi
     x_head, x_tail = _split(x)
     err = ((x_head * hi_head - p) + x_head * hi_tail + x_tail * hi_head) + x_tail * hi_tail
@@ -454,7 +684,8 @@ def _shortest_digits(x):
         whole[fix], frac[fix] = _scale(x[fix], 16 - e[fix])
         fast &= (whole >= 10**16) & (whole < 10**17)
     # The half-gaps, scaled with hi alone: lo would move them by < 1e-14.
-    scale = 0.5 * _spelling_tables()[0][16 - e + _POW_BIAS]
+    hi, *_, exp = _powers()
+    scale = 0.5 * np.ldexp(hi[16 - e + _POW_BIAS], exp[16 - e + _POW_BIAS])
     gap_down = (x - np.nextafter(x, 0)) * scale
     gap_up = np.spacing(x) * scale
     # j = 0: both half-gaps exceed X·2^-54 > 0.55, so the nearest integer is in.
@@ -501,7 +732,7 @@ def _spell_floats(x):
     decimal point and the digit count: repr is positional when
     -4 < decpt <= 16, and d.ddde±XX otherwise.
     """
-    quads, exps, keep = _spelling_tables()[4:]
+    quads, exps, keep = _spelling_tables()
     digits, count, decpt, fast = _shortest_digits(x)
     positional = (decpt > -4) & (decpt <= 16)
     point = np.where(positional, np.maximum(decpt, 0), 1)  # digits before it
@@ -561,8 +792,8 @@ def write_counts_csv(path, table: JointTable):
     with open(path, "wb") as f:
         f.write(",".join(f"x{i + 1}" for i in range(table.d)).encode() + b",count\n")
         nonzero = np.flatnonzero(probs)
-        for start in range(0, len(nonzero), _CHUNK_LINES):
-            pos = nonzero[start:start + _CHUNK_LINES]
+        for start in range(0, len(nonzero), _WRITE_CELLS):
+            pos = nonzero[start:start + _WRITE_CELLS]
             counts = probs[pos] if n is None else probs[pos] * n
             whole = np.round(counts)
             integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)

@@ -392,15 +392,16 @@ def random_factorizing_table(tree: TCherryJunctionTree, scheme, rng,
     parent = tree.parent
     block_shape = tuple(cards[i] for i in parent)
     block = _softmax(strengths[0], rng.standard_normal(block_shape))
-    table = np.ones(shape) * expand_marginal(block, parent, d)
+    table = np.ones(shape)
+    table *= expand_marginal(block, parent, d)
     for j, link in enumerate(tree.links, start=1):
         cluster = tree.clusters[j]
         fresh = (set(cluster) - set(link.separator)).pop()
         cond_shape = tuple(cards[i] for i in cluster)
         axis = cluster.index(fresh)
         cond = _softmax(strengths[j], rng.standard_normal(cond_shape), axis=axis)
-        table = table * expand_marginal(cond, cluster, d)
-    table = table / np.sum(table)
+        table *= expand_marginal(cond, cluster, d)
+    table /= np.sum(table)
     return JointTable(scheme, table, cap=cap)
 
 

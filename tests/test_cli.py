@@ -574,6 +574,30 @@ def test_synth_largest_finite_n_reads_back(tmp_path, capsys):
     assert code == 0 and out.endswith("result: ok\n")
 
 
+def test_synth_n_that_makes_a_count_subnormal_is_refused(tmp_path, capsys):
+    # At N = 1e-320 the cell of probability 3.75e-4 would be written as 5e-324.
+    code, out, err = run(capsys, "synth", "--d", "4", "--k", "2", "--seed", "1",
+                         "--n", "1e-320", "--out", str(tmp_path / "s"))
+    assert (code, out) == (2, "")
+    assert err == ("error: --n 1e-320 makes the smallest nonzero count 5e-324, below the "
+                   "smallest normal double 2.2250738585072014e-308\n")
+    assert list(tmp_path.iterdir()) == []
+    # The smallest N that keeps every count normal is taken, and reads back.
+    table, _ = generate_tcherry_distribution(1, 4, 2, 2, 2.0)
+    least = float(table.probs[table.probs > 0].min())
+    n = sys.float_info.min / least
+    while least * n < sys.float_info.min:
+        n = float(np.nextafter(n, math.inf))
+    while least * float(np.nextafter(n, 0)) >= sys.float_info.min:
+        n = float(np.nextafter(n, 0))
+    for scale, expected in ((float(np.nextafter(n, 0)), 2), (n, 0)):
+        code, _, _ = run(capsys, "synth", "--d", "4", "--k", "2", "--seed", "1",
+                         "--n", repr(scale), "--out", str(tmp_path / "s"))
+        assert code == expected
+    np.testing.assert_allclose(load_table(tmp_path / "s.csv").probs, table.probs,
+                               rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("strength", ["inf", "nan", "2,-inf"])
 def test_synth_strength_must_be_finite(tmp_path, capsys, monkeypatch, strength):
     def refuse(*args, **kwargs):

@@ -1,6 +1,7 @@
 """CSV and scheme-sidecar ingestion, write/read round trips."""
 
 from contextlib import contextmanager
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -459,10 +460,43 @@ def test_canonical_samples_never_reach_loadtxt(tmp_path, monkeypatch):
 
 # -- counts byte decoder --------------------------------------------------------
 
-#: Count spellings the writer never makes, every one in the canonical form.
+def _midpoint_spellings():
+    """The exact decimal midpoints between some doubles and their
+    neighbours, and each rounded down and up to 17-25 digits."""
+    spellings = []
+    for x in (1.0, 0.1, 2.0**53, 1e23, 2.2250738585072014e-308, 3.5e-300, 1e300, 123.456):
+        for other in (np.nextafter(x, np.inf), np.nextafter(x, 0)):
+            with localcontext(prec=2000):
+                mid = (Decimal(x) + Decimal(float(other))) / 2
+            spellings.append(str(mid))
+            for digits in range(17, 26):
+                for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                    with localcontext(prec=digits, rounding=rounding):
+                        spellings.append(str(+mid))
+    return spellings
+
+
+#: Count spellings the writer never makes, every one in the canonical form:
+#: on both sides of each of the byte decoder's decisions.
 COUNT_SPELLINGS = ["0", "-0", ".5", "5.", "+1", "2.5E-7", "1e+3", "007", "1.2345678901234567",
                    "9007199254740993", "4.9406564584124654e-324", "2.2250738585072009e-308",
-                   "1e-400", "1.7976931348623157e300"]
+                   "1e-400", "1.7976931348623157e300",
+                   # 19 and 20 digits, from the first nonzero one
+                   "1234567890123456789", "12345678901234567890", "0.1234567890123456789",
+                   "0.12345678901234567891", "000001234567890123456789", "9999999999999999999",
+                   "18446744073709551616", "1.234567890123456789e-5", "1.2345678901234567891e-5",
+                   # 2^53 and its odd neighbours; exact products and quotients
+                   "9007199254740992", "9007199254740995", "9007199254740991", "1e22", "1e23",
+                   "1e-22", "1e-23", "4503599627370497e-22", "4503599627370497e22",
+                   # the smallest normal double and the subnormals below it
+                   "2.2250738585072011e-308", "2.2250738585072014e-308",
+                   "2.2250738585072012e-308", "1e-320", "0.1e-307",
+                   # every spelling of the point and the exponent
+                   "1.e5", ".5e-3", "1E5", "1e+0005", "1e-0005", "1e00005", "+0.5e-0",
+                   "-0e5", "-0.000", "0e999", "0.0e-999", "1.7976931348623157e+300",
+                   # wider than the 24 bytes the decoder reads
+                   "0.000000000000000000000012345", "123456789012345678901234567890",
+                   "1.000000000000000000000000000001e-10", *_midpoint_spellings()]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -530,6 +564,13 @@ ODD_COUNTS_ROWS = {
     "malformed count": b"1,2,2,1-2\n",
     "digit-group count": b"1,2,2,1_0\n",
     "empty count": b"1,2,2,\n",
+    "lone point": b"1,2,2,.\n",
+    "point and exponent only": b"1,2,2,.e5\n",
+    "exponent only": b"1,2,2,e5\n",
+    "two points": b"1,2,2,1.2.3\n",
+    "two exponents": b"1,2,2,1e2e3\n",
+    "exponent without digits": b"1,2,2,1e+\n",
+    "point in the exponent": b"1,2,2,1e1.5\n",
     "crlf line end": b"1,2,2,5\r\n",
     "blank line": b"\n",
     "non-UTF-8 byte": b"1,2,2,5\xff\n",
@@ -586,6 +627,98 @@ def test_canonical_counts_never_reach_loadtxt(tmp_path, monkeypatch):
     assert t.total_count == expected.total_count
 
 
+def _decimal_strings(rng, n):
+    """n random count spellings: an optional '+', 1-25 digits with or
+    without a point anywhere among them, and an optional 'e' or 'E' with
+    an optional sign and an exponent of 1-5 digits, up to 345."""
+    digits = rng.integers(0, 10, (n, 25))
+    digits[rng.random((n, 25)) < 0.3] = 0  # runs of zeros
+    lengths = rng.integers(1, 26, n)
+    points = rng.integers(-lengths // 2, lengths + 1)  # no point where negative
+    exps = rng.integers(-345, 346, n)
+    widths = rng.integers(1, 6, n)
+    forms = rng.integers(0, 8, (n, 3))
+    out = []
+    for row, length, point, exp, width, (sign, e, e_sign) in zip(
+            digits.tolist(), lengths.tolist(), points.tolist(), exps.tolist(), widths.tolist(),
+            forms.tolist()):
+        text = "".join(map(str, row[:length]))
+        if point >= 0:
+            text = text[:point] + "." + text[point:]
+        if e < 6:
+            text += "eE"[e % 2] + ("+" if e_sign < 2 and exp >= 0 else "-" if exp < 0 else "")
+            text += f"{abs(exp):0{width}d}"
+        out.append(("+" if sign == 0 else "") + text)
+    return out
+
+
+def _decoded(spellings, monkeypatch):
+    """The counts ``_decode_counts`` reads from one row per spelling, and
+    how many rows it handed to ``float()``."""
+    real, slow = tcherry.io._float_fields, []
+
+    def recording(fields):
+        slow.append(len(fields))
+        return real(fields)
+
+    with monkeypatch.context() as m:
+        m.setattr(tcherry.io, "_float_fields", recording)
+        got = tcherry.io._decode_counts(b"".join(b"1,%s\n" % s.encode() for s in spellings), 1)
+    assert got is not None
+    return got[1], sum(slow)
+
+
+def test_counts_decode_to_the_bits_of_float(monkeypatch):
+    # 300,000 repr spellings of random doubles and their neighbours, and
+    # 220,000 other decimal strings, each read as float() reads it.
+    rng = np.random.default_rng(13)
+    bits = rng.integers(1, 0x7FF0_0000_0000_0000, size=100_000, dtype=np.int64).view(np.float64)
+    with np.errstate(over="ignore"):
+        x = np.concatenate([bits, np.nextafter(bits, 0), np.nextafter(bits, np.inf)])
+    x = x[np.isfinite(x)]
+    reprs = [repr(v) for v in x.tolist()]
+    got, slow = _decoded(reprs, monkeypatch)
+    assert got.view(np.int64).tolist() == x.view(np.int64).tolist()
+    assert slow < 0.01 * len(reprs)
+    # Random strings, and doubles near the decoder's edges to 15-21 digits.
+    k = 20_000
+    near = np.concatenate([rng.uniform(0.25, 4, k) * 2.2250738585072014e-308,
+                           rng.uniform(0.5, 2, k) * 2.0**53,
+                           rng.uniform(0.99, 1.01, k) * 10.0 ** rng.integers(-300, 300, k)])
+    strings = _decimal_strings(rng, 150_000) + [
+        f"{v:.{digits}e}" for v, digits in zip(near.tolist(), rng.integers(14, 21, 3 * k).tolist())]
+    # Decimals between a double and its lower neighbour, to 17-19 digits;
+    # below the smallest normal double they round to it or to a subnormal.
+    edges = np.repeat([2.2250738585072014e-308, 2.0**53, 1.0, 1e23], 1_000)
+    for v, u, digits in zip(np.concatenate([near[::10], edges]).tolist(),
+                            rng.random(10_000).tolist(), rng.integers(17, 20, 10_000).tolist()):
+        with localcontext(prec=digits):
+            strings.append(str(Decimal(v) - (Decimal(v) - Decimal(np.nextafter(v, 0)))
+                               * Decimal(u)))
+    expected = np.array([float(s) for s in strings])
+    finite = np.isfinite(expected)
+    strings = [s for s, ok in zip(strings, finite.tolist()) if ok]
+    got, slow = _decoded(strings, monkeypatch)
+    assert got.view(np.int64).tolist() == expected[finite].view(np.int64).tolist()
+    assert slow > 0
+    # A count that overflows refuses its chunk, as float() reads it as inf.
+    assert (~finite).sum() > 100
+    assert tcherry.io._decode_counts(b"1,%s\n1,1e309\n" % strings[0].encode(), 1) is None
+
+
+def test_reading_counts_builds_no_spelling_table(tmp_path):
+    table = random_table(np.random.default_rng(6), (3, 4, 2), zero_fraction=0.2)
+    path = tmp_path / "c.csv"
+    write_counts_csv(path, JointTable(table.scheme, table.probs, total_count=1e6))
+    tcherry.io._spelling_tables.cache_clear()
+    tcherry.io._powers.cache_clear()
+    back = load_table(path)
+    np.testing.assert_allclose(back.probs, table.probs, rtol=1e-15, atol=0)
+    # Reading took the double-double powers of ten, and none of the writer's tables.
+    assert tcherry.io._powers.cache_info().currsize == 1
+    assert tcherry.io._spelling_tables.cache_info().currsize == 0
+
+
 # -- writer --------------------------------------------------------------------
 
 
@@ -612,7 +745,7 @@ def _reference_write(table):
 @pytest.mark.parametrize("total", [None, 1000.0, 7.0, 1e30, 1e300])
 @pytest.mark.parametrize("cards", [(2, 3), (5, 2, 3, 2), (7,), (3, 3, 3, 3), (12, 3), (10,)])
 def test_writer_matches_reference_loop(tmp_path, monkeypatch, cards, total):
-    monkeypatch.setattr(tcherry.io, "_CHUNK_LINES", 5)
+    monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 5)
     rng = np.random.default_rng(len(cards))
     t = random_table(rng, cards, zero_fraction=0.3)
     if total is not None:
