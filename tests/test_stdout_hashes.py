@@ -1,4 +1,4 @@
-"""Tier-1 byte-identity guard for ``fit`` and ``report`` stdout.
+"""Tier-1 byte-identity guard for the stdout of every command.
 
 Each entry maps (command, input, algorithm, k, format) to the exit code
 and the SHA-256 of stdout as the command printed it before the candidate
@@ -21,6 +21,14 @@ decoder. The ``fit --k 4`` entries on a binary d=14 file of 20,000 rows
 and on a d=9 file of cardinalities 2 to 4, where the 4-marginals come
 in many shapes, were recorded before the marginal cache stacked its
 marginals and computed entropies per stack.
+
+``COMMAND_EXPECTED`` pins the commands that take a tree or write files,
+on the same ``synth10`` bundle: ``check TREE DATA`` and ``score`` (text
+and JSON) give the SHA-256 of stdout, and ``synth`` (text and JSON, run
+with ``--out s10`` in an empty directory, so the paths it prints are
+fixed) that of stdout and of each of the three files it writes. They were
+recorded before the JSON writer stopped inferring row templates from
+lists of dicts.
 
 The JSON outputs carry floats at full precision. They were recorded on
 x86-64 with numpy 2.4; another numpy build may sum in another order and
@@ -144,6 +152,25 @@ SAMPLES_EXPECTED = {
 }
 
 
+COMMAND_EXPECTED = {
+    ("check", "text"): (0, "69312f04e5716c5a2e7c94275dec8bf8f7d3cf6222de915aafaa74d4c4805890"),
+    ("check", "json"): (0, "d7bb44f28dda6b847c7e31fb1ed0b107ffd1f2776675fe6993bf790423119d81"),
+    ("score", "text"): (0, "d7d76dda0095686b19b5f7747878308eeb25bc4a38f64839b1a35f99f263e1c2"),
+    ("score", "json"): (0, "b48ed5c638af055531b686b24c82e90929bd1643eefa2715597a1acd44943cf1"),
+}
+
+_SYNTH_FILES = {
+    ".csv": "f2c8cb055f26ed94395af4955a0d49cfc129f3c1ba574fe0cda4ac2a276a7ac9",
+    ".scheme.json": "1b37d27851aac045408920b5b3ebdf5b7f7fb24253c08e03de2a4d513d7ded98",
+    ".tree.json": "6eb8577b02ded70ce8b70c9c340b261c7873a7be20095599f6fafd6890ccc027",
+}
+
+SYNTH_EXPECTED = {
+    "text": (0, "5a4c70dec24852e9a9452c95531f3529aea1b978e0aff64fb9ff08424cab6a7a", _SYNTH_FILES),
+    "json": (0, "7488ec23898103e87bfd01957bdc1bbfb5c442f8e23097ec2e1596c1c361a4eb", _SYNTH_FILES),
+}
+
+
 def _write_samples(path, cards, n, seed):
     """``n`` sample rows in which each variable copies the one before it
     (modulo its cardinality) with probability 0.6 and is uniform otherwise."""
@@ -194,3 +221,28 @@ def test_stdout_bytes_are_unchanged(synth10, command, data, algorithm, k, fmt):
 def test_samples_stdout_bytes_are_unchanged(samples_files, command, data, algorithm, k, fmt):
     assert (_run(command, samples_files[data], algorithm, k, fmt)
             == SAMPLES_EXPECTED[command, data, algorithm, k, fmt])
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, fmt", list(COMMAND_EXPECTED))
+def test_tree_command_stdout_bytes_are_unchanged(synth10, command, fmt):
+    prefix = synth10[:-len(".csv")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, f"{prefix}.tree.json", synth10, "--format", fmt])
+    assert (code, _sha(out.getvalue())) == COMMAND_EXPECTED[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", list(SYNTH_EXPECTED))
+def test_synth_stdout_and_file_bytes_are_unchanged(tmp_path, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["synth", "--d", "10", "--k", "3", "--n", "5000", "--seed", "3",
+                     "--out", "s10", "--format", fmt])
+    files = {name: hashlib.sha256((tmp_path / f"s10{name}").read_bytes()).hexdigest()
+             for name in (".csv", ".scheme.json", ".tree.json")}
+    assert (code, _sha(out.getvalue()), files) == SYNTH_EXPECTED[fmt]
