@@ -18,8 +18,9 @@ import sys
 from importlib.resources import as_file
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
-from .datasets import lizards_path, load_lizards
+from .datasets import lizards_path
 from .distribution import (
     DEFAULT_CELL_CAP,
     JointTable,
@@ -31,10 +32,9 @@ from .errors import (CapacityError, ConsistencyError, DataFormatError, DomainErr
 from .io import load_table, write_counts_csv
 from .junction_tree import (
     Hypergraph,
-    add_hypercherry,
+    TCherryJunctionTree,
     first_rip_violation,
     graham_reduce,
-    new_parent,
     parse_tree_document,
     puzzle_numbering,
     tree_from_dict,
@@ -73,11 +73,9 @@ def _load_input(path_str: str, scheme, smoothing: float, cap: int) -> JointTable
     """Resolve the input path, falling back to the bundled lizard data."""
     p = Path(path_str)
     if not p.exists() and p.name in ("lizards", "lizards.csv"):
-        if scheme is None:
-            table = load_lizards(cap=cap)
-        else:
-            with as_file(lizards_path()) as real:
-                table = load_table(real, scheme_path=scheme, cap=cap)
+        # The bundled file, with its scheme sidecar unless --scheme is given.
+        with as_file(lizards_path()) as real:
+            table = load_table(real, scheme_path=scheme, cap=cap)
     else:
         table = load_table(p, scheme_path=scheme, cap=cap)
     return with_additive_smoothing(table, smoothing)
@@ -103,100 +101,78 @@ def _emit(lines) -> None:
 
 
 def _emit_json(obj) -> None:
-    # Same bytes as json.dumps(obj, indent=2), written piece by piece so the
-    # whole document never sits in memory as one string.
+    # Same bytes as json.dumps(obj, indent=2) with each declared table given
+    # as its row dicts, written piece by piece so the whole document never
+    # sits in memory as one string.
     for chunk in _json_chunks(obj, ""):
         sys.stdout.write(chunk)
     sys.stdout.write("\n")
 
 
+class RowTable(NamedTuple):
+    """JSON rows declared by columns. Each field is (key, slot, nested,
+    columns): every value of the key is printf ``slot`` ("%d" for ints,
+    "%r" for finite floats, as json spells them), and a ``nested`` value is
+    a list with one column per position; a plain value has one column."""
+
+    fields: list
+
+
+def _holds_table(obj) -> bool:
+    if isinstance(obj, (dict, list)):
+        return any(map(_holds_table, obj.values() if isinstance(obj, dict) else obj))
+    return isinstance(obj, RowTable)
+
+
 def _json_chunks(obj, pad: str):
     """Pieces of json.dumps(obj, indent=2) with every line after the first
-    indented by ``pad``. json with ``indent`` has no C encoder, so a list of
-    same-shaped rows, or a candidate table, is formatted from one template,
-    2,048 rows a piece."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    fields = (_candidate_fields(obj) if isinstance(obj, CandidateTable)
-              else _row_fields(obj) if isinstance(obj, list) and obj else None)
-    template, columns = _row_template(fields, inner) if fields else (None, None)
-    if template is not None:
-        rows, head = zip(*columns), "[\n" + inner
-        while batch := list(islice(rows, 2048)):
-            yield head + sep.join(map(template.__mod__, batch))
-            head = sep
-        yield f"\n{pad}]"
-        return
-    if isinstance(obj, list) and obj:
-        brackets, items = "[]", [("", item) for item in obj]
-    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
-        brackets, items = "{}", [(json.dumps(key) + ": ", value) for key, value in obj.items()]
-    else:
+    indented by ``pad``. A declared table stands for the list of its rows,
+    and inside a list for its rows as items. json with ``indent`` has no C
+    encoder, so a table's rows are formatted from one template, 2,048 rows
+    a piece; everything that holds no table is dumped whole."""
+    if isinstance(obj, RowTable):
+        obj = [obj]
+    if not _holds_table(obj):
         # Strings are escaped, so every newline json writes is indentation.
         yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
         return
-    head = brackets[0] + "\n" + inner
-    for prefix, value in items:
-        yield head + prefix
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, list):
+        head = "[\n" + inner
+        for item in obj:
+            if isinstance(item, RowTable):
+                for batch in _row_batches(item.fields, inner):
+                    yield head + batch
+                    head = sep
+            else:
+                yield head
+                yield from _json_chunks(item, inner)
+                head = sep
+        yield f"\n{pad}]" if head == sep else "[]"
+        return
+    head = "{\n" + inner
+    for key, value in obj.items():
+        yield head + json.dumps(key) + ": "
         yield from _json_chunks(value, inner)
         head = sep
-    yield f"\n{pad}{brackets[1]}"
+    yield f"\n{pad}}}"
 
 
-def _row_fields(rows):
-    """``[(key, nested, columns)]`` when every row is a dict with the same
-    string keys and each key holds, in every row, a scalar or, marked
-    ``nested``, a list of one length whose positions are its columns.
-    None otherwise."""
-    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
-    if (not keys or set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {keys}
-            or not all(type(key) is str for key in keys)):
-        return None
-    fields = []
-    for key in keys:
-        column = [row[key] for row in rows]
-        nested = set(map(type, column)) == {list} and len(set(map(len, column))) == 1
-        fields.append((key, nested, list(zip(*column)) if nested else [column]))
-    return fields
-
-
-def _candidate_fields(table: CandidateTable):
-    """The ``_row_fields`` of the candidate rows of the fit document, read
-    from the table's columns: cluster, separator (the base), new_vertex, w
-    and omega."""
-    return [
-        ("cluster", True, table.members[table.cluster_rank].T.tolist()),
-        ("separator", True, table.bases().T.tolist()),
-        ("new_vertex", False, [table.new_vertices().tolist()]),
-        ("w", False, [table.w.tolist()]),
-        ("omega", False, [table.omega.tolist()]),
-    ]
-
-
-def _row_template(fields, pad: str):
-    """``(template, columns)`` when every column of ``fields`` holds ints or
-    finite floats; the template formats one row written at ``pad`` from a
-    tuple of the columns' values. ``(None, None)`` otherwise."""
+def _row_batches(fields, pad: str):
+    """The rows of ``fields`` written at ``pad``, 2,048 a piece, joined by
+    ',' and a line break; none for a table with no rows."""
     inner = pad + "  "
     parts, columns = [], []
-    for key, nested, positions in fields:
-        slots = [_slot(values) for values in positions]
-        if not positions or None in slots:
-            return None, None
+    for key, slot, nested, positions in fields:
         columns.extend(positions)
-        value = f"[\n{inner}  " + f",\n{inner}  ".join(slots) + f"\n{inner}]" \
-            if nested else slots[0]
-        parts.append(json.dumps(key).replace("%", "%%") + ": " + value)
-    return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}}}", columns
-
-
-def _slot(values) -> str | None:
-    """``%d`` when all ``values`` are ints, ``%r`` (float.__repr__, which json
-    uses) when all are finite floats, None otherwise."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return "%d"
-    return "%r" if kinds == {float} and all(map(math.isfinite, values)) else None
+        value = (f"[\n{inner}  " + f",\n{inner}  ".join([slot] * len(positions))
+                 + f"\n{inner}]") if nested else slot
+        parts.append(json.dumps(key) + ": " + value)
+    template = "{\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}}}"
+    rows = zip(*columns)
+    while batch := list(islice(rows, 2048)):
+        yield f",\n{pad}".join(map(template.__mod__, batch))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +185,7 @@ _FITS = {
     "sk": lambda p, k, cache: fit_sk(p, k, cache),
     "malvestuto": lambda p, k, cache: fit_malvestuto(p, k, cache),
     "chow_liu": lambda p, k, cache: fit_chow_liu(p, cache),
-    "exhaustive": lambda p, k, cache: fit_exhaustive(p, k, cache=cache),
+    "exhaustive": lambda p, k, cache: fit_exhaustive(p, k, cache),
 }
 
 
@@ -229,8 +205,19 @@ def _fit_doc(fr: FitResult) -> dict:
             }
             for s in fr.trace
         ],
-        "candidates": fr.candidate_table,
+        "candidates": _candidate_rows(fr.candidate_table),
     }
+
+
+def _candidate_rows(table: CandidateTable) -> RowTable:
+    """The candidate rows of the fit document, read from the table's columns."""
+    return RowTable([
+        ("cluster", "%d", True, table.members[table.cluster_rank].T.tolist()),
+        ("separator", "%d", True, table.bases().T.tolist()),
+        ("new_vertex", "%d", False, [table.new_vertices().tolist()]),
+        ("w", "%r", False, [table.w.tolist()]),
+        ("omega", "%r", False, [table.omega.tolist()]),
+    ])
 
 
 def _fit_lines(fr: FitResult, nats: bool) -> list[str]:
@@ -328,46 +315,33 @@ def _accepted_summary(fr: FitResult) -> str:
     return "accepted: " + "; ".join(parts)
 
 
-def _table_rows(table: CandidateTable, weight, measure, n: int | None = None) -> list[dict]:
-    """Report rows of the first ``n`` rows of ``table`` (all by default): the
-    cluster and the separator, ``measure`` of each and the row's ``weight``."""
+def _table_rows(table: CandidateTable, weight, measure, n: int | None = None) -> list[list]:
+    """Report columns of the first ``n`` rows of ``table`` (all by default):
+    cluster, separator, ``measure`` of each and ``weight``."""
     clusters = [table.clusters[rank] for rank in table.cluster_rank[:n].tolist()]
-    bases = map(tuple, table.bases()[:n].tolist())
-    return [{"cluster": c, "separator": b, "values": (measure(c), measure(b), x)}
-            for c, b, x in zip(clusters, bases, weight[:n].tolist())]
+    bases = list(map(tuple, table.bases()[:n].tolist()))
+    return [clusters, bases, list(map(measure, clusters)), list(map(measure, bases)),
+            weight[:n].tolist()]
 
 
-def _sk_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
+def _sk_rows(fr: FitResult, cache: MarginalCache) -> list[list]:
     """Decreasing-w candidate rows, cut after the last accepted growth row."""
     table = fr.candidate_table
     last = max((table.index(s.cluster, s.separator) for s in fr.trace[1:]), default=0)
     return _table_rows(table, table.w, cache.info, last + 1)
 
 
-def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[dict]:
-    """Parent row, then each growth step's admissible block in increasing omega."""
-    head = fr.trace[0].cluster
-    out = [{"cluster": head, "separator": None,
-            "values": (cache.h(head), None, None)}]
-    tree = new_parent(fr.tree.k, head)
-    for step in fr.trace[1:]:
-        block = fr.candidate_table.admissible(tree)
-        out.extend(_table_rows(block, block.omega, cache.h))
-        tree = add_hypercherry(
-            tree, _fresh_vertex(step.cluster, step.separator), step.separator
-        )
-    return out
-
-
-def _report_lines(columns: list[str], rows: list[dict], fr: FitResult) -> list[str]:
-    lines = [" | ".join(columns)]
-    for row in rows:
-        cells = [_fmt_set(row["cluster"]),
-                 "-" if row["separator"] is None else _fmt_set(row["separator"])]
-        cells.extend("-" if v is None else f"{v:.6f}" for v in row["values"])
-        lines.append(" | ".join(cells))
-    lines.append(_accepted_summary(fr))
-    return lines
+def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[list]:
+    """Each growth step's admissible block in increasing omega: the rows the
+    tree of the first j clusters admits, for j = 1, 2, ..."""
+    rows = [[] for _ in range(5)]
+    t = fr.tree
+    for j in range(1, len(t.clusters)):
+        block = fr.candidate_table.admissible(
+            TCherryJunctionTree(t.k, t.clusters[:j], t.links[:j - 1]))
+        for column, part in zip(rows, _table_rows(block, block.omega, cache.h)):
+            column += part
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -376,28 +350,34 @@ def cmd_report(args) -> int:
     if args.algorithm == "malvestuto":
         fr = fit_malvestuto(p, args.k, cache)
         columns = ["cluster", "separator", "H(C)", "H(S)", "omega"]
-        rows = _malvestuto_rows(fr, cache)
+        # The parent row comes first: its cluster and entropy alone.
+        parent = fr.trace[0].cluster
+        head = [(parent, cache.h(parent))]
+        clusters, bases, *values = _malvestuto_rows(fr, cache)
     else:
         fr = fit_sk(p, args.k, cache)
         columns = ["cluster", "separator", "I(C)", "I(S)", "w"]
-        rows = _sk_rows(fr, cache)
+        head = []
+        clusters, bases, *values = _sk_rows(fr, cache)
     if args.format == "json":
+        table = RowTable([("cluster", "%d", True, list(zip(*clusters))),
+                          ("separator", "%d", True, list(zip(*bases))),
+                          ("values", "%r", True, values)])
         _emit_json({
             "algorithm": fr.algorithm,
             "k": fr.tree.k,
             "columns": columns,
-            "rows": [
-                {
-                    "cluster": list(r["cluster"]),
-                    "separator": None if r["separator"] is None else list(r["separator"]),
-                    "values": list(r["values"]),
-                }
-                for r in rows
-            ],
+            "rows": [{"cluster": list(c), "separator": None, "values": [h, None, None]}
+                     for c, h in head] + [table],
             "accepted": _accepted_summary(fr)[len("accepted: "):],
         })
-    else:
-        _emit(_report_lines(columns, rows, fr))
+        return 0
+    lines = [" | ".join(columns)]
+    lines.extend(f"{_fmt_set(c)} | - | {h:.6f} | - | -" for c, h in head)
+    for c, b, *row in zip(clusters, bases, *values):
+        lines.append(" | ".join([_fmt_set(c), _fmt_set(b), *(f"{v:.6f}" for v in row)]))
+    lines.append(_accepted_summary(fr))
+    _emit(lines)
     return 0
 
 
@@ -638,9 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, input_help="counts or samples CSV"
-               " ('lizards.csv' falls back to the bundled dataset)"):
-        sp.add_argument("input", help=input_help)
+    def common(sp):
+        sp.add_argument("input", help="counts or samples CSV"
+                        " ('lizards.csv' falls back to the bundled dataset)")
         data_flags(sp)
 
     def data_flags(sp):

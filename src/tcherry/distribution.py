@@ -50,28 +50,21 @@ class VariableSpec:
             )
 
 
-def make_scheme(cardinalities: Sequence[int], names: Sequence[str] | None = None):
+def make_scheme(cardinalities: Sequence[int]):
     """Build a scheme tuple for variables 1..d with the given cardinalities."""
-    if names is not None and len(names) != len(cardinalities):
-        raise DomainError(
-            f"got {len(names)} names for {len(cardinalities)} cardinalities"
-        )
-    return tuple(
-        VariableSpec(i + 1, int(c), None if names is None else names[i])
-        for i, c in enumerate(cardinalities)
-    )
+    return tuple(VariableSpec(i + 1, int(c)) for i, c in enumerate(cardinalities))
 
 
-def canonical_subset(subset: Iterable[int], d: int, what: str = "subset") -> tuple[int, ...]:
+def canonical_subset(subset: Iterable[int], d: int) -> tuple[int, ...]:
     """Sorted duplicate-free tuple of variable indices, validated against 1..d."""
     t = tuple(sorted(int(i) for i in subset))
     if not t:
-        raise DomainError(f"{what} must be non-empty")
+        raise DomainError("subset must be non-empty")
     if len(set(t)) != len(t):
-        raise DomainError(f"{what} contains duplicate indices: {t}")
+        raise DomainError(f"subset contains duplicate indices: {t}")
     if t[0] < 1 or t[-1] > d:
         bad = [i for i in t if i < 1 or i > d]
-        raise DomainError(f"{what} indices {bad} outside 1..{d}")
+        raise DomainError(f"subset indices {bad} outside 1..{d}")
     return t
 
 
@@ -88,9 +81,9 @@ def check_scheme(scheme) -> tuple[VariableSpec, ...]:
     return scheme
 
 
-def check_cap(scheme, cap: int) -> int:
-    """Number of cells of the scheme's state space; raises before any
-    allocation when it exceeds ``cap``."""
+def check_cap(scheme, cap: int) -> None:
+    """Raise, before any allocation, when the scheme's state space has more
+    cells than ``cap``."""
     cells = 1
     for v in scheme:
         cells *= v.cardinality
@@ -99,7 +92,6 @@ def check_cap(scheme, cap: int) -> int:
                 f"product state space exceeds cap: >{cap} cells "
                 f"for cardinalities {tuple(s.cardinality for s in scheme)}"
             )
-    return cells
 
 
 def _frozen_probs(probs, shape, what: str, tol: float = MASS_TOL,
@@ -168,9 +160,6 @@ class JointTable:
             idx.append(s - 1)
         return tuple(idx)
 
-    def prob(self, state: Sequence[int]) -> float:
-        return float(self.probs[self.cell(state)])
-
     def __repr__(self):
         return f"JointTable(d={self.d}, cardinalities={self.cardinalities})"
 
@@ -204,14 +193,6 @@ class MarginalTable:
                 f"marginal array has {arr.ndim} axes for subset of size {len(subset)}"
             )
         object.__setattr__(self, "probs", arr)
-
-    def prob(self, state: Sequence[int]) -> float:
-        """Probability of a 1-based state vector over the subset."""
-        if len(state) != len(self.subset):
-            raise DomainError(
-                f"state vector has {len(state)} entries, expected {len(self.subset)}"
-            )
-        return float(self.probs[tuple(int(s) - 1 for s in state)])
 
 
 def from_counts(cells, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
@@ -278,8 +259,11 @@ def from_codes(codes, counts, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable
         cells *= c
         cells += column
     table = np.zeros(shape)
-    np.add.at(table.reshape(-1), cells, 1.0 if counts is None else counts)
-    total = float(np.sum(table))
+    with np.errstate(over="ignore"):  # an infinite total is refused below
+        np.add.at(table.reshape(-1), cells, 1.0 if counts is None else counts)
+        total = float(np.sum(table))
+    if total == math.inf:
+        raise DomainError("the counts' total is not a finite double")
     if total <= 0.0:
         raise DomainError("counts are all zero; cannot form a distribution")
     table /= total

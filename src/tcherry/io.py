@@ -362,13 +362,9 @@ def _scale_decimals(m, q, ok):
     hi, lo, hi_head, hi_tail, exp = (t[q + _POW_BIAS] for t in _powers())
     # m = a + b, a with at most 53 significant bits and b < 2^11.
     b = np.where(m[rows] >= 2**53, m[rows] & 0x7FF, 0)
-    a, b = (m[rows] - b).astype(np.float64), b.astype(np.float64)
-    p = a * hi
-    a_head, a_tail = _split(a)
-    err = ((a_head * hi_head - p) + a_head * hi_tail + a_tail * hi_head) + a_tail * hi_tail
-    c = err + a * lo + b * hi
-    tot = p + c
-    rem = c - (tot - p)  # m·10^q = (tot + rem)·2^exp, to double-double accuracy
+    a = (m[rows] - b).astype(np.float64)
+    # m·10^q = (tot + rem)·2^exp, to double-double accuracy.
+    tot, rem = _times_power(a, hi, lo, hi_head, hi_tail, b.astype(np.float64) * hi)
     # The half-gap below tot, which is never wider than the one above.
     half = 0.5 * (tot - np.nextafter(tot, 0))
     with np.errstate(over="ignore"):
@@ -413,7 +409,7 @@ def _read_digits(f, has_count):
     return d, has_count, codes, counts
 
 
-def _read_body(f, d, has_count, path, first_line=2):
+def _read_body(f, d, has_count, path, first_line):
     """Parse the data rows, file lines ``first_line`` on, in chunks into
     lists of 0-based code arrays and of counts (empty for samples).
 
@@ -468,6 +464,9 @@ def _read_table(path, want_count, scheme, cap):
     # Rebinding frees the chunk lists before the table is built.
     codes = np.concatenate(codes)
     counts = np.concatenate(counts) if has_count else None
+    with np.errstate(over="ignore"):
+        if has_count and np.sum(counts) == math.inf:
+            raise DataFormatError(f"{path}: the counts' total is not a finite double")
     return from_codes(codes, counts, scheme, cap=cap)
 
 
@@ -482,7 +481,8 @@ def read_samples_csv(path, scheme=None, cap: int = DEFAULT_CELL_CAP) -> JointTab
 
 
 def read_scheme_json(path):
-    """Load a scheme sidecar: {"variables": [{"name", "cardinality"}, ...]}."""
+    """Load a scheme sidecar: {"variables": [{"name", "cardinality"}, ...]},
+    where a cardinality, and an index if given, is a JSON integer."""
     try:
         with _open(path) as f:
             doc = json.load(f)
@@ -494,14 +494,18 @@ def read_scheme_json(path):
     for i, entry in enumerate(doc["variables"]):
         if not isinstance(entry, dict) or "cardinality" not in entry:
             raise DataFormatError(f"{path}: variables[{i}] needs a 'cardinality'")
-        declared = entry.get("index", i + 1)
-        if declared != i + 1:
+        # JSON integers only: true, 2.0 and "2" are not 1, 2 and 2.
+        declared, cardinality = entry.get("index", i + 1), entry["cardinality"]
+        if type(declared) is not int or declared != i + 1:
             raise DataFormatError(
-                f"{path}: variables[{i}] declares index {declared}, expected {i + 1}"
+                f"{path}: variables[{i}] declares index {declared!r}, expected {i + 1}"
             )
+        if type(cardinality) is not int:
+            raise DataFormatError(f"{path}: variables[{i}]: cardinality {cardinality!r} "
+                                  "is not an integer")
         try:
-            specs.append(VariableSpec(i + 1, int(entry["cardinality"]), entry.get("name")))
-        except (TypeError, ValueError) as exc:
+            specs.append(VariableSpec(i + 1, cardinality, entry.get("name")))
+        except ValueError as exc:
             raise DataFormatError(f"{path}: variables[{i}]: {exc}") from None
     if not specs:
         raise DataFormatError(f"{path}: 'variables' is empty")
@@ -632,17 +636,23 @@ def _split(a):
     return head, a - head
 
 
+def _times_power(x, hi, lo, hi_head, hi_tail, extra=0.0):
+    """x·(hi + lo) + ``extra`` as a double-double (tot, rem), for a power of
+    ten hi + lo from ``_powers`` and a small ``extra`` (Dekker, Fast2Sum)."""
+    p = x * hi
+    x_head, x_tail = _split(x)
+    err = ((x_head * hi_head - p) + x_head * hi_tail + x_tail * hi_head) + x_tail * hi_tail
+    c = err + x * lo + extra
+    tot = p + c
+    return tot, c - (tot - p)
+
+
 def _scale(x, s):
     """x·10^s as an int64 integer part and a double fraction in [0, 1],
     exact to about 1e-14 for the x·10^s near [1e16, 1e17) it is used for."""
     hi, lo, hi_head, hi_tail, exp = (t[s + _POW_BIAS] for t in _powers())
     x = np.ldexp(x, exp)  # exact: x·2^exp is near x·10^s, a normal double
-    p = x * hi
-    x_head, x_tail = _split(x)
-    err = ((x_head * hi_head - p) + x_head * hi_tail + x_tail * hi_head) + x_tail * hi_tail
-    c = err + x * lo
-    total = p + c
-    rest = c - (total - p)  # x·10^s = total + rest, to double-double accuracy
+    total, rest = _times_power(x, hi, lo, hi_head, hi_tail)  # x·10^s, double-double
     whole = np.floor(total)
     frac = (total - whole) + rest
     carry = np.floor(frac)

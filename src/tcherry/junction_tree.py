@@ -262,13 +262,9 @@ def eligible_separators(t: TCherryJunctionTree) -> set[IndexSet]:
     return out
 
 
-def add_hypercherry(t: TCherryJunctionTree, new_vertex: int, separator,
-                    attach_to: int | None = None) -> TCherryJunctionTree:
-    """Grow the tree by attaching ``new_vertex`` across ``separator``.
-
-    By default the new cluster attaches to the earliest cluster that
-    contains the separator.
-    """
+def add_hypercherry(t: TCherryJunctionTree, new_vertex: int, separator) -> TCherryJunctionTree:
+    """Grow the tree by attaching ``new_vertex`` across ``separator``, to the
+    earliest cluster that contains the separator."""
     new_vertex = int(new_vertex)
     if t.covers(new_vertex):
         raise StructureError(f"vertex {new_vertex} is already covered")
@@ -278,15 +274,9 @@ def add_hypercherry(t: TCherryJunctionTree, new_vertex: int, separator,
     hosts = [i for i, c in enumerate(t.clusters) if _is_subset(separator, c)]
     if not hosts:
         raise StructureError(f"separator {separator} is not a subset of any cluster")
-    if attach_to is None:
-        attach_to = hosts[0]
-    elif attach_to not in hosts:
-        raise StructureError(
-            f"cluster index {attach_to} does not contain separator {separator}"
-        )
     cluster = _canon(separator + (new_vertex,))
     return TCherryJunctionTree(
-        t.k, t.clusters + (cluster,), t.links + (SeparatorLink(separator, attach_to),)
+        t.k, t.clusters + (cluster,), t.links + (SeparatorLink(separator, hosts[0]),)
     )
 
 

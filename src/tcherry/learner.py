@@ -4,9 +4,9 @@ Two greedy algorithms drive growth from a scored candidate table: ``sk``
 accepts candidates by decreasing information weight w = I(cluster) −
 I(base), ``malvestuto`` by increasing entropy weight ω = H(cluster) −
 H(base). ``chow_liu`` is the k = 2 spanning-tree special case of ``sk``
-and ``exhaustive`` enumerates every structure as an oracle for small d.
-Every fit builds its tree and trace, and checks them against the
-itemized score, in ``_fit``.
+and ``exhaustive`` enumerates every structure as an oracle while there
+are few of them. Every fit builds its tree and trace, and checks them
+against the itemized score, in ``_fit``.
 """
 
 from __future__ import annotations
@@ -129,10 +129,10 @@ class FitResult:
     candidate_table: CandidateTable
 
 
-def _validate_k(p: JointTable, k: int) -> int:
+def _validate_k(d: int, k: int) -> int:
     k = int(k)
-    if not 2 <= k <= p.d:
-        raise DomainError(f"order k must be in 2..{p.d}, got {k}")
+    if not 2 <= k <= d:
+        raise DomainError(f"order k must be in 2..{d}, got {k}")
     return k
 
 
@@ -150,7 +150,7 @@ def enumerate_candidates(p: JointTable, k: int,
                          cache: MarginalCache | None = None) -> CandidateTable:
     """Score every (k-subset, distinguished vertex) pair: C(d,k)·k candidates,
     by cluster in lexicographic order, then by the new vertex's position."""
-    k = _validate_k(p, k)
+    k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     cache.prefetch(k)
     clusters = tuple(combinations(p.variables, k))
@@ -246,7 +246,7 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     orientation is discarded); afterwards growth accepts the best
     admissible candidate until every variable is covered.
     """
-    k = _validate_k(p, k)
+    k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_w()
     parent = order.clusters[order.cluster_rank[0]]
@@ -256,7 +256,7 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
 def fit_malvestuto(p: JointTable, k: int,
                    cache: MarginalCache | None = None) -> FitResult:
     """Greedy fit by increasing entropy weight, seeded at the min-entropy cluster."""
-    k = _validate_k(p, k)
+    k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_omega()
     parent = min(combinations(p.variables, k), key=lambda c: (cache.h(c), c))
@@ -274,13 +274,17 @@ def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult
     return replace(fit_sk(p, 2, cache), algorithm="chow_liu")
 
 
-def _sequence_bound(d: int, k: int) -> int:
-    bound = math.comb(d, k)
-    clusters = 1
-    for uncovered in range(d - k, 0, -1):
-        bound *= uncovered * clusters * k
-        clusters += 1
-    return bound
+#: The most structures ``fit_exhaustive`` scores: the count at d = 7,
+#: k = 3, the largest at any d <= 7.
+EXHAUSTIVE_LIMIT = 27_951
+
+
+def structure_count(d: int, k: int) -> int:
+    """The t-cherry structures over 1..d with clusters of size k: the labeled
+    (k−1)-trees, C(d,k−1)·m^(d−k−1) with m = (k−1)(d−k+1) + 1 (Beineke &
+    Pippert 1969), which is 1 at d = k."""
+    m = (k - 1) * (d - k + 1) + 1
+    return math.comb(d, k - 1) * m ** (d - k) // m
 
 
 def iter_structures(d: int, k: int):
@@ -292,9 +296,8 @@ def iter_structures(d: int, k: int):
     Two growths with the same cluster set and separator multiset are the
     same structure.
     """
-    d, k = int(d), int(k)
-    if not 2 <= k <= d:
-        raise DomainError(f"order k must be in 2..{d}, got {k}")
+    d = int(d)
+    k = _validate_k(d, k)
     variables = tuple(range(1, d + 1))
     seen: set = set()
     queue: deque = deque()
@@ -321,18 +324,19 @@ def iter_structures(d: int, k: int):
                     queue.append((key, (witness[0], witness[1] + ((vertex, base),))))
 
 
-def fit_exhaustive(p: JointTable, k: int, max_vertices: int = 7,
-                   cache: MarginalCache | None = None) -> FitResult:
-    """Score every structure and return the best; guarded for small d only.
+def fit_exhaustive(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResult:
+    """Score every structure and return the best; refused when there are
+    more than ``EXHAUSTIVE_LIMIT``.
 
     Ties on weight resolve to the lexicographically smallest cluster
     set, then separator multiset.
     """
-    k = _validate_k(p, k)
-    if p.d > max_vertices:
+    k = _validate_k(p.d, k)
+    count = structure_count(p.d, k)
+    if count > EXHAUSTIVE_LIMIT:
         raise CapacityError(
-            f"exhaustive search refused for d={p.d} > {max_vertices}: "
-            f"up to {_sequence_bound(p.d, k)} growth sequences"
+            f"exhaustive search refused for d={p.d}, k={k}: {count} structures "
+            f"(labeled {k - 1}-trees), more than {EXHAUSTIVE_LIMIT}"
         )
     cache = cache_for(p, cache)
     # Scored first, as in every fit, so structures are weighed from the
@@ -415,9 +419,8 @@ def generate_tcherry_distribution(seed: int, d: int, k: int,
     is a scalar (broadcast) or one value per cluster, controlling how
     far each factor sits from uniform. Returns (table, tree).
     """
-    d, k = int(d), int(k)
-    if not 2 <= k <= d:
-        raise DomainError(f"order k must be in 2..{d}, got {k}")
+    d = int(d)
+    k = _validate_k(d, k)
     if isinstance(cardinalities, (int, np.integer)):
         cardinalities = [int(cardinalities)] * d
     cardinalities = [int(c) for c in cardinalities]

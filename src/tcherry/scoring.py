@@ -20,6 +20,9 @@ from .distribution import JointTable, MarginalCache, cache_for, expand_marginal
 from .errors import ConsistencyError, DomainError
 from .junction_tree import IndexSet, PuzzleNumbering, TCherryJunctionTree
 
+#: Gains that ``check_recovery_conditions`` finds this close are ties.
+RECOVERY_TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ScoreBreakdown:
@@ -145,15 +148,14 @@ class ConditionReport:
 
 def check_recovery_conditions(p: JointTable, t: TCherryJunctionTree,
                               numbering: PuzzleNumbering,
-                              cache: MarginalCache | None = None,
-                              tol: float = 1e-12) -> ConditionReport:
+                              cache: MarginalCache | None = None) -> ConditionReport:
     """Sweep the inequality chain that guarantees greedy recovery.
 
     For every grown position r and every later position s, each
     separator S already available when vertex i_r was numbered must give
     the later vertex strictly less gain than i_r took from its own
     attachment: H(X_{i_s}) − H(X_{i_s}|X_S) < H(X_{i_r}) − H(X_{i_r}|X_{S_r}).
-    Comparisons within ``tol`` are reported as ties, not violations;
+    Comparisons within ``RECOVERY_TIE_TOL`` are reported as ties, not violations;
     separators containing the later vertex are skipped (no candidate
     attaches a vertex across a set containing it).
     """
@@ -211,9 +213,9 @@ def check_recovery_conditions(p: JointTable, t: TCherryJunctionTree,
         earlier_gain = own[r - k]
         later = order[s]
         later_gain = gain(later, sep)
-        if later_gain > earlier_gain + tol:
+        if later_gain > earlier_gain + RECOVERY_TIE_TOL:
             record = violations
-        elif later_gain > earlier_gain - tol:
+        elif later_gain > earlier_gain - RECOVERY_TIE_TOL:
             record = ties
         else:
             continue

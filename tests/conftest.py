@@ -12,6 +12,7 @@ from tcherry import (
     make_scheme,
     new_parent,
 )
+from tcherry.cli import RowTable
 
 
 @pytest.fixture(scope="session")
@@ -77,8 +78,37 @@ def candidate_rows(table) -> list[CandidateRow]:
 
 
 def candidate_dicts(table) -> list[dict]:
-    """The ``candidates`` rows of ``fit --format json`` for ``table``; a
-    ``default`` for ``json.dumps`` of a fit document."""
+    """The ``candidates`` rows of ``fit --format json`` for ``table``, read
+    from its public columns."""
     return [{"cluster": list(r.cluster), "separator": list(r.base),
              "new_vertex": r.new_vertex, "w": r.w, "omega": r.omega}
             for r in candidate_rows(table)]
+
+
+def row_dicts(table: RowTable) -> list[dict]:
+    """The rows a ``RowTable`` declares, read from its fields."""
+    rows = []
+    for key, _slot, nested, columns in table.fields:
+        values = zip(*columns) if nested else columns[0]
+        for i, value in enumerate(values):
+            if i == len(rows):
+                rows.append({})
+            rows[i][key] = list(value) if nested else value
+    return rows
+
+
+def expand_tables(obj):
+    """``obj`` with each declared table as the list of its row dicts, and a
+    table that is a list item as its rows, in place, as ``--format json``
+    writes them; ``json.dumps(expand_tables(doc), indent=2)`` is the
+    oracle of every command's JSON."""
+    if isinstance(obj, RowTable):
+        obj = [obj]
+    if isinstance(obj, dict):
+        return {key: expand_tables(value) for key, value in obj.items()}
+    if not isinstance(obj, list):
+        return obj
+    out = []
+    for item in obj:
+        out += row_dicts(item) if isinstance(item, RowTable) else [expand_tables(item)]
+    return out

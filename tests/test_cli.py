@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tcherry.cli
-from conftest import candidate_dicts
+from conftest import candidate_dicts, expand_tables
 from tcherry import (ConsistencyError, add_hypercherry, fit_chow_liu, fit_exhaustive,
                      fit_malvestuto, fit_sk, generate_tcherry_distribution, new_parent,
                      tree_to_json)
@@ -265,6 +265,17 @@ def synth10(tmp_path_factory):
     return prefix
 
 
+@pytest.fixture(scope="module")
+def synth3_13(tmp_path_factory):
+    """Counts files over 3 variables (k = 3) and over 13 (k = 4)."""
+    base = tmp_path_factory.mktemp("synth3_13")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for d, k in ((3, 3), (13, 4)):
+            assert main(["synth", "--d", str(d), "--k", str(k), "--n", "20000", "--seed", "5",
+                         "--out", str(base / f"d{d}")]) == 0
+    return {"d3": str(base / "d3.csv"), "d13": str(base / "d13.csv")}
+
+
 def emitted(capsys, monkeypatch, argv):
     """Exit code, stdout and every document the command passed to ``_emit_json``."""
     docs, emit = [], tcherry.cli._emit_json
@@ -286,8 +297,9 @@ def test_fit_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, dat
         assert (code, out, docs) == ((2 if algorithm == "chow_liu" else 3), "", [])
         return
     assert code == 0 and len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2, default=candidate_dicts) + "\n"
-    for result in docs[0].get("results", docs):
+    doc = expand_tables(docs[0])
+    assert out == json.dumps(doc, indent=2) + "\n"
+    for result in doc.get("results", [doc]):
         assert len(result["candidates"]) == math.comb(d, result["k"]) * result["k"]
 
 
@@ -299,15 +311,21 @@ def test_fit_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, dat
     ["check", "{tree}"],
     ["score", "{tree}", "{data}"],
     ["synth", "--d", "6", "--k", "3", "--n", "100", "--out", "{out}"],
+    # 2,860 candidate rows per fit: more than one 2,048-row write batch.
+    ["fit", "--k", "4", "--algorithm", "all", "{d13}"],
+    ["report", "--k", "4", "--algorithm", "malvestuto", "{d13}"],
+    # d = k: the parent row, and a block table with no rows.
+    ["report", "--k", "3", "--algorithm", "malvestuto", "{d3}"],
+    ["report", "--k", "3", "{d3}"],
 ])
-def test_command_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, tmp_path,
-                                                   argv):
+def test_command_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, synth3_13,
+                                                   tmp_path, argv):
     fields = {"data": f"{synth10}.csv", "tree": f"{synth10}.tree.json",
-              "out": str(tmp_path / "s")}
+              "out": str(tmp_path / "s"), **synth3_13}
     code, out, docs = emitted(capsys, monkeypatch,
                               [a.format(**fields) for a in argv] + ["--format", "json"])
     assert code == 0 and len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2) + "\n"
+    assert out == json.dumps(expand_tables(docs[0]), indent=2) + "\n"
 
 
 def test_output_is_byte_identical_across_runs(capsys):

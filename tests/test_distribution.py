@@ -38,7 +38,7 @@ from tcherry import (
 def cells_of(table) -> dict[tuple[int, ...], float]:
     out = {}
     for state in product(*(range(1, c + 1) for c in table.cardinalities)):
-        value = table.prob(state)
+        value = float(table.probs[tuple(s - 1 for s in state)])
         if value:
             out[state] = value
     return out
@@ -98,17 +98,6 @@ def test_table_is_immutable():
         t.probs[0, 0] = 1.0
 
 
-def test_prob_accessor_round_trips_states():
-    rng = np.random.default_rng(7)
-    t = random_table(rng, (2, 3, 2))
-    assert t.prob((1, 1, 1)) == pytest.approx(float(t.probs[0, 0, 0]))
-    assert t.prob((2, 3, 1)) == pytest.approx(float(t.probs[1, 2, 0]))
-    with pytest.raises(DomainError):
-        t.prob((1, 4, 1))
-    with pytest.raises(DomainError):
-        t.prob((1, 1))
-
-
 # -- from_counts ------------------------------------------------------------
 
 
@@ -116,14 +105,20 @@ def test_from_counts_normalizes_and_keeps_total():
     rows = [((1, 1), 3.0), ((2, 2), 1.0)]
     t = from_counts(rows, make_scheme([2, 2]))
     assert t.total_count == 4.0
-    assert t.prob((1, 1)) == 0.75
-    assert t.prob((2, 1)) == 0.0
+    assert t.probs[0, 0] == 0.75
+    assert t.probs[1, 0] == 0.0
 
 
 def test_from_counts_accumulates_duplicate_cells():
     rows = [((1, 1), 1.0), ((1, 1), 2.0), ((2, 1), 1.0)]
     t = from_counts(rows, make_scheme([2, 2]))
-    assert t.prob((1, 1)) == 0.75
+    assert t.probs[0, 0] == 0.75
+
+
+def test_from_counts_refuses_a_total_past_the_largest_double():
+    # Each count is finite; the cell (1, 1) and the total are not.
+    with pytest.raises(DomainError, match="the counts' total is not a finite double"):
+        from_counts([((1, 1), 1e308), ((1, 1), 1e308), ((2, 1), 1.0)], make_scheme([2, 2]))
 
 
 def test_from_counts_names_the_offending_cell():
@@ -170,7 +165,8 @@ def test_marginalize_matches_oracle_on_random_tables():
         m = marginalize(t, subset)
         want = oracle_marginal(cells, subset)
         for state in product(*(range(1, t.cardinalities[i - 1] + 1) for i in subset)):
-            assert m.prob(state) == pytest.approx(want.get(state, 0.0), abs=1e-12)
+            assert m.probs[tuple(s - 1 for s in state)] == pytest.approx(want.get(state, 0.0),
+                                                                        abs=1e-12)
 
 
 def test_marginalize_composes():
@@ -285,10 +281,8 @@ def test_cache_point_restricts_full_states():
     t = random_table(rng, (2, 3, 2))
     cache = MarginalCache(t)
     m = marginalize(t, (2, 3))
-    assert cache.point((2, 3), (1, 2, 2)) == pytest.approx(m.prob((2, 2)))
-    assert cache.point((1,), (2, 1, 1)) == pytest.approx(
-        marginalize(t, (1,)).prob((2,))
-    )
+    assert cache.point((2, 3), (1, 2, 2)) == pytest.approx(m.probs[1, 1])
+    assert cache.point((1,), (2, 1, 1)) == pytest.approx(marginalize(t, (1,)).probs[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -502,8 +496,8 @@ def test_smoothing_fills_empty_cells_and_normalizes():
     rows = [((1, 1), 3.0), ((2, 2), 1.0)]
     t = from_counts(rows, make_scheme([2, 2]))
     s = with_additive_smoothing(t, 1.0)
-    assert s.prob((2, 1)) == pytest.approx(1 / 8)
-    assert s.prob((1, 1)) == pytest.approx(4 / 8)
+    assert s.probs[1, 0] == pytest.approx(1 / 8)
+    assert s.probs[0, 0] == pytest.approx(4 / 8)
     assert float(s.probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -61,15 +61,15 @@ def test_samples_csv_counted(tmp_path):
     t = read_samples_csv(path)
     assert np.array_equal(load_table(path).probs, t.probs)
     assert t.total_count == 4.0
-    assert t.prob((1, 1)) == 0.5
-    assert t.prob((1, 2)) == 0.0
+    assert t.probs[0, 0] == 0.5
+    assert t.probs[0, 1] == 0.0
 
 
 def test_sniff_detects_counts_header(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("x1,x2,count\n1,1,4\n2,2,1\n")
     t = load_table(path)
-    assert t.prob((1, 1)) == 0.8
+    assert t.probs[0, 0] == 0.8
     assert t.total_count == 5.0
 
 
@@ -148,6 +148,31 @@ def test_scheme_json_validates_indices(tmp_path):
     path.write_text("not json")
     with pytest.raises(DataFormatError, match="JSON"):
         read_scheme_json(path)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('{"cardinality": 2.7}', ": cardinality 2.7 is not an integer"),
+    ('{"cardinality": "3"}', ": cardinality '3' is not an integer"),
+    ('{"index": true, "cardinality": 2}', " declares index True, expected 1"),
+    ('{"index": 1.0, "cardinality": 2}', " declares index 1.0, expected 1"),
+])
+def test_scheme_values_must_be_json_integers(tmp_path, entry, message):
+    path = tmp_path / "s.json"
+    path.write_text('{"variables": [' + entry + ', {"cardinality": 2}]}')
+    with pytest.raises(DataFormatError) as info:
+        read_scheme_json(path)
+    assert str(info.value) == f"{path}: variables[0]{message}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_counts_whose_total_overflows_are_an_input_error(tmp_path, capsys, newline):
+    # Every count is finite, their sum is not; the canonical and the
+    # general reader refuse it alike, with no numpy warning.
+    path = tmp_path / "big.csv"
+    path.write_text(newline.join(["x1,x2,count", "1,1,1e308", "1,2,1e308", "2,1,1e308", ""]),
+                    newline="")
+    assert main(["fit", "--k", "2", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: the counts' total is not a finite double\n")
 
 
 def test_empty_data_file_rejected(tmp_path):

@@ -142,10 +142,6 @@ def test_attach_to_picks_earliest_host_by_default():
     # (2, 3) occurs in clusters 0 and 1; default is the earliest.
     t2 = add_hypercherry(t, 6, (2, 3))
     assert t2.links[-1] == SeparatorLink((2, 3), 0)
-    t3 = add_hypercherry(t, 6, (2, 3), attach_to=1)
-    assert t3.links[-1] == SeparatorLink((2, 3), 1)
-    with pytest.raises(StructureError):
-        add_hypercherry(t, 6, (2, 3), attach_to=2)  # (2,3) not within (3,4,5)
 
 
 def test_nu_counts_shared_separators():

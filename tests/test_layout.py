@@ -77,6 +77,37 @@ def test_cache_keeps_the_methods_the_tracer_patches():
     assert patched and not missing
 
 
+#: Names the tracer still spans although the package dropped them.
+STALE_SPANS = {"learner.fit_to_dict"}
+
+
+def test_tracer_patches_by_name_and_restores_every_attribute():
+    # The benchmark traces by patching the package in place; a function or
+    # cache method it names that is gone, or one left patched, breaks it.
+    importlib.import_module("tcherry.cli")  # loads every module the tracer patches
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from tcherry.distribution import MarginalCache
+
+    spaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "tcherry"]
+    spaces.append(MarginalCache)
+    before = [dict(vars(ns)) for ns in spaces]
+    with tracer.Tracer():
+        inside = [dict(vars(ns)) for ns in spaces]
+    after = [dict(vars(ns)) for ns in spaces]
+    assert after == before
+    patched = {(ns.__name__, attr) for ns, was, now in zip(spaces, before, inside)
+               for attr in was if now[attr] is not was[attr]}
+    named = {tuple(("tcherry." + name).rsplit(".", 1))
+             for name in tracer.SPANNED | set(tracer._PROBES) if name not in STALE_SPANS}
+    cache = {("MarginalCache", attr) for attr in ("marginal", "h", "info", "point")}
+    assert named | cache <= patched
+
+
 TESTS = Path(__file__).resolve().parent
 
 

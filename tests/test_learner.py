@@ -32,6 +32,7 @@ from tcherry import (
     new_parent,
 )
 from tcherry.cli import main
+from tcherry.learner import EXHAUSTIVE_LIMIT, structure_count
 
 SK4_KL = 0.013091417653743331
 M4_KL = 0.022440270192606082
@@ -306,12 +307,29 @@ def test_exhaustive_k3_beats_both_greedies_on_lizard(lizard, lizard_cache):
 
 def test_exhaustive_refuses_large_vertex_counts():
     t = random_table(np.random.default_rng(79), (2,) * 8)
-    with pytest.raises(CapacityError, match="d=8"):
+    with pytest.raises(CapacityError, match=r"d=8, k=3: 799708 structures"):
         fit_exhaustive(t, 3)
-    with pytest.raises(CapacityError):
-        fit_exhaustive(t, 3, max_vertices=7)
-    fr = fit_exhaustive(t, 7, max_vertices=8)  # single-step case stays cheap
+    fr = fit_exhaustive(t, 7)  # 28 structures
     assert len(fr.tree.clusters) == 2
+
+
+def test_structure_count_is_what_iter_structures_yields():
+    # The labeled (k-1)-trees; the limit is the largest count at d <= 7.
+    counts = {(d, k): sum(1 for _ in iter_structures(d, k))
+              for d in range(2, 8) for k in range(2, d + 1)}
+    assert counts == {(d, k): structure_count(d, k) for d, k in counts}
+    assert max(counts.values()) == counts[7, 3] == EXHAUSTIVE_LIMIT
+
+
+@pytest.mark.parametrize("d, k", [(8, 5), (8, 7), (9, 8)])
+def test_exhaustive_runs_past_d7_where_structures_are_few(d, k):
+    t = random_table(np.random.default_rng(d * 10 + k), (2,) * d)
+    cache = MarginalCache(t)
+    ex, sk = fit_exhaustive(t, k, cache), fit_sk(t, k, cache)
+    assert structure_count(d, k) <= EXHAUSTIVE_LIMIT
+    # Separator terms are summed per link in the search and as (nu - 1)·I
+    # in the score, so equal weights may differ in the last bits.
+    assert ex.score.weight >= sk.score.weight - 1e-12
 
 
 # -- generator --------------------------------------------------------------
