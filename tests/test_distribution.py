@@ -4,6 +4,7 @@ Numeric checks run against a dict-based oracle written from scratch:
 no shared code with the library paths under test.
 """
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations, product
@@ -26,10 +27,12 @@ from tcherry import (
     from_counts,
     generate_tcherry_distribution,
     kl_entropy_form,
+    load_lizards,
     make_scheme,
     marginalize,
     with_additive_smoothing,
 )
+from tcherry.distribution import from_codes
 
 
 # -- oracle -----------------------------------------------------------------
@@ -316,6 +319,80 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
                 assert got_h.hex() == want_h.hex() == cache.h(s).hex()
                 assert got_i.hex() == want_i.hex() == cache.info(s).hex()
     assert zero_rows > 0
+
+
+def _pinned_tables():
+    """``lizards``; a d=12, k=3 synth table with a total count of 50,000;
+    and 400 samples over d=9, cardinalities 2 to 4, in which variable 3
+    never takes its fourth state, so most cells are empty."""
+    synth, _ = generate_tcherry_distribution(5, 12, 3, 2, 1.5)
+    cards = (2, 3, 4, 2, 3, 4, 2, 3, 4)
+    rng = np.random.default_rng(23)
+    codes = np.stack([rng.integers(c - (i == 2), size=400) for i, c in enumerate(cards)], axis=1)
+    return {"lizards": load_lizards(),
+            "synth12": JointTable(synth.scheme, synth.probs, total_count=50_000),
+            "samples9": from_codes(codes, None, make_scheme(cards))}
+
+
+#: SHA-256 of everything ``_cache_outputs`` reads from the caches of each
+#: pinned table, recorded before marginals became stack rows handed out
+#: as arrays.
+CACHE_DIGESTS = {
+    "lizards": "66fcedf529e1e4a28f1b29dd0692a26f441ffeadb7f5f1044a573635babc02b8",
+    "synth12": "eb202bfd7ae8946ce7491b0ef27e1fa945b3637249b344832bb6e8f9f9528548",
+    "samples9": "62a6282efa9a9df21c5c79eca41739c09433a309f3274869a28a1a1294a485d1",
+}
+
+
+def _cache_outputs(table) -> str:
+    """SHA-256 over the bytes of every marginal and the ``float.hex`` of
+    every H and I that three caches of ``table`` hand out:
+
+    - prefetched at orders 2, 3 and 4 in turn, then asked for a 5-subset
+      and the full key, which no prefetched superset covers;
+    - prefetched at order 4, then asked for ``info_h`` of every 3-subset
+      and for every smaller subset, summed out of supersets;
+    - filled with a sparse set of subsets of sizes 1 to 4, unprefetched.
+    """
+    sha = hashlib.sha256()
+    d = table.d
+
+    def record(cache, key, h_first=False):
+        if h_first:
+            cache.h(key)  # the key enters the cache by the entropy's route
+        m = cache.marginal(key)
+        m = getattr(m, "probs", m)
+        for part in (repr(key), m.dtype.str, repr(m.shape), m.tobytes(),
+                     cache.h(key).hex(), cache.info(key).hex()):
+            sha.update(part if isinstance(part, bytes) else part.encode())
+
+    rising = MarginalCache(table)
+    for k in (2, 3, 4):
+        rising.prefetch(k)
+        for key in combinations(table.variables, k):
+            record(rising, key)
+    record(rising, (1, 2, 3, 4, 5), h_first=True)
+    record(rising, table.variables)
+
+    summed = MarginalCache(table)
+    summed.prefetch(4)
+    for part in summed.info_h(list(combinations(table.variables, 3))):
+        sha.update(part.tobytes())
+    for r in (3, 2, 1):
+        for key in combinations(table.variables, r):
+            record(summed, key, h_first=r == 2)
+
+    sparse = MarginalCache(table)
+    keys = [key for r in range(1, 5) for key in combinations(table.variables, r)][::7]
+    sparse.fill(keys)
+    for key in sorted(keys) + [(d,)]:
+        record(sparse, key)
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_DIGESTS))
+def test_cache_outputs_are_pinned(name):
+    assert _cache_outputs(_pinned_tables()[name]) == CACHE_DIGESTS[name]
 
 
 # -- marginal lattice -------------------------------------------------------
