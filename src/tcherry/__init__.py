@@ -4,7 +4,6 @@ from .distribution import (
     DEFAULT_CELL_CAP,
     JointTable,
     MarginalCache,
-    MarginalTable,
     VariableSpec,
     entropy,
     from_counts,

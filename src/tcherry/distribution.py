@@ -13,7 +13,8 @@ operation returns a new object.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Iterable, Sequence
 
@@ -57,7 +58,7 @@ def make_scheme(cardinalities: Sequence[int]):
 
 def canonical_subset(subset: Iterable[int], d: int) -> tuple[int, ...]:
     """Sorted duplicate-free tuple of variable indices, validated against 1..d."""
-    t = tuple(sorted(int(i) for i in subset))
+    t = tuple(sorted(map(int, subset)))
     if not t:
         raise DomainError("subset must be non-empty")
     if len(set(t)) != len(t):
@@ -94,18 +95,17 @@ def check_cap(scheme, cap: int) -> None:
             )
 
 
-def _frozen_probs(probs, shape, what: str, tol: float = MASS_TOL,
-                  error: type[Exception] = DomainError) -> np.ndarray:
+def _frozen_probs(probs, shape, what: str) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64).reshape(shape)
     total = float(arr.sum())
     # A finite sum and no entry below 0 pass both entry checks at once.
     if not (math.isfinite(total) and arr.min(initial=0.0) >= 0.0):
         if not np.all(np.isfinite(arr)):
-            raise error(f"{what} contains non-finite entries")
+            raise DomainError(f"{what} contains non-finite entries")
         if np.any(arr < 0.0):
-            raise error(f"{what} contains negative entries")
-    if abs(total - 1.0) > tol:
-        raise error(f"{what} entries sum to {total!r}, not 1")
+            raise DomainError(f"{what} contains negative entries")
+    if abs(total - 1.0) > MASS_TOL:
+        raise DomainError(f"{what} entries sum to {total!r}, not 1")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -162,37 +162,6 @@ class JointTable:
 
     def __repr__(self):
         return f"JointTable(d={self.d}, cardinalities={self.cardinalities})"
-
-
-@dataclass(frozen=True)
-class MarginalTable:
-    """Marginal distribution over a sorted subset of variable indices.
-
-    ``summed`` marks a table reduced inside the package from a joint of
-    that many cells: its mass tolerance grows with the cells summed, and
-    a failed check is an internal ``ConsistencyError``, not bad input.
-    """
-
-    subset: tuple[int, ...]
-    probs: np.ndarray
-    summed: InitVar[int | None] = None
-
-    def __post_init__(self, summed):
-        subset = tuple(int(i) for i in self.subset)
-        if list(subset) != sorted(set(subset)):
-            raise DomainError(f"marginal subset must be sorted and duplicate-free: {subset}")
-        if not subset:
-            raise DomainError("marginal subset must be non-empty")
-        object.__setattr__(self, "subset", subset)
-        tol, error = ((MASS_TOL, DomainError) if summed is None
-                      else (MASS_TOL + summed * _EPS, ConsistencyError))
-        arr = _frozen_probs(self.probs, np.asarray(self.probs).shape,
-                            f"marginal table over {subset}", tol, error)
-        if arr.ndim != len(subset):
-            raise DomainError(
-                f"marginal array has {arr.ndim} axes for subset of size {len(subset)}"
-            )
-        object.__setattr__(self, "probs", arr)
 
 
 def from_counts(cells, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
@@ -270,18 +239,17 @@ def from_codes(codes, counts, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable
     return JointTable(scheme, table, total_count=total, cap=cap)
 
 
-def marginalize(p: JointTable, subset: Iterable[int]) -> MarginalTable:
-    """Marginal of ``p`` over ``subset``, axes in ascending index order."""
-    subset = canonical_subset(subset, p.d)
-    keep = set(subset)
+def marginalize(p: JointTable, subset: Iterable[int]) -> np.ndarray:
+    """Marginal array of ``p`` over ``subset``, axes in ascending index order."""
+    keep = set(canonical_subset(subset, p.d))
     drop = tuple(i for i in range(p.d) if (i + 1) not in keep)
-    probs = p.probs.sum(axis=drop) if drop else p.probs
-    return MarginalTable(subset, probs, p.probs.size)
+    return p.probs.sum(axis=drop) if drop else p.probs
 
 
-def entropy(table) -> float:
-    """Shannon entropy in bits of a joint or marginal table; 0·log 0 = 0."""
-    probs = table.probs
+def entropy(probs) -> float:
+    """Shannon entropy in bits of a probability array or a joint table;
+    0·log 0 = 0."""
+    probs = probs.probs if isinstance(probs, JointTable) else probs
     nz = probs[probs > 0.0]
     # np.sum accumulates pairwise, which keeps 6-decimal outputs stable.
     return float(-np.sum(nz * np.log2(nz)))
@@ -305,20 +273,21 @@ class MarginalCache:
     ``fill(subsets)`` caches any set of marginals in one pass over the
     joint, and ``prefetch(k)`` fills every k-subset; a smaller subset
     requested after a prefetch is summed out of a cached k-superset.
-    Marginals are kept in stacks, one C-ordered (rows, *shape) array per
-    cardinality shape of a batch, rows in ascending subset order; each
-    stack's mass and entropies are computed in one pass as it is made.
+    Marginals are kept in read-only stacks, one C-ordered (rows, *shape)
+    array per cardinality shape of a batch, rows in ascending subset
+    order, and handed out as rows; every marginal, also one reduced
+    alone from the joint, enters as a stack, whose mass and entropies are
+    computed in one pass.
     Values are deterministic, so concurrent writers racing on a key
     would store identical floats; within one process a plain dict is
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_tables", "_h", "_info", "_singles", "_order")
+    __slots__ = ("table", "_marginals", "_h", "_info", "_singles", "_order")
 
     def __init__(self, table: JointTable):
         self.table = table
         self._marginals: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}  # (stack, row)
-        self._tables: dict[tuple[int, ...], MarginalTable] = {}  # handed out by marginal
         self._h: dict[tuple[int, ...], float] = {}
         self._info: dict[tuple[int, ...], float] = {}
         self._singles: list[float] = []  # H(X_i) at i - 1, filled on first use
@@ -369,44 +338,39 @@ class MarginalCache:
 
         The node for a prefix a1 < … < aj holds the table over
         {a1..aj} ∪ {aj+1..d}, and a key equal to the prefix is summed out
-        of its trailing axes there, into its row of the stack of its
-        shape. Before each child b the node sums out, in one call, the
-        axes of the variables from the previous child (or aj+1) up to
-        b − 1. Every new partial sum is at most half the table it came
-        from, so the live ones add up to less than the joint.
+        of its trailing axes there, joining the stack of its shape. Before
+        each child b the node sums out, in one call, the axes of the
+        variables from the previous child (or aj+1) up to b − 1. Every new
+        partial sum is at most half the table it came from, so the live
+        ones add up to less than the joint.
         """
-        if not keys:
-            return
-        cards = (0, *self.table.cardinalities)
-        trie: dict = {}
-        by_shape: dict[tuple[int, ...], list] = {}
-        for key in keys:
-            node = trie
-            for i in key:
-                node = node.setdefault(i, {})
-            by_shape.setdefault(tuple(map(cards.__getitem__, key)), []).append(key)
-        stacks = [(group, np.empty((len(group), *shape))) for shape, group in by_shape.items()]
-        rows = {key: row for group, stack in stacks for key, row in zip(group, stack)}
+        found: dict[tuple[int, ...], tuple[list, list]] = {}  # shape: (keys, marginals)
 
-        def visit(prefix, probs, node):
+        def visit(prefix, probs, lo, hi):
+            # keys[lo:hi] are the keys that start with ``prefix``.
             j = len(prefix)
-            row = rows.get(prefix)
-            if row is not None:
-                probs.sum(axis=tuple(range(j, probs.ndim)), out=row)
+            if lo < hi and keys[lo] == prefix:
+                m = probs.sum(axis=tuple(range(j, probs.ndim)))
+                group, marginals = found.setdefault(m.shape, ([], []))
+                group.append(prefix)
+                marginals.append(m)
+                lo += 1
             nxt = prefix[-1] + 1 if prefix else 1  # the variable on axis j
-            for b in node:  # ascending, as the sorted keys made them
+            while lo < hi:
+                b = keys[lo][j]
+                end = bisect_left(keys, prefix + (b + 1,), lo, hi)
                 if b > nxt:
                     probs = probs.sum(axis=tuple(range(j, j + b - nxt)))
-                visit(prefix + (b,), probs, node[b])
-                nxt = b
+                visit(prefix + (b,), probs, lo, end)
+                lo, nxt = end, b
 
-        visit((), self.table.probs, trie)
-        for group, stack in stacks:
-            self._add_stack(group, stack)
+        visit((), self.table.probs, 0, len(keys))
+        for shape, (group, marginals) in found.items():
+            self._add_stack(group, np.concatenate(marginals).reshape(len(group), *shape))
 
     def _add_stack(self, keys: list[tuple[int, ...]], stack: np.ndarray) -> None:
-        """Check and cache ``stack``, row r the marginal over ``keys[r]``,
-        with the entropy of every row."""
+        """Check and cache ``stack``, row r the marginal over ``keys[r]``
+        summed from the joint, with the entropy of every row."""
         _check_mass(keys, stack, self.table.probs.size)
         stack.flags.writeable = False
         self._marginals.update(zip(keys, zip(repeat(stack), range(len(keys)))))
@@ -421,33 +385,26 @@ class MarginalCache:
             h[r] = float(-np.sum(nz * np.log2(nz)))
         self._h.update(zip(keys, h))
 
-    def marginal(self, subset) -> MarginalTable:
-        m = self._tables.get(subset) if type(subset) is tuple else None
-        if m is None:
-            key = self._key(subset)
-            m = self._tables.get(key)
-            if m is None:
-                if key in self._marginals or len(key) < self._order:
-                    self.fill((key,))
-                    stack, row = self._marginals[key]
-                    m = MarginalTable(key, stack[row], self.table.probs.size)
-                else:
-                    # No prefetched superset covers the key: reduce the joint.
-                    m = marginalize(self.table, key)
-                    self._marginals[key] = (m.probs[np.newaxis], 0)
-                self._tables[key] = m
-        return m
+    def marginal(self, subset) -> np.ndarray:
+        """Read-only marginal over ``subset``, axes in ascending index order."""
+        key = self._key(subset)
+        if key not in self._marginals:
+            if len(key) < self._order:
+                self.fill((key,))
+            else:
+                # No prefetched superset covers the key: reduce the joint.
+                self._add_stack([key], marginalize(self.table, key)[np.newaxis])
+        stack, row = self._marginals[key]
+        return stack[row]
 
     def h(self, subset) -> float:
         """Entropy in bits of the marginal over ``subset``."""
         value = self._h.get(subset) if type(subset) is tuple else None
         if value is None:
             key = self._key(subset)
-            if key not in self._h and len(key) < self._order:
-                self.fill((key,))  # summed out of a superset, with its entropy
-            value = self._h.get(key)
-            if value is None:
-                value = self._h[key] = entropy(self.marginal(key))
+            if key not in self._h:
+                self.marginal(key)  # cached with its entropy
+            value = self._h[key]
         return value
 
     def info(self, subset) -> float:
@@ -484,9 +441,9 @@ class MarginalCache:
 
     def point(self, subset, full_state: Sequence[int]) -> float:
         """Marginal probability of ``full_state`` restricted to ``subset``."""
-        m = self.marginal(subset)
+        key = self._key(subset)
         cell = self.table.cell(full_state)
-        return float(m.probs[tuple(cell[i - 1] for i in m.subset)])
+        return float(self.marginal(key)[tuple(cell[i - 1] for i in key)])
 
 
 def cache_for(p: JointTable, cache: MarginalCache | None) -> MarginalCache:

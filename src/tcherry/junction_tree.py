@@ -293,12 +293,6 @@ class PuzzleNumbering:
     order: tuple[int, ...]
     attach_separators: tuple[IndexSet, ...]
 
-    def separator_for(self, vertex: int) -> IndexSet:
-        for v, sep in zip(self.order[self.k:], self.attach_separators):
-            if v == vertex:
-                return sep
-        raise DomainError(f"vertex {vertex} is not one of the grown vertices")
-
 
 def puzzle_numbering(t: TCherryJunctionTree, parent) -> PuzzleNumbering:
     """Number vertices outward from ``parent``, one cluster at a time.

@@ -90,10 +90,10 @@ def tree_pd_table(p: JointTable, t: TCherryJunctionTree,
     d = p.d
     num = np.ones(p.probs.shape)
     for c in t.clusters:
-        num = num * expand_marginal(cache.marginal(c).probs, c, d)
+        num = num * expand_marginal(cache.marginal(c), c, d)
     den = np.ones(p.probs.shape)
     for s, n in t.nu.items():
-        den = den * expand_marginal(cache.marginal(s).probs, s, d) ** (n - 1)
+        den = den * expand_marginal(cache.marginal(s), s, d) ** (n - 1)
     if np.any((den == 0.0) & (num > 0.0)):
         raise ConsistencyError(
             "a separator marginal is 0 where a containing cluster marginal is positive"

@@ -224,7 +224,7 @@ def test_c10_structural_invariants(capsys):
             assert tuple(sorted(order[:k])) == t.parent
             for pos in range(k, len(order)):
                 v = order[pos]
-                sep = numbering.separator_for(v)
+                sep = numbering.attach_separators[pos - k]
                 assert len(sep) == k - 1
                 assert set(sep) <= set(order[:pos])
                 assert tuple(sorted(sep + (v,))) in t.clusters

@@ -452,6 +452,42 @@ def test_score_tree_against_data(tmp_path, capsys, lizard, lizard_cache):
     ]
 
 
+@pytest.fixture(scope="module")
+def synth12(tmp_path_factory):
+    """Counts file of 50,000 samples over 12 variables, from an order-3 tree."""
+    prefix = tmp_path_factory.mktemp("synth12") / "s12"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--d", "12", "--k", "3", "--n", "50000", "--seed", "8",
+                     "--out", str(prefix)]) == 0
+    return str(prefix) + ".csv"
+
+
+@pytest.mark.parametrize("algorithm", ["sk", "malvestuto"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("data", ["lizards", "synth12"])
+def test_fit_and_score_agree_to_rounding(tmp_path, capsys, synth12, data, k, algorithm):
+    # ``fit`` reads its I values from marginals summed out of prefetched
+    # k-subsets, ``score`` sums each marginal from the joint, so the two
+    # may part in the last bits, never by more than rounding.
+    path = "lizards.csv" if data == "lizards" else synth12
+    code, out, _ = run(capsys, "fit", "--k", str(k), "--algorithm", algorithm,
+                       "--format", "json", path)
+    assert code == 0
+    fitted = json.loads(out)
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(fitted["tree"]))
+    code, out, _ = run(capsys, "score", str(tree), path, "--format", "json")
+    assert code == 0
+    got, want = json.loads(out), fitted["score"]
+    bound = 1e-12 * want["i_total"]
+    for key in ("weight", "kl", "i_total"):
+        assert abs(got[key] - want[key]) <= bound
+    for part in ("clusters", "separators"):
+        assert [{**row, "i": 0} for row in got[part]] == [{**row, "i": 0} for row in want[part]]
+        for a, b in zip(got[part], want[part]):
+            assert abs(a["i"] - b["i"]) <= bound
+
+
 def test_score_invalid_tree_is_a_structure_failure(tmp_path, capsys):
     doc = {
         "k": 2,

@@ -20,7 +20,6 @@ from tcherry import (
     DomainError,
     JointTable,
     MarginalCache,
-    MarginalTable,
     VariableSpec,
     entropy,
     fit_sk,
@@ -168,8 +167,8 @@ def test_marginalize_matches_oracle_on_random_tables():
         m = marginalize(t, subset)
         want = oracle_marginal(cells, subset)
         for state in product(*(range(1, t.cardinalities[i - 1] + 1) for i in subset)):
-            assert m.probs[tuple(s - 1 for s in state)] == pytest.approx(want.get(state, 0.0),
-                                                                        abs=1e-12)
+            assert m[tuple(s - 1 for s in state)] == pytest.approx(want.get(state, 0.0),
+                                                                  abs=1e-12)
 
 
 def test_marginalize_composes():
@@ -177,14 +176,14 @@ def test_marginalize_composes():
     t = random_table(rng, (2, 3, 2, 2))
     once = marginalize(t, (1, 3, 4))
     # Marginalizing the marginal over a sub-subset equals direct marginalization.
-    sub = once.probs.sum(axis=1)
+    sub = once.sum(axis=1)
     direct = marginalize(t, (1, 4))
-    assert np.allclose(sub, direct.probs, atol=1e-15)
+    assert np.allclose(sub, direct, atol=1e-15)
 
 
 def test_marginal_subset_must_be_sorted_unique_in_range():
     t = random_table(np.random.default_rng(1), (2, 2, 2))
-    assert marginalize(t, (3, 1)).subset == (1, 3)
+    assert np.array_equal(marginalize(t, (3, 1)), marginalize(t, (1, 3)))
     with pytest.raises(DomainError):
         marginalize(t, (1, 1))
     with pytest.raises(DomainError):
@@ -276,7 +275,18 @@ def test_cache_agrees_with_direct_calls(lizard, lizard_cache):
         math.fsum(entropy(marginalize(lizard, (i,))) for i in (2, 4))
         - entropy(marginalize(lizard, (2, 4))))
     assert lizard_cache.h((2,)) is lizard_cache.h((2,)) or True  # memo hit path
-    assert lizard_cache.marginal((1, 2)) is lizard_cache.marginal((1, 2))
+    assert np.shares_memory(lizard_cache.marginal((1, 2)), lizard_cache.marginal((1, 2)))
+
+
+def test_marginals_are_read_only_on_every_route():
+    t = random_table(np.random.default_rng(31), (2, 3, 2, 2))
+    cache = MarginalCache(t)
+    cache.prefetch(2)
+    # Walked, summed out of a 2-superset, reduced alone, and the full key.
+    for key in ((1, 2), (3,), (1, 2, 4), t.variables):
+        m = cache.marginal(key)
+        with pytest.raises(ValueError, match="read-only"):
+            m[(0,) * m.ndim] = 0.5
 
 
 def test_cache_point_restricts_full_states():
@@ -284,8 +294,8 @@ def test_cache_point_restricts_full_states():
     t = random_table(rng, (2, 3, 2))
     cache = MarginalCache(t)
     m = marginalize(t, (2, 3))
-    assert cache.point((2, 3), (1, 2, 2)) == pytest.approx(m.probs[1, 1])
-    assert cache.point((1,), (2, 1, 1)) == pytest.approx(marginalize(t, (1,)).probs[1])
+    assert cache.point((2, 3), (1, 2, 2)) == pytest.approx(m[1, 1])
+    assert cache.point((1,), (2, 1, 1)) == pytest.approx(marginalize(t, (1,))[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -300,20 +310,17 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
         cache.prefetch(k)
         sizes = [list(combinations(t.variables, m)) for m in range(max(k - 1, 1), k + 1)]
         got = [cache.info_h(subsets) for subsets in sizes]
-        # No marginal table is built to score a stack, not even for a row
-        # with an empty cell.
-        assert not cache._tables
         singles = [entropy(cache.marginal((v,))) for v in t.variables]
         for m, subsets, (info, h) in zip(range(max(k - 1, 1), k + 1), sizes, got):
             for s, got_i, got_h in zip(subsets, info.tolist(), h.tolist()):
-                probs = cache.marginal(s).probs
+                probs = cache.marginal(s)
                 zero_rows += bool((probs == 0.0).any())
                 if m < k:
                     # Summed out of the k-superset padded with the lowest
                     # missing indices, one subset at a time.
                     sup = tuple(sorted(s + tuple(v for v in t.variables if v not in s)[:k - m]))
                     drop = tuple(a for a, v in enumerate(sup) if v not in s)
-                    assert np.array_equal(probs, cache.marginal(sup).probs.sum(axis=drop))
+                    assert np.array_equal(probs, cache.marginal(sup).sum(axis=drop))
                 want_h = entropy(cache.marginal(s))
                 want_i = math.fsum(singles[v - 1] for v in s) - want_h
                 assert got_h.hex() == want_h.hex() == cache.h(s).hex()
@@ -416,8 +423,7 @@ def test_prefetch_and_superset_reductions_match_marginalize(d, monkeypatch):
             got = {s: cache.marginal(s)
                    for r in range(1, k + 1) for s in combinations(t.variables, r)}
         for s, marginal in got.items():
-            assert marginal.subset == s
-            np.testing.assert_allclose(marginal.probs, marginalize(t, s).probs,
+            np.testing.assert_allclose(marginal, marginalize(t, s), strict=True,
                                        rtol=0, atol=1e-12)
 
 
@@ -428,7 +434,7 @@ def test_prefetch_is_idempotent_and_covered_by_higher_orders():
     first = cache.marginal((1, 2, 4))
     cache.prefetch(3)
     cache.prefetch(2)
-    assert cache.marginal((1, 2, 4)) is first
+    assert np.shares_memory(cache.marginal((1, 2, 4)), first)
     with pytest.raises(DomainError, match="order"):
         cache.prefetch(6)
 
@@ -479,7 +485,7 @@ def test_prefetch_equals_the_reference_walk(d):
         want = _reference_prefetch(t, k)
         assert sorted(cache._marginals) == sorted(want)
         for key, probs in want.items():
-            assert np.array_equal(cache.marginal(key).probs, probs)
+            assert np.array_equal(cache.marginal(key), probs)
 
 
 def _mixed_keys(rng, d, n):
@@ -510,8 +516,7 @@ def test_fill_matches_marginalize_on_mixed_key_sets(seed, monkeypatch):
             got = {s: cache.marginal(s) for s in keys}
         assert sorted(cache._marginals) == sorted(keys)
         for s, marginal in got.items():
-            assert marginal.subset == s
-            np.testing.assert_allclose(marginal.probs, marginalize(t, s).probs,
+            np.testing.assert_allclose(marginal, marginalize(t, s), strict=True,
                                        rtol=0, atol=1e-12)
 
 
@@ -521,8 +526,8 @@ def test_fill_canonicalizes_and_keeps_cached_values():
     cache.prefetch(3)
     first = cache.marginal((1, 2, 4))
     cache.fill([(4, 2, 1), [5, 3], (1,)])
-    assert cache.marginal((1, 2, 4)) is first
-    assert cache.marginal((3, 5)).subset == (3, 5)
+    assert np.shares_memory(cache.marginal((1, 2, 4)), first)
+    assert cache.marginal((3, 5)).shape == (2, 2)
     with pytest.raises(DomainError, match="duplicate"):
         cache.fill([(1, 1)])
 
@@ -541,22 +546,23 @@ def test_fill_partial_sums_stay_below_one_joint_table():
     assert peak - current < t.probs.nbytes
 
 
-def test_derived_marginal_tolerance_scales_with_cells_summed():
+def test_derived_marginal_tolerance_scales_with_cells_summed(monkeypatch):
     drifted = np.array([0.5, 0.5 - 1.5e-12])
     with pytest.raises(DomainError, match="sum"):
-        MarginalTable((1,), drifted)
-    assert MarginalTable((1,), drifted, 2**22).subset == (1,)
-    with pytest.raises(ConsistencyError, match="sum"):
-        MarginalTable((1,), drifted, 2)
-    with pytest.raises(ConsistencyError, match="negative"):
-        MarginalTable((1,), np.array([1.5, -0.5]), 2**22)
+        JointTable(make_scheme([2]), drifted)
+    # Past MASS_TOL, but within MASS_TOL + cells·eps for a joint of 2^12 cells.
+    monkeypatch.setattr(tcherry.distribution, "marginalize", lambda p, subset: drifted)
+    rng = np.random.default_rng(29)
+    assert np.array_equal(MarginalCache(random_table(rng, (2,) * 12)).marginal((1,)), drifted)
+    with pytest.raises(ConsistencyError, match=r"over \(1,\) entries sum to"):
+        MarginalCache(random_table(rng, (2, 2))).marginal((1,))
 
 
 def test_reduction_drift_on_a_large_table_is_not_an_input_error():
     # Summed to x22, this 2^22-cell table came to 1 - 1.45e-12, past the
     # absolute MASS_TOL, and fit_sk reported float drift as bad input.
     p, _ = generate_tcherry_distribution(1, 22, 3, 2, 2.0)
-    assert float(marginalize(p, (22,)).probs.sum()) == pytest.approx(1.0, abs=1e-9)
+    assert float(marginalize(p, (22,)).sum()) == pytest.approx(1.0, abs=1e-9)
     fr = fit_sk(p, 3)
     assert fr.score.kl == pytest.approx(kl_entropy_form(p, fr.tree), abs=1e-9)
 

@@ -189,8 +189,9 @@ def test_puzzle_numbering_chain_example():
     n = puzzle_numbering(chain_tree(), (1, 2, 3))
     assert n.order == (1, 2, 3, 4, 5)
     assert n.attach_separators == ((2, 3), (3, 4))
-    assert n.separator_for(4) == (2, 3)
-    assert n.separator_for(5) == (3, 4)
+    separator_for = dict(zip(n.order[n.k:], n.attach_separators))
+    assert separator_for[4] == (2, 3)
+    assert separator_for[5] == (3, 4)
 
 
 def test_puzzle_numbering_requires_existing_parent():

@@ -147,3 +147,24 @@ def test_import_binds_little_array_data():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert int(proc.stdout) < 64 * 1024
+
+
+def test_every_definition_is_referenced():
+    # A function, class or method of the package that no module, test or
+    # benchmark names, as an identifier, an attribute or a dotted string
+    # such as the tracer's span names, is unneeded code.
+    defined, named = [], set()
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(node.value.split("."))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and path.parent == SRC
+                  and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+    assert defined
+    assert [where for name, where in defined if name not in named] == []
