@@ -385,15 +385,19 @@ class MarginalCache:
             h[r] = float(-np.sum(nz * np.log2(nz)))
         self._h.update(zip(keys, h))
 
-    def marginal(self, subset) -> np.ndarray:
-        """Read-only marginal over ``subset``, axes in ascending index order."""
-        key = self._key(subset)
+    def _ensure(self, key: tuple[int, ...]) -> None:
+        """Cache the canonical ``key`` unless it is: summed out of its
+        prefetched superset, or reduced alone from the joint."""
         if key not in self._marginals:
             if len(key) < self._order:
                 self.fill((key,))
             else:
-                # No prefetched superset covers the key: reduce the joint.
                 self._add_stack([key], marginalize(self.table, key)[np.newaxis])
+
+    def marginal(self, subset) -> np.ndarray:
+        """Read-only marginal over ``subset``, axes in ascending index order."""
+        key = self._key(subset)
+        self._ensure(key)
         stack, row = self._marginals[key]
         return stack[row]
 
@@ -402,8 +406,7 @@ class MarginalCache:
         value = self._h.get(subset) if type(subset) is tuple else None
         if value is None:
             key = self._key(subset)
-            if key not in self._h:
-                self.marginal(key)  # cached with its entropy
+            self._ensure(key)
             value = self._h[key]
         return value
 

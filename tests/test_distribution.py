@@ -278,15 +278,19 @@ def test_cache_agrees_with_direct_calls(lizard, lizard_cache):
     assert np.shares_memory(lizard_cache.marginal((1, 2)), lizard_cache.marginal((1, 2)))
 
 
-def test_marginals_are_read_only_on_every_route():
+def test_marginals_are_read_only_on_every_route(monkeypatch):
     t = random_table(np.random.default_rng(31), (2, 3, 2, 2))
     cache = MarginalCache(t)
     cache.prefetch(2)
+    reduced = []
+    monkeypatch.setattr(tcherry.distribution, "marginalize",
+                        lambda p, key: reduced.append(key) or marginalize(p, key))
     # Walked, summed out of a 2-superset, reduced alone, and the full key.
     for key in ((1, 2), (3,), (1, 2, 4), t.variables):
         m = cache.marginal(key)
         with pytest.raises(ValueError, match="read-only"):
             m[(0,) * m.ndim] = 0.5
+    assert reduced == [(1, 2, 4), t.variables]
 
 
 def test_cache_point_restricts_full_states():
