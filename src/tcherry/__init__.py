@@ -57,7 +57,6 @@ from .scoring import (
     kl_entropy_form,
     kl_exact,
     score_to_dict,
-    tree_pd_table,
     tree_weight,
 )
 from .datasets import lizards_path, load_lizards

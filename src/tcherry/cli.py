@@ -110,10 +110,10 @@ def _emit_json(obj) -> None:
 
 
 class RowTable(NamedTuple):
-    """JSON rows declared by columns. Each field is (key, slot, nested,
-    columns): every value of the key is printf ``slot`` ("%d" for ints,
-    "%r" for finite floats, as json spells them), and a ``nested`` value is
-    a list with one column per position; a plain value has one column."""
+    """JSON rows declared by columns. Each field is (key, nested, columns):
+    every value is a Python int or finite float, which ``repr`` spells as
+    json does, and a ``nested`` value is a list with one column per
+    position; a plain value has one column."""
 
     fields: list
 
@@ -164,10 +164,10 @@ def _row_batches(fields, pad: str):
     ',' and a line break; none for a table with no rows."""
     inner = pad + "  "
     parts, columns = [], []
-    for key, slot, nested, positions in fields:
+    for key, nested, positions in fields:
         columns.extend(positions)
-        value = (f"[\n{inner}  " + f",\n{inner}  ".join([slot] * len(positions))
-                 + f"\n{inner}]") if nested else slot
+        value = (f"[\n{inner}  " + f",\n{inner}  ".join(["%r"] * len(positions))
+                 + f"\n{inner}]") if nested else "%r"
         parts.append(json.dumps(key) + ": " + value)
     template = "{\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}}}"
     rows = zip(*columns)
@@ -212,11 +212,11 @@ def _fit_doc(fr: FitResult) -> dict:
 def _candidate_rows(table: CandidateTable) -> RowTable:
     """The candidate rows of the fit document, read from the table's columns."""
     return RowTable([
-        ("cluster", "%d", True, table.members[table.cluster_rank].T.tolist()),
-        ("separator", "%d", True, table.bases().T.tolist()),
-        ("new_vertex", "%d", False, [table.new_vertices().tolist()]),
-        ("w", "%r", False, [table.w.tolist()]),
-        ("omega", "%r", False, [table.omega.tolist()]),
+        ("cluster", True, table.members[table.cluster_rank].T.tolist()),
+        ("separator", True, table.bases().T.tolist()),
+        ("new_vertex", False, [table.new_vertices().tolist()]),
+        ("w", False, [table.w.tolist()]),
+        ("omega", False, [table.omega.tolist()]),
     ])
 
 
@@ -360,9 +360,9 @@ def cmd_report(args) -> int:
         head = []
         clusters, bases, *values = _sk_rows(fr, cache)
     if args.format == "json":
-        table = RowTable([("cluster", "%d", True, list(zip(*clusters))),
-                          ("separator", "%d", True, list(zip(*bases))),
-                          ("values", "%r", True, values)])
+        table = RowTable([("cluster", True, list(zip(*clusters))),
+                          ("separator", True, list(zip(*bases))),
+                          ("values", True, values)])
         _emit_json({
             "algorithm": fr.algorithm,
             "k": fr.tree.k,

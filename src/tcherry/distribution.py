@@ -95,17 +95,17 @@ def check_cap(scheme, cap: int) -> None:
             )
 
 
-def _frozen_probs(probs, shape, what: str) -> np.ndarray:
+def _frozen_probs(probs, shape) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64).reshape(shape)
     total = float(arr.sum())
     # A finite sum and no entry below 0 pass both entry checks at once.
     if not (math.isfinite(total) and arr.min(initial=0.0) >= 0.0):
         if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{what} contains non-finite entries")
+            raise DomainError("joint table contains non-finite entries")
         if np.any(arr < 0.0):
-            raise DomainError(f"{what} contains negative entries")
+            raise DomainError("joint table contains negative entries")
     if abs(total - 1.0) > MASS_TOL:
-        raise DomainError(f"{what} entries sum to {total!r}, not 1")
+        raise DomainError(f"joint table entries sum to {total!r}, not 1")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -127,7 +127,7 @@ class JointTable:
         check_cap(scheme, cap)
         shape = tuple(v.cardinality for v in scheme)
         object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "probs", _frozen_probs(probs, shape, "joint table"))
+        object.__setattr__(self, "probs", _frozen_probs(probs, shape))
         object.__setattr__(self, "total_count", total_count)
 
     def __setattr__(self, name, value):

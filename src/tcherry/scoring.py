@@ -5,7 +5,8 @@ product of separator marginals (each separator raised to its
 multiplicity minus one). Its divergence from the true table can be
 written three ways, which must agree: I(X) minus the tree's information
 weight, the entropy form over cluster/separator entropies, and the
-cell-by-cell sum p·log2(p/q). All quantities are in bits.
+cell-by-cell sum p·log2(p/q), which reads log q from the log-marginals
+one block of cells at a time and builds no table of q. Units are bits.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from itertools import combinations
 import numpy as np
 
 from .distribution import JointTable, MarginalCache, cache_for, expand_marginal
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .junction_tree import IndexSet, PuzzleNumbering, TCherryJunctionTree
 
 #: Gains that ``check_recovery_conditions`` finds this close are ties.
 RECOVERY_TIE_TOL = 1e-12
+
+#: Cells of the joint that ``kl_exact`` reads log q over at once.
+KL_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,44 +81,36 @@ def kl_entropy_form(p: JointTable, t: TCherryJunctionTree,
     )
 
 
-def tree_pd_table(p: JointTable, t: TCherryJunctionTree,
-                  cache: MarginalCache | None = None) -> np.ndarray:
-    """Dense table of the tree distribution over the full state space.
-
-    Cells where a separator marginal vanishes are 0; a positive cluster
-    marginal over a vanished separator is impossible for marginals of
-    one table and raises.
-    """
-    cache = cache_for(p, cache)
-    _check_tree(p, t)
-    d = p.d
-    num = np.ones(p.probs.shape)
-    for c in t.clusters:
-        num = num * expand_marginal(cache.marginal(c), c, d)
-    den = np.ones(p.probs.shape)
-    for s, n in t.nu.items():
-        den = den * expand_marginal(cache.marginal(s), s, d) ** (n - 1)
-    if np.any((den == 0.0) & (num > 0.0)):
-        raise ConsistencyError(
-            "a separator marginal is 0 where a containing cluster marginal is positive"
-        )
-    out = np.zeros(p.probs.shape)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return out
-
-
 def kl_exact(p: JointTable, t: TCherryJunctionTree,
              cache: MarginalCache | None = None) -> float:
-    """Σ_x p(x)·log2(p(x)/q(x)) over cells with p(x) > 0."""
-    q = tree_pd_table(p, t, cache)
-    mask = p.probs > 0.0
-    if np.any(q[mask] <= 0.0):
-        raise ConsistencyError(
-            "tree distribution is 0 on a cell of positive probability; "
-            "marginals of the same table cannot do that"
-        )
-    pm = p.probs[mask]
-    return float(np.sum(pm * np.log2(pm / q[mask])))
+    """Σ_x p(x)·log2(p(x)/q(x)) over cells with p(x) > 0, with log2 q(x) =
+    Σ_C log2 p_C(x) − Σ_S (ν_S−1)·log2 p_S(x) summed from the log-marginals
+    one block of leading-axis states at a time. Each marginal at such an x
+    sums cells that include p(x), so its logarithm is finite."""
+    cache = cache_for(p, cache)
+    _check_tree(p, t)
+    logs = []
+    for subset, power in [(c, 1) for c in t.clusters] + [(s, 1 - n) for s, n in t.nu.items()]:
+        m = cache.marginal(subset)
+        log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
+        logs.append((power, expand_marginal(log_m, subset, p.d)))
+    # A block is one state of the leading axes. The trailing axes, the last
+    # always among them, hold at most KL_BLOCK_CELLS cells where they can.
+    shape = p.probs.shape
+    lead = len(shape) - 1
+    while lead and math.prod(shape[lead - 1:]) <= KL_BLOCK_CELLS:
+        lead -= 1
+    total = 0.0
+    for state in np.ndindex(shape[:lead]):
+        block = p.probs[state]
+        log_q = np.zeros(block.shape)
+        for power, log_m in logs:
+            # An axis the marginal does not span broadcasts from its one state.
+            log_q += power * log_m[tuple(s if n > 1 else 0 for s, n in zip(state, log_m.shape))]
+        support = block > 0.0
+        pb = block[support]
+        total += float(np.sum(pb * (np.log2(pb) - log_q[support])))
+    return total
 
 
 @dataclass(frozen=True)

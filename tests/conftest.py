@@ -88,7 +88,7 @@ def candidate_dicts(table) -> list[dict]:
 def row_dicts(table: RowTable) -> list[dict]:
     """The rows a ``RowTable`` declares, read from its fields."""
     rows = []
-    for key, _slot, nested, columns in table.fields:
+    for key, nested, columns in table.fields:
         values = zip(*columns) if nested else columns[0]
         for i, value in enumerate(values):
             if i == len(rows):

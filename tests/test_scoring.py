@@ -1,12 +1,14 @@
 """Weight, divergence forms, tree distributions, recovery conditions."""
 
 import math
-from itertools import combinations, product
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import tcherry.distribution
+import tcherry.scoring
 from conftest import random_table, random_tree
 from tcherry import (
     DomainError,
@@ -17,6 +19,7 @@ from tcherry import (
     entropy,
     fit_malvestuto,
     fit_sk,
+    generate_tcherry_distribution,
     kl_entropy_form,
     kl_exact,
     make_scheme,
@@ -25,7 +28,6 @@ from tcherry import (
     add_hypercherry,
     puzzle_numbering,
     score_to_dict,
-    tree_pd_table,
     tree_weight,
 )
 from test_distribution import cells_of, oracle_info
@@ -82,7 +84,7 @@ def test_cache_must_belong_to_the_scored_table(lizard, lizard_cache):
 def test_every_route_rejects_a_tree_that_leaves_variables_uncovered(lizard, lizard_cache):
     # Scored anyway, weight and entropy routes disagree: 0.16936 against −2.07760.
     tree = pair_tree()
-    routes = (tree_weight, kl_entropy_form, kl_exact, tree_pd_table,
+    routes = (tree_weight, kl_entropy_form, kl_exact,
               lambda p, t, c: check_recovery_conditions(p, t, puzzle_numbering(t, t.parent), c))
     for route in routes:
         with pytest.raises(DomainError, match=r"leaves variables \[4, 5\] of the table"):
@@ -121,18 +123,6 @@ def test_divergence_identity_on_lizard_fits(lizard, lizard_cache):
 # -- tree distribution ------------------------------------------------------
 
 
-def test_tree_pd_table_is_a_distribution():
-    rng = np.random.default_rng(67)
-    for trial in range(20):
-        d = int(rng.integers(3, 6))
-        cards = tuple(int(c) for c in rng.integers(2, 4, size=d))
-        t = random_table(rng, cards, zero_fraction=0.25 if trial % 2 else 0.0)
-        tree = random_tree(rng, d, int(rng.integers(2, d)))
-        q = tree_pd_table(t, tree)
-        assert np.all(q >= 0)
-        assert float(q.sum()) == pytest.approx(1.0, abs=1e-9)
-
-
 def pointwise_tree_pd(tree, state, cache):
     """q(x) as a product of cluster marginals over separator marginals, each
     read at one full state; 0 where a separator marginal vanishes."""
@@ -141,21 +131,77 @@ def pointwise_tree_pd(tree, state, cache):
     return num / den if den > 0.0 else 0.0
 
 
-def test_pointwise_evaluation_matches_dense_table():
+def oracle_tree_pd(p, tree, cache):
+    """The tree distribution at every cell of ``p``, by ``pointwise_tree_pd``."""
+    q = np.zeros(p.probs.shape)
+    for cell in np.ndindex(q.shape):
+        q[cell] = pointwise_tree_pd(tree, tuple(s + 1 for s in cell), cache)
+    return q
+
+
+def test_tree_distribution_is_a_distribution():
+    rng = np.random.default_rng(67)
+    for trial in range(20):
+        d = int(rng.integers(3, 6))
+        cards = tuple(int(c) for c in rng.integers(2, 4, size=d))
+        t = random_table(rng, cards, zero_fraction=0.25 if trial % 2 else 0.0)
+        tree = random_tree(rng, d, int(rng.integers(2, d)))
+        q = oracle_tree_pd(t, tree, MarginalCache(t))
+        assert np.all(q >= 0)
+        assert float(q.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_kl_exact_matches_the_pointwise_oracle():
     rng = np.random.default_rng(71)
-    t = random_table(rng, (2, 3, 2), zero_fraction=0.2)
-    tree = pair_tree()
-    q = tree_pd_table(t, tree)
-    cache = MarginalCache(t)
-    for state in product(range(1, 3), range(1, 4), range(1, 3)):
-        direct = pointwise_tree_pd(tree, state, cache)
-        assert direct == pytest.approx(float(q[tuple(s - 1 for s in state)]), abs=1e-12)
+    for trial in range(30):
+        d = int(rng.integers(2, 6))
+        cards = tuple(int(c) for c in rng.integers(2, 4, size=d))
+        t = random_table(rng, cards, zero_fraction=0.3 if trial % 2 else 0.0)
+        tree = random_tree(rng, d, int(rng.integers(2, min(d, 4) + 1)))
+        cache = MarginalCache(t)
+        q = oracle_tree_pd(t, tree, cache)
+        support = t.probs > 0.0
+        pm = t.probs[support]
+        want = float(np.sum(pm * np.log2(pm / q[support])))
+        assert kl_exact(t, tree, cache) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 30])
+def test_kl_exact_is_the_same_sum_in_small_blocks(monkeypatch, block):
+    rng = np.random.default_rng(73 + block)
+    for trial in range(15):
+        d = int(rng.integers(2, 6))
+        cards = tuple(int(c) for c in rng.integers(2, 5, size=d))
+        t = random_table(rng, cards, zero_fraction=0.3 if trial % 2 else 0.0)
+        tree = random_tree(rng, d, int(rng.integers(2, min(d, 4) + 1)))
+        cache = MarginalCache(t)
+        whole = kl_exact(t, tree, cache)
+        monkeypatch.setattr(tcherry.scoring, "KL_BLOCK_CELLS", block)
+        blocked = kl_exact(t, tree, cache)
+        monkeypatch.undo()
+        assert blocked == pytest.approx(whole, abs=1e-12)
+        assert blocked == pytest.approx(tree_weight(t, tree, cache).kl, abs=1e-12)
+
+
+def test_kl_exact_allocates_less_than_the_joint():
+    # d=20 binary: an 8 MiB joint, and blocks of 2^16 cells.
+    p, tree = generate_tcherry_distribution(3, 20, 3, 2, 1.0)[:2]
+    cache = MarginalCache(p)
+    kl_exact(p, tree, cache)  # reduce every marginal it reads beforehand
+    tracemalloc.start()
+    try:
+        kl = kl_exact(p, tree, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.probs.nbytes
+    assert kl == pytest.approx(tree_weight(p, tree, cache).kl, abs=1e-9)
 
 
 def test_tree_pd_reproduces_its_own_marginal_structure(lizard, lizard_cache):
     # The tree distribution agrees with p on every cluster marginal.
     tree = fit_sk(lizard, 4, lizard_cache).tree
-    q = JointTable(lizard.scheme, tree_pd_table(lizard, tree, lizard_cache))
+    q = JointTable(lizard.scheme, oracle_tree_pd(lizard, tree, lizard_cache))
     qc = MarginalCache(q)
     for cluster in tree.clusters:
         assert np.allclose(
@@ -168,7 +214,7 @@ def test_tree_pd_reproduces_its_own_marginal_structure(lizard, lizard_cache):
 def test_full_order_tree_reproduces_p_exactly(lizard, lizard_cache):
     tree = new_parent(5, (1, 2, 3, 4, 5))
     assert kl_exact(lizard, tree, lizard_cache) == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(tree_pd_table(lizard, tree, lizard_cache), lizard.probs)
+    assert np.allclose(oracle_tree_pd(lizard, tree, lizard_cache), lizard.probs)
 
 
 # -- recovery conditions ----------------------------------------------------
