@@ -4,7 +4,9 @@ Variables are identified by 1-based indices 1..d, states by 1-based
 integers 1..cardinality. Probability tables are dense numpy arrays in
 row-major order over the scheme; a table refuses to materialize more
 cells than the cap allows. Every subset argument is canonicalized to a
-sorted tuple at the boundary, and all entropies are in bits.
+sorted tuple at the boundary, and all entropies are in bits. The
+library takes its marginals from ``MarginalCache``, which sums each one
+but the joint itself by one route, a walk over the subsets' prefixes.
 
 Tables are values: arrays are frozen after construction and every
 operation returns a new object.
@@ -270,20 +272,20 @@ def _check_mass(keys: list, stack: np.ndarray, cells: int) -> None:
 class MarginalCache:
     """Memoizes marginals, entropies and information contents per subset.
 
-    ``fill(subsets)`` caches any set of marginals in one pass over the
-    joint, and ``prefetch(k)`` fills every k-subset; a smaller subset
-    requested after a prefetch is summed out of a cached k-superset.
+    Every marginal but the full joint is summed from the joint by one
+    route, the prefix walk: ``fill(subsets)`` caches any set of marginals
+    in one walk, ``prefetch(k)`` walks everything a candidate table of
+    order k reads, and a subset asked for alone is walked alone.
     Marginals are kept in read-only stacks, one C-ordered (rows, *shape)
-    array per cardinality shape of a batch, rows in ascending subset
-    order, and handed out as rows; every marginal, also one reduced
-    alone from the joint, enters as a stack, whose mass and entropies are
-    computed in one pass.
+    array per cardinality shape of a walk, and handed out as rows; every
+    marginal, also the joint, enters as a stack, whose mass and entropies
+    are computed in one pass.
     Values are deterministic, so concurrent writers racing on a key
     would store identical floats; within one process a plain dict is
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_h", "_info", "_singles", "_order")
+    __slots__ = ("table", "_marginals", "_h", "_info", "_singles")
 
     def __init__(self, table: JointTable):
         self.table = table
@@ -291,7 +293,6 @@ class MarginalCache:
         self._h: dict[tuple[int, ...], float] = {}
         self._info: dict[tuple[int, ...], float] = {}
         self._singles: list[float] = []  # H(X_i) at i - 1, filled on first use
-        self._order = 0  # every subset of this size is cached
 
     def _key(self, subset) -> tuple[int, ...]:
         """``subset`` as the canonical tuple; a cached key is taken as is."""
@@ -300,61 +301,46 @@ class MarginalCache:
         return canonical_subset(subset, self.table.d)
 
     def fill(self, subsets) -> None:
-        """Cache the marginal of every subset in ``subsets``, of any sizes;
-        subsets already cached keep their values. A subset smaller than the
-        prefetched order is summed out of its prefetched superset padded
-        with the lowest missing indices, in one sum per superset stack and
-        axes summed out; the rest come from one walk over the joint."""
-        store, order, d = self._marginals, self._order, self.table.d
-        keys = {s if type(s) is tuple and s in store else canonical_subset(s, d)
-                for s in subsets}.difference(store)
-        groups: dict = {}
-        for key in sorted(key for key in keys if len(key) < order):
-            pad = tuple(i for i in range(1, order + 1) if i not in key)[:order - len(key)]
-            stack, row = store[tuple(sorted(key + pad))]
-            groups.setdefault((id(stack), pad), []).append((key, stack, row))
-        for (_, pad), members in groups.items():
-            group, stacks, rows = zip(*members)
-            # Every index up to a padded one is in the superset, so padded
-            # index i is axis i - 1 of a marginal and axis i of its stack.
-            self._add_stack(list(group), stacks[0][list(rows)].sum(axis=pad))
-        self._walk(sorted(key for key in keys if len(key) >= order))
+        """Cache the marginal of every subset in ``subsets``, of any sizes,
+        in one walk over the joint; subsets already cached keep their
+        values."""
+        keys = {self._key(s) for s in subsets}.difference(self._marginals)
+        if keys:
+            self._walk(sorted(keys))
 
     def prefetch(self, k: int) -> None:
-        """Cache the marginal of every k-subset in one pass, which reads
-        about 2·k·cells instead of C(d,k)·cells."""
+        """Cache, in one walk, every k-subset, (k−1)-subset and single: all
+        a candidate table of order k reads. The walk reads about 2·k·cells
+        instead of C(d,k)·cells."""
         d, k = self.table.d, int(k)
         if not 1 <= k <= d:
             raise DomainError(f"prefetch order must be in 1..{d}, got {k}")
-        if k <= self._order:
-            return
-        self._walk([key for key in combinations(range(1, d + 1), k)
-                    if key not in self._marginals])
-        self._order = k
+        store = self._marginals
+        keys = sorted(key for m in {k, k - 1, 1} - {0}
+                      for key in combinations(range(1, d + 1), m) if key not in store)
+        if keys:
+            self._walk(keys)
 
     def _walk(self, keys: list[tuple[int, ...]]) -> None:
         """Fill the sorted, canonical, uncached ``keys`` by a depth-first
         walk over their prefixes.
 
         The node for a prefix a1 < … < aj holds the table over
-        {a1..aj} ∪ {aj+1..d}, and a key equal to the prefix is summed out
-        of its trailing axes there, joining the stack of its shape. Before
-        each child b the node sums out, in one call, the axes of the
-        variables from the previous child (or aj+1) up to b − 1. Every new
-        partial sum is at most half the table it came from, so the live
-        ones add up to less than the joint.
+        {a1..aj} ∪ {aj+1..d}. Before each child b the node sums out, in
+        one call, the axes of the variables from the previous child (or
+        aj+1) up to b − 1. A key equal to the prefix is summed out of its
+        trailing axes after the children, from the last and smallest
+        partial sum they leave, and joins the stack of its shape. Every
+        new partial sum is at most half the table it came from, so the
+        live ones add up to less than the joint.
         """
         found: dict[tuple[int, ...], tuple[list, list]] = {}  # shape: (keys, marginals)
 
         def visit(prefix, probs, lo, hi):
             # keys[lo:hi] are the keys that start with ``prefix``.
             j = len(prefix)
-            if lo < hi and keys[lo] == prefix:
-                m = probs.sum(axis=tuple(range(j, probs.ndim)))
-                group, marginals = found.setdefault(m.shape, ([], []))
-                group.append(prefix)
-                marginals.append(m)
-                lo += 1
+            is_key = keys[lo] == prefix  # it sorts before the keys it prefixes
+            lo += is_key
             nxt = prefix[-1] + 1 if prefix else 1  # the variable on axis j
             while lo < hi:
                 b = keys[lo][j]
@@ -363,6 +349,11 @@ class MarginalCache:
                     probs = probs.sum(axis=tuple(range(j, j + b - nxt)))
                 visit(prefix + (b,), probs, lo, end)
                 lo, nxt = end, b
+            if is_key:
+                m = probs.sum(axis=tuple(range(j, probs.ndim)))
+                group, marginals = found.setdefault(m.shape, ([], []))
+                group.append(prefix)
+                marginals.append(m)
 
         visit((), self.table.probs, 0, len(keys))
         for shape, (group, marginals) in found.items():
@@ -386,13 +377,13 @@ class MarginalCache:
         self._h.update(zip(keys, h))
 
     def _ensure(self, key: tuple[int, ...]) -> None:
-        """Cache the canonical ``key`` unless it is: summed out of its
-        prefetched superset, or reduced alone from the joint."""
+        """Cache the canonical ``key``: walked alone, or, for the full key,
+        the joint itself."""
         if key not in self._marginals:
-            if len(key) < self._order:
-                self.fill((key,))
-            else:
+            if len(key) == self.table.d:
                 self._add_stack([key], marginalize(self.table, key)[np.newaxis])
+            else:
+                self._walk([key])
 
     def marginal(self, subset) -> np.ndarray:
         """Read-only marginal over ``subset``, axes in ascending index order."""
@@ -428,7 +419,8 @@ class MarginalCache:
     def _single_h(self) -> list[float]:
         """H(X_i) at i - 1."""
         if not self._singles:
-            self._singles = [self.h((i,)) for i in range(1, self.table.d + 1)]
+            self.fill((i,) for i in range(1, self.table.d + 1))
+            self._singles = [self._h[(i,)] for i in range(1, self.table.d + 1)]
         return self._singles
 
     def info_h(self, subsets) -> tuple[np.ndarray, np.ndarray]:

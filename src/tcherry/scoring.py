@@ -60,6 +60,7 @@ def tree_weight(p: JointTable, t: TCherryJunctionTree,
     """
     cache = cache_for(p, cache)
     _check_tree(p, t)
+    cache.fill(t.clusters + tuple(t.nu))  # the tree's marginals, in one walk
     per_cluster = tuple((c, cache.info(c)) for c in t.clusters)
     per_separator = tuple((s, n, cache.info(s)) for s, n in t.nu.items())
     weight = math.fsum(i for _, i in per_cluster) - math.fsum(
@@ -74,6 +75,7 @@ def kl_entropy_form(p: JointTable, t: TCherryJunctionTree,
     """Divergence as −H(X) + Σ_C H(X_C) − Σ_S (ν_S−1)·H(X_S)."""
     cache = cache_for(p, cache)
     _check_tree(p, t)
+    cache.fill(t.clusters + tuple(t.nu))  # the tree's marginals, in one walk
     return (
         -cache.h(p.variables)
         + math.fsum(cache.h(c) for c in t.clusters)
@@ -89,6 +91,7 @@ def kl_exact(p: JointTable, t: TCherryJunctionTree,
     sums cells that include p(x), so its logarithm is finite."""
     cache = cache_for(p, cache)
     _check_tree(p, t)
+    cache.fill(t.clusters + tuple(t.nu))  # the tree's marginals, in one walk
     logs = []
     for subset, power in [(c, 1) for c in t.clusters] + [(s, 1 - n) for s, n in t.nu.items()]:
         m = cache.marginal(subset)

@@ -131,8 +131,9 @@ def test_fit_all_runs_every_algorithm(capsys):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_exhaustive_alone_equals_its_entry_in_all(capsys, k):
-    # Every fit scores from the marginals its candidate table prefetched,
-    # so exhaustive gives the same bytes alone as after the greedy fits.
+    # Every fit scores from the marginals its candidate table prefetched in
+    # one walk (every k-subset, (k−1)-subset and single), so exhaustive
+    # gives the same bytes alone as after the greedy fits.
     out = {}
     for algorithm in ("exhaustive", "sk", "all"):
         code, out[algorithm], _ = run(capsys, "fit", "--k", str(k), "--algorithm", algorithm,
@@ -466,9 +467,11 @@ def synth12(tmp_path_factory):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("data", ["lizards", "synth12"])
 def test_fit_and_score_agree_to_rounding(tmp_path, capsys, synth12, data, k, algorithm):
-    # ``fit`` reads its I values from marginals summed out of prefetched
-    # k-subsets, ``score`` sums each marginal from the joint, so the two
-    # may part in the last bits, never by more than rounding.
+    # ``fit`` reads its I values from one walk over every k-subset,
+    # (k−1)-subset and single; ``score`` from one walk over the tree's
+    # clusters and separators and one over the singles. A walk's partial
+    # sums depend on the keys it serves, so the two may part in the last
+    # bits, never by more than rounding.
     path = "lizards.csv" if data == "lizards" else synth12
     code, out, _ = run(capsys, "fit", "--k", str(k), "--algorithm", algorithm,
                        "--format", "json", path)

@@ -21,7 +21,10 @@ from tcherry import (
     JointTable,
     MarginalCache,
     VariableSpec,
+    check_recovery_conditions,
     entropy,
+    enumerate_candidates,
+    fit_malvestuto,
     fit_sk,
     from_counts,
     generate_tcherry_distribution,
@@ -29,6 +32,8 @@ from tcherry import (
     load_lizards,
     make_scheme,
     marginalize,
+    puzzle_numbering,
+    tree_weight,
     with_additive_smoothing,
 )
 from tcherry.distribution import from_codes
@@ -270,10 +275,17 @@ def test_conditioning_cannot_raise_entropy():
 
 
 def test_cache_agrees_with_direct_calls(lizard, lizard_cache):
-    assert lizard_cache.h((1, 3, 5)) == entropy(marginalize(lizard, (1, 3, 5)))
+    # The cache's values are those of its own marginals to the bit, and
+    # those of marginals reduced in one call to rounding.
+    assert lizard_cache.h((1, 3, 5)) == entropy(lizard_cache.marginal((1, 3, 5)))
     assert lizard_cache.info((2, 4)) == (
+        math.fsum(entropy(lizard_cache.marginal((i,))) for i in (2, 4))
+        - entropy(lizard_cache.marginal((2, 4))))
+    assert lizard_cache.h((1, 3, 5)) == pytest.approx(
+        entropy(marginalize(lizard, (1, 3, 5))), rel=0, abs=1e-12)
+    assert lizard_cache.info((2, 4)) == pytest.approx(
         math.fsum(entropy(marginalize(lizard, (i,))) for i in (2, 4))
-        - entropy(marginalize(lizard, (2, 4))))
+        - entropy(marginalize(lizard, (2, 4))), rel=0, abs=1e-12)
     assert lizard_cache.h((2,)) is lizard_cache.h((2,)) or True  # memo hit path
     assert np.shares_memory(lizard_cache.marginal((1, 2)), lizard_cache.marginal((1, 2)))
 
@@ -285,12 +297,34 @@ def test_marginals_are_read_only_on_every_route(monkeypatch):
     reduced = []
     monkeypatch.setattr(tcherry.distribution, "marginalize",
                         lambda p, key: reduced.append(key) or marginalize(p, key))
-    # Walked, summed out of a 2-superset, reduced alone, and the full key.
+    # Prefetched, prefetched as a single, walked alone, and the full key,
+    # the only one that reaches ``marginalize``.
     for key in ((1, 2), (3,), (1, 2, 4), t.variables):
         m = cache.marginal(key)
         with pytest.raises(ValueError, match="read-only"):
             m[(0,) * m.ndim] = 0.5
-    assert reduced == [(1, 2, 4), t.variables]
+    assert reduced == [t.variables]
+
+
+def test_fits_and_scores_take_every_marginal_but_the_joint_from_walks(monkeypatch):
+    # On a fresh cache, only the full key reaches ``marginalize``, which
+    # hands back the joint itself, and a candidate table takes one walk.
+    p, _ = generate_tcherry_distribution(3, 7, 3, 2, 1.0)
+    reduced, walks = [], []
+    monkeypatch.setattr(tcherry.distribution, "marginalize",
+                        lambda t, key: reduced.append(key) or marginalize(t, key))
+    walk = MarginalCache._walk
+    monkeypatch.setattr(MarginalCache, "_walk",
+                        lambda cache, keys: walks.append(len(keys)) or walk(cache, keys))
+    for k in (2, 3, 4):
+        for fit in (fit_sk, fit_malvestuto):
+            tree = fit(p, k).tree
+        walks.clear()
+        enumerate_candidates(p, k, MarginalCache(p))
+        assert len(walks) == 1
+    tree_weight(p, tree)
+    check_recovery_conditions(p, tree, puzzle_numbering(tree, tree.parent))
+    assert reduced and set(reduced) == {p.variables}
 
 
 def test_cache_point_restricts_full_states():
@@ -315,17 +349,11 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
         sizes = [list(combinations(t.variables, m)) for m in range(max(k - 1, 1), k + 1)]
         got = [cache.info_h(subsets) for subsets in sizes]
         singles = [entropy(cache.marginal((v,))) for v in t.variables]
-        for m, subsets, (info, h) in zip(range(max(k - 1, 1), k + 1), sizes, got):
+        for subsets, (info, h) in zip(sizes, got):
             for s, got_i, got_h in zip(subsets, info.tolist(), h.tolist()):
                 probs = cache.marginal(s)
                 zero_rows += bool((probs == 0.0).any())
-                if m < k:
-                    # Summed out of the k-superset padded with the lowest
-                    # missing indices, one subset at a time.
-                    sup = tuple(sorted(s + tuple(v for v in t.variables if v not in s)[:k - m]))
-                    drop = tuple(a for a, v in enumerate(sup) if v not in s)
-                    assert np.array_equal(probs, cache.marginal(sup).sum(axis=drop))
-                want_h = entropy(cache.marginal(s))
+                want_h = entropy(probs)
                 want_i = math.fsum(singles[v - 1] for v in s) - want_h
                 assert got_h.hex() == want_h.hex() == cache.h(s).hex()
                 assert got_i.hex() == want_i.hex() == cache.info(s).hex()
@@ -347,11 +375,14 @@ def _pinned_tables():
 
 #: SHA-256 of everything ``_cache_outputs`` reads from the caches of each
 #: pinned table, recorded before marginals became stack rows handed out
-#: as arrays.
+#: as arrays, and re-recorded when the prefix walk became the only route
+#: that sums a marginal: (k−1)-subsets and singles had been summed out of
+#: prefetched k-supersets and other keys reduced alone, so their last
+#: bits moved; every k-subset a prefetch fills kept its bits.
 CACHE_DIGESTS = {
-    "lizards": "66fcedf529e1e4a28f1b29dd0692a26f441ffeadb7f5f1044a573635babc02b8",
-    "synth12": "eb202bfd7ae8946ce7491b0ef27e1fa945b3637249b344832bb6e8f9f9528548",
-    "samples9": "62a6282efa9a9df21c5c79eca41739c09433a309f3274869a28a1a1294a485d1",
+    "lizards": "806663b275a7dd469b5797cd80d824db9c84659cf05a5f0d9b53244930b6a9ae",
+    "synth12": "e2fd0049ed6d8bce64e03ad5f24ecd98bf94fe7722c137d01867881702e820e4",
+    "samples9": "88b15a16abf29ec6d3a1651bcbf6c377aba4b6e9af8545a3b61b57ea1c0abd63",
 }
 
 
@@ -359,10 +390,10 @@ def _cache_outputs(table) -> str:
     """SHA-256 over the bytes of every marginal and the ``float.hex`` of
     every H and I that three caches of ``table`` hand out:
 
-    - prefetched at orders 2, 3 and 4 in turn, then asked for a 5-subset
-      and the full key, which no prefetched superset covers;
+    - prefetched at orders 2, 3 and 4 in turn, then asked for a 5-subset,
+      walked alone, and the full key, the joint itself;
     - prefetched at order 4, then asked for ``info_h`` of every 3-subset
-      and for every smaller subset, summed out of supersets;
+      and for every smaller subset, each 2-subset walked alone;
     - filled with a sparse set of subsets of sizes 1 to 4, unprefetched.
     """
     sha = hashlib.sha256()
@@ -421,8 +452,8 @@ def test_prefetch_and_superset_reductions_match_marginalize(d, monkeypatch):
         cache = MarginalCache(t)
         cache.prefetch(k)
         with monkeypatch.context() as m:
-            # Every subset of size <= k must come from the lattice or from a
-            # cached k-superset, never from the joint.
+            # Every subset of size <= k must come from the prefix walk, never
+            # from a reduction of the joint in one call.
             m.setattr(tcherry.distribution, "marginalize", _refuse_full_table)
             got = {s: cache.marginal(s)
                    for r in range(1, k + 1) for s in combinations(t.variables, r)}
@@ -460,7 +491,9 @@ def test_prefetch_partial_sums_stay_below_one_joint_table(k):
 
 def _reference_prefetch(table, k):
     """The k-subset walk ``prefetch`` ran before ``fill`` generalized it:
-    children in index order, one axis summed out between consecutive ones."""
+    children in index order, one axis summed out between consecutive ones.
+    ``prefetch`` now walks the (k−1)-subsets and singles in the same pass,
+    and must leave every k-subset's bits as they are here."""
     d, out = table.d, {}
 
     def walk(prefix, probs, first):
@@ -487,7 +520,9 @@ def test_prefetch_equals_the_reference_walk(d):
         cache = MarginalCache(t)
         cache.prefetch(k)
         want = _reference_prefetch(t, k)
-        assert sorted(cache._marginals) == sorted(want)
+        sizes = {k, k - 1, 1} - {0}
+        assert sorted(cache._marginals) == sorted(
+            key for m in sizes for key in combinations(t.variables, m))
         for key, probs in want.items():
             assert np.array_equal(cache.marginal(key), probs)
 
@@ -550,16 +585,17 @@ def test_fill_partial_sums_stay_below_one_joint_table():
     assert peak - current < t.probs.nbytes
 
 
-def test_derived_marginal_tolerance_scales_with_cells_summed(monkeypatch):
+def test_derived_marginal_tolerance_scales_with_cells_summed():
     drifted = np.array([0.5, 0.5 - 1.5e-12])
     with pytest.raises(DomainError, match="sum"):
         JointTable(make_scheme([2]), drifted)
     # Past MASS_TOL, but within MASS_TOL + cells·eps for a joint of 2^12 cells.
-    monkeypatch.setattr(tcherry.distribution, "marginalize", lambda p, subset: drifted)
     rng = np.random.default_rng(29)
-    assert np.array_equal(MarginalCache(random_table(rng, (2,) * 12)).marginal((1,)), drifted)
+    cache = MarginalCache(random_table(rng, (2,) * 12))
+    cache._add_stack([(1,)], drifted[np.newaxis])
+    assert np.array_equal(cache.marginal((1,)), drifted)
     with pytest.raises(ConsistencyError, match=r"over \(1,\) entries sum to"):
-        MarginalCache(random_table(rng, (2, 2))).marginal((1,))
+        MarginalCache(random_table(rng, (2, 2)))._add_stack([(1,)], drifted[np.newaxis])
 
 
 def test_reduction_drift_on_a_large_table_is_not_an_input_error():

@@ -187,7 +187,7 @@ def test_kl_exact_allocates_less_than_the_joint():
     # d=20 binary: an 8 MiB joint, and blocks of 2^16 cells.
     p, tree = generate_tcherry_distribution(3, 20, 3, 2, 1.0)[:2]
     cache = MarginalCache(p)
-    kl_exact(p, tree, cache)  # reduce every marginal it reads beforehand
+    kl_exact(p, tree, cache)  # fill every marginal it reads beforehand
     tracemalloc.start()
     try:
         kl = kl_exact(p, tree, cache)

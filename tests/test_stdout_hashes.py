@@ -12,7 +12,13 @@ candidate table prefetches, as the other fits do: its w, ω and score
 then equal, to the last bit, its entry in ``--algorithm all``. The six
 ``fit synth10 all`` entries were re-recorded when ``exhaustive`` began to
 refuse by its count of structures, which its skip message gives, and
-not by d.
+not by d. Every JSON entry that prints floats (all but the refusals),
+and the five ``synth10`` k=4 text entries of ``fit`` and
+``report``, were re-recorded when the prefix walk became the only route
+that sums a marginal: (k−1)-subsets and singles were summed out of
+prefetched k-supersets before, so their last bits moved, and on
+``synth10`` at k=4 that broke ties between equal-weight candidates
+another way (``fit --k 4`` returns another tree of equal weight).
 
 ``SAMPLES_EXPECTED`` does the same for samples files, which the reader
 parses on another path: ``fit`` at k=3 (sk and malvestuto, text and
@@ -23,7 +29,9 @@ These hashes were recorded before the samples reader gained its byte
 decoder. The ``fit --k 4`` entries on a binary d=14 file of 20,000 rows
 and on a d=9 file of cardinalities 2 to 4, where the 4-marginals come
 in many shapes, were recorded before the marginal cache stacked its
-marginals and computed entropies per stack.
+marginals and computed entropies per stack. The eight JSON entries
+were re-recorded, for the same reason as above, when the prefix walk
+became the only route that sums a marginal.
 
 ``COMMAND_EXPECTED`` pins the commands that take a tree or write files,
 on the same ``synth10`` bundle: ``check TREE DATA`` and ``score`` (text
@@ -31,7 +39,12 @@ and JSON) give the SHA-256 of stdout, and ``synth`` (text and JSON, run
 with ``--out s10`` in an empty directory, so the paths it prints are
 fixed) that of stdout and of each of the three files it writes. They were
 recorded before the JSON writer stopped inferring row templates from
-lists of dicts.
+lists of dicts. Both ``score`` entries were re-recorded when the
+prefix walk became the only route that sums a marginal: ``score`` then
+filled the tree's clusters and separators in one walk instead of
+reducing each alone from the joint, which moved the last bits of its
+floats (the text's KL residual went from -1.22125e-15 to
+-5.55112e-16).
 
 The JSON outputs carry floats at full precision. They were recorded on
 x86-64 with numpy 2.4; another numpy build may sum in another order and
@@ -69,27 +82,27 @@ EXPECTED = {
     ("fit", "lizards", "all", 4, "text"): (0, "6b92784d19d143b6aabd01d84992e62a225a472d6e1dc12b60cde85f58326c76"),
     ("report", "lizards", "sk", 4, "text"): (0, "46c65132fc6dc9f328554270c42cf162ce30465d1a293ded01091dc0ab69ae96"),
     ("report", "lizards", "malvestuto", 4, "text"): (0, "5b503344db5f56fd6d5518cd47927246030f3a93466279da966321b104c2a5df"),
-    ("fit", "lizards", "sk", 2, "json"): (0, "652a24cb74b623d8fcc8ef7d1f847baed8bfa2906b1f276ad33f1d313f1b3fe8"),
-    ("fit", "lizards", "malvestuto", 2, "json"): (0, "8339a00e526d55a9e4ac2eba4ca51a73635e92746fab553d89f46fdaec1461f1"),
-    ("fit", "lizards", "chow_liu", 2, "json"): (0, "2d98987230392362a4431ef883145a53325becf5511ad7e13cd4f4e21b967ac6"),
-    ("fit", "lizards", "exhaustive", 2, "json"): (0, "00a1906b38829ad118493c1f856a519d585e0e1b96e777d4702193692ba9bab7"),
-    ("fit", "lizards", "all", 2, "json"): (0, "25d0e55f15b3e81a8329de23ca6f3976fc583a6f0c3e48ab8e0339aff3c583f5"),
-    ("report", "lizards", "sk", 2, "json"): (0, "ecee046d65fe3966b77e28b8fcd256bddf0c7513bebc8384395744163817edbe"),
-    ("report", "lizards", "malvestuto", 2, "json"): (0, "f8667163bf453d8f54c56e2a86d975c85d2104eb5f32af02c71d3cb7e7ae9b50"),
-    ("fit", "lizards", "sk", 3, "json"): (0, "dba8adc4b1ac745d6655179c5394bda2fe3baebb3c4516528197f6877d601c31"),
-    ("fit", "lizards", "malvestuto", 3, "json"): (0, "d32cc923a418fc589ae4cb171818f2bc8c3fc4cb35d3efe6a91e9f5de4c441b6"),
+    ("fit", "lizards", "sk", 2, "json"): (0, "a61214cd8cf6ba09248b75eb5fea91e654189fff7d71cba061fdf74b9e114d57"),
+    ("fit", "lizards", "malvestuto", 2, "json"): (0, "f2053f7cffd990774b72d4997f1c004b8d83c6dd85a0b40110e74b3fef42e483"),
+    ("fit", "lizards", "chow_liu", 2, "json"): (0, "dc04d37f330db4eaa44f98049baae2444a1db25a280d2e928942875f61251571"),
+    ("fit", "lizards", "exhaustive", 2, "json"): (0, "c230f81605d587e0fa2e99e0c21a56487f3c248bea95ba711fcb066135d35cb5"),
+    ("fit", "lizards", "all", 2, "json"): (0, "a164f4a3a3825ab3ea322ab35aaf00a0a3085ea16400478f2b6834b0fa4eb1b9"),
+    ("report", "lizards", "sk", 2, "json"): (0, "d88564d1127f6ec272407277ec0a682329a15fc23def130384d20d1b0ff1a93b"),
+    ("report", "lizards", "malvestuto", 2, "json"): (0, "2388528cda9838817e7f271b4944e16e8cfb208821ee526dc9b6453cbbe19b01"),
+    ("fit", "lizards", "sk", 3, "json"): (0, "72acf2b1b40817e59968eb49446eef16242d5b6d4990093ca248eb633f03f5d4"),
+    ("fit", "lizards", "malvestuto", 3, "json"): (0, "414df31c9300c9523657609fb740e93de73755399c093d292bfccb95d0a546b6"),
     ("fit", "lizards", "chow_liu", 3, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "lizards", "exhaustive", 3, "json"): (0, "f025e2b3f153a24463dc21f46773173d296d24efa64fe70994d1da56e5f1b8a8"),
-    ("fit", "lizards", "all", 3, "json"): (0, "74a4403aecd41a5f57384a21af9b2fd4a906fe9426b4d58df5b488d50d53c1f4"),
-    ("report", "lizards", "sk", 3, "json"): (0, "0f4d9821e3c15ea6ec46043ff536b9151e466de3f5152c0d430299dc65d0de16"),
-    ("report", "lizards", "malvestuto", 3, "json"): (0, "6f5a7e4f2f0a0b9415373c41ed857a5acc7e29148e33c0052a442d4d9f61dc07"),
-    ("fit", "lizards", "sk", 4, "json"): (0, "7c43bd3f512fb3df275d4d01bf68da7fc016671481e00c86ebac36413b0404ef"),
-    ("fit", "lizards", "malvestuto", 4, "json"): (0, "8a39eefdb1de148302829a90cb2e675612f43019a3f9027ed48df9d512cc8f83"),
+    ("fit", "lizards", "exhaustive", 3, "json"): (0, "0a4b77070f0561078b0235a6e62bf9c4aeb20d7beaca72d9de9753be359f11cc"),
+    ("fit", "lizards", "all", 3, "json"): (0, "55636fdfceac57b59ce430ca18c05570b4f1ec1c6938066d7b51959ea6b135e0"),
+    ("report", "lizards", "sk", 3, "json"): (0, "f08456ae9473d872b25b1a357e1032bc93a8aab80da7886c2af1376ee76bd8d0"),
+    ("report", "lizards", "malvestuto", 3, "json"): (0, "339acd0e7b2c65ad37ad083aebd1e4af3393da0b1473ebeb22bc1a5d92952992"),
+    ("fit", "lizards", "sk", 4, "json"): (0, "ced19b38a379641fe0d8faaea5eeb2362d03f9665b4e364acdfe3a0a0a6a7c75"),
+    ("fit", "lizards", "malvestuto", 4, "json"): (0, "4c07d05eda8d4944160847050a105de58b5a9ad2b5e67adf3eff79b0d80acf4e"),
     ("fit", "lizards", "chow_liu", 4, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "lizards", "exhaustive", 4, "json"): (0, "bab4cc3d36d6c6891a9b2c1fab1e7729d3b1a917fb7b689f0eae732b0d758c8a"),
-    ("fit", "lizards", "all", 4, "json"): (0, "f99f46de34d196ac7834ca80973cb165d43b7d2294af8b344432b14242ce2df7"),
-    ("report", "lizards", "sk", 4, "json"): (0, "ab0166aa11d1d91daad5a7d7af76bcbfa8b3e06a535d5c9c9ad18f34ab3fe9cd"),
-    ("report", "lizards", "malvestuto", 4, "json"): (0, "ede0c1263a85aa04861b4b7c67fa75e9978ba92dcd2bffc1c02b1779528a10cc"),
+    ("fit", "lizards", "exhaustive", 4, "json"): (0, "508a60f305d08d59d676f31cc58e7cee8ca8c3df2c91e0f44bc04c08c6d0a838"),
+    ("fit", "lizards", "all", 4, "json"): (0, "1d3e0b6916b2b95eebaa0f251d2c1de5e90715925a654c784624839dde718a1e"),
+    ("report", "lizards", "sk", 4, "json"): (0, "6b314f9aa7673c4b8407d0e66bffd2c3b7829aef7027d765cdb7fb69de44c321"),
+    ("report", "lizards", "malvestuto", 4, "json"): (0, "2ec7a73b8882abae502c790fd4f5ee0e0bd7d44d5141cdacd752a4e19f529691"),
     ("fit", "synth10", "sk", 2, "text"): (0, "91b35ebac7e16cc87ae5c1b84629603223ea86b386b250461856967110cc7463"),
     ("fit", "synth10", "malvestuto", 2, "text"): (0, "72fcf8cc0771aa02ef8fae7e7365c3eb6093d925aceece8fc6777c6d1d2deefb"),
     ("fit", "synth10", "chow_liu", 2, "text"): (0, "cda986849489eab437a0fc74406ebfb95bbb049237a30292b06290e1f3afcc77"),
@@ -104,62 +117,62 @@ EXPECTED = {
     ("fit", "synth10", "all", 3, "text"): (0, "ea43c77de7048bf3a2f199ab620f134b20c2debd3592e58125e718d438c83ec2"),
     ("report", "synth10", "sk", 3, "text"): (0, "86d90086cb8a76f2a365aaea8a89b81588b07008d507c32c955e8ad7febca8c7"),
     ("report", "synth10", "malvestuto", 3, "text"): (0, "9b604d72d6a0beb22e79faf0b309f859b00ed03bc86742326c9afbe2b83f57ca"),
-    ("fit", "synth10", "sk", 4, "text"): (0, "be0a558bc66c826fdeed1428a9622221c30c24e7a5ecfbf9b27ac1c85aa9c895"),
-    ("fit", "synth10", "malvestuto", 4, "text"): (0, "aa3fd05d76935134fad5392fea3dfd16a219a4911e22b9a7861be10356cf4a37"),
+    ("fit", "synth10", "sk", 4, "text"): (0, "b0268970781b0d907f7c7c0fb759d3c2e48675c0294b1b7f1514333355623276"),
+    ("fit", "synth10", "malvestuto", 4, "text"): (0, "faedaa40155370f4bfa82efcdebee96af69cab5aae980abb00bd2fe22201c2b2"),
     ("fit", "synth10", "chow_liu", 4, "text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fit", "synth10", "exhaustive", 4, "text"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "synth10", "all", 4, "text"): (0, "2475090c5a70dfe764924724c5dba005e353a8ab2c9b3c7091f4333257940196"),
-    ("report", "synth10", "sk", 4, "text"): (0, "e41aff90358b32ae45f08d8b0bb35d774cd40b8d3eabc090f2bf39e191b21a0d"),
-    ("report", "synth10", "malvestuto", 4, "text"): (0, "84f9695f833f5e7995f9e2054107172b85dd7a8604fe30f29b726c437a207915"),
-    ("fit", "synth10", "sk", 2, "json"): (0, "262ffce4ec6426bdc1a711ab28458560b9f9234865d164b0661b930706487d2f"),
-    ("fit", "synth10", "malvestuto", 2, "json"): (0, "b15d453e89fe12ad1276884f0835dd207fda423cd909126ca1c8b714d444f4e2"),
-    ("fit", "synth10", "chow_liu", 2, "json"): (0, "888f51f451126a2a97ccf6c4a7b012b93112444796d569db94242716071d38b2"),
+    ("fit", "synth10", "all", 4, "text"): (0, "6e38f95ec3c8e423dfe5bf8f4773faf7f78420f3c243d01b65bd3dc8d465247b"),
+    ("report", "synth10", "sk", 4, "text"): (0, "267e76ade3ce3048fad469321e4c895a8d3c2f38a5799d150071d02b65c67c9f"),
+    ("report", "synth10", "malvestuto", 4, "text"): (0, "b1d466d8c4f6cae4a1c7943736048ec4b727f19ac82c1e8a7cfb4173aceb00df"),
+    ("fit", "synth10", "sk", 2, "json"): (0, "308aa3e6bb4bb0e3d29cce451d6a0495f1483247c25854c32c923c7e6b53783c"),
+    ("fit", "synth10", "malvestuto", 2, "json"): (0, "9e49d0e6f8bfb04f2b3225d2729508ec7e627b3997dfde9b291b5bedc4f660f1"),
+    ("fit", "synth10", "chow_liu", 2, "json"): (0, "c52c3a6efbdb415839ad3c65139af424484ca001067409ebd500e08b4c84c14b"),
     ("fit", "synth10", "exhaustive", 2, "json"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "synth10", "all", 2, "json"): (0, "beb5fc1cac369790b0274f0048dcdaabd3ad9252eea12c39f3d28eb4f58bc310"),
-    ("report", "synth10", "sk", 2, "json"): (0, "e0597b498a1a41b786edc0c3cf4d35e929c76abc802154f68ee2e0f1c9e1a257"),
-    ("report", "synth10", "malvestuto", 2, "json"): (0, "6d41cf2c26010df5e19444045ef3d439386b9f77f6298646aedfa62645ea5a77"),
-    ("fit", "synth10", "sk", 3, "json"): (0, "258dc0085ab971a5cb8c3ec82453f8766d1bdf06d824738be068fc365f1e40e8"),
-    ("fit", "synth10", "malvestuto", 3, "json"): (0, "0ae45957182a2d515f95f06e1d7e7207077d7f26a4f730245e3911801cd07723"),
+    ("fit", "synth10", "all", 2, "json"): (0, "d74a224f283727ef46ecc992c7fe1cf79f0605d7a0484dd8bcfded9477c6adaf"),
+    ("report", "synth10", "sk", 2, "json"): (0, "08df67e41b94024d5cce2c672413a669c93ec4cbb060b6c27a97677cbaabf5fb"),
+    ("report", "synth10", "malvestuto", 2, "json"): (0, "653cd0079d96c7bd73b7d7bfa04a1c30f84c62c11bfb67661931479cb655c6a5"),
+    ("fit", "synth10", "sk", 3, "json"): (0, "60ecf7eca1f43e9a456579df4129ccdc2c3bc349850d3ee623e7047ab1534ff3"),
+    ("fit", "synth10", "malvestuto", 3, "json"): (0, "aed07387ab01efa4fe836b5ca37211065fa19b51beb47a11f38061f92c303184"),
     ("fit", "synth10", "chow_liu", 3, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fit", "synth10", "exhaustive", 3, "json"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "synth10", "all", 3, "json"): (0, "a3c444fce69bac916546da2ebb696801dba85fba8e290acd5565d8f6c9f91d45"),
-    ("report", "synth10", "sk", 3, "json"): (0, "fb4bf51f0991b385ff2ad3ebe84b510279e190d9f250c71c2197859894a0b5d4"),
-    ("report", "synth10", "malvestuto", 3, "json"): (0, "d95bab7db0891bb004c23edc4e6246c2891e57ffaff5bd802536c065aab5719a"),
-    ("fit", "synth10", "sk", 4, "json"): (0, "99f14c9ab97da246c93cdbc7d1f2e88bbf01f415f6b7aa68aae82bbf3c7f56c6"),
-    ("fit", "synth10", "malvestuto", 4, "json"): (0, "cb91c7f605dee0730427701c25460ce2701f71f09c27842ce69e6c3d81e51dd1"),
+    ("fit", "synth10", "all", 3, "json"): (0, "d668a6982883e627a093e44e17bdee43531d12c0ecfd4837b8f80e2574b751bb"),
+    ("report", "synth10", "sk", 3, "json"): (0, "b25af34ef6af2c9ad30384f5bd7dd50fca77d946195ecc2bcef75f1287a743d2"),
+    ("report", "synth10", "malvestuto", 3, "json"): (0, "f718a3cabb171b5e2fb0a51e2c40d1758f33fb66ad61cd7044522e0c8d336814"),
+    ("fit", "synth10", "sk", 4, "json"): (0, "47f1cdbe0631586fc836a47ea49f480238977666289d3c9a62c9c4062f91056b"),
+    ("fit", "synth10", "malvestuto", 4, "json"): (0, "ecd6d19f1e1433139e7d5ef2c159e36ebcf13314c278dc3f58c1dc592cb77c96"),
     ("fit", "synth10", "chow_liu", 4, "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fit", "synth10", "exhaustive", 4, "json"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("fit", "synth10", "all", 4, "json"): (0, "ee0f92b1e0687aad4a5eaa36ce6663c311ee95f8b7677c1c6d9a2bd92d6de09f"),
-    ("report", "synth10", "sk", 4, "json"): (0, "290d7e9eb1ccdd92f93ad42e2dc90d7770479cb8bf2afd6435da2668e8f792b7"),
-    ("report", "synth10", "malvestuto", 4, "json"): (0, "fa970f0d9489391fcd25201b4be87e0ccbc463ec36a19edb3947cbc9ee01b40b"),
+    ("fit", "synth10", "all", 4, "json"): (0, "d5ae5b244d1f2a0665662f978e00cb165d2a15f3d98e7e1089ea3e916d51fbe9"),
+    ("report", "synth10", "sk", 4, "json"): (0, "a14fc92a143b8e5f4370c265245e9563ba141462d1398c5d0041fa920b51ff44"),
+    ("report", "synth10", "malvestuto", 4, "json"): (0, "5fd93837ecaa5365de81617cdfbf6464e88fd4f81fb7702327dd753c576b3691"),
 }
 
 
 SAMPLES_EXPECTED = {
     ("fit", "binary10", "sk", 3, "text"): (0, "90e8388b085c3057727a124e7bf2aad3ed33f536025c26b7e1aafe949b2fb934"),
     ("fit", "binary10", "malvestuto", 3, "text"): (0, "bc9dea5f70b01ce7eeb6c0c13f8bc92f9460a6e763a8de16e656c25d628ab7c3"),
-    ("fit", "binary10", "sk", 3, "json"): (0, "91947e6fda2326236ed765a70ed222880156a5042273a7c9b940f01d446e2a9c"),
-    ("fit", "binary10", "malvestuto", 3, "json"): (0, "a6c30d741047e48e847384b0b9de1154114248003a15b4b9bb0c4fd97d31e85d"),
+    ("fit", "binary10", "sk", 3, "json"): (0, "c7600ed727cc815f7d490a69d0d48abd872ccfde5f75de305672f83e6e4de840"),
+    ("fit", "binary10", "malvestuto", 3, "json"): (0, "6e53e150f1df285ef0fec5b6ef53061be08b6c884225debd16dec45bcea32b5f"),
     ("fit", "card12", "sk", 3, "text"): (0, "7c306c81efdbe1cdad142e49ac3e717cdbd5a406f9d6ccdcfa2ee115c8c002ad"),
     ("fit", "card12", "malvestuto", 3, "text"): (0, "12c758a73fd5fc38ceb2134c4e625c0c2b227a80d9716ff74ff872089f51a797"),
-    ("fit", "card12", "sk", 3, "json"): (0, "2715e3bf64c33d53a53d2102bfb7564459982609abecfe184d17106e10cb14a3"),
-    ("fit", "card12", "malvestuto", 3, "json"): (0, "61e1a039a0f31d5f7edeee81338a74a4f882090be435718c9cd02546a374bb9b"),
+    ("fit", "card12", "sk", 3, "json"): (0, "6de05e4ced2af2ca643a5826b73cf89291cdc587a969ef44ae06a77ba7bd12e1"),
+    ("fit", "card12", "malvestuto", 3, "json"): (0, "688038050e1c62368aae39204df9dc8a60487a77d740b391c5f9f6e2b34cb6c3"),
     ("fit", "binary14", "sk", 4, "text"): (0, "12519e60c1be58a40578be01118cfba6ec996d5398b794d01c58706ce49c4b98"),
     ("fit", "binary14", "malvestuto", 4, "text"): (0, "bb8e8d70aaac43f33948c2dda55ac536ebf4fef8eb4345f0416668cb3248db8c"),
-    ("fit", "binary14", "sk", 4, "json"): (0, "db70fb347998fdcd0879100d4fe1b5b9d188121efe555fe5206ab8b19b894b1c"),
-    ("fit", "binary14", "malvestuto", 4, "json"): (0, "d10ab82f061be877079574930ed8ed5d4150b054aa400209340db43c3bd4fbfe"),
+    ("fit", "binary14", "sk", 4, "json"): (0, "a0de96fd43931b0a29276387d2f1f4a0dfe3eec7550a49794651aa6e62f09471"),
+    ("fit", "binary14", "malvestuto", 4, "json"): (0, "b8aaff30c5e0a578e5984ecff5095c6e4314556515da382d6b8660eabe663ded"),
     ("fit", "card9", "sk", 4, "text"): (0, "55c5c8ab6a9f65ecb9ae7a85782e0653d5e14cb12538278b812ce5ae40e3e03f"),
     ("fit", "card9", "malvestuto", 4, "text"): (0, "66c5a7604f56198a980800470d2b1e03be68cc13b9216906782f07324e6aa232"),
-    ("fit", "card9", "sk", 4, "json"): (0, "6b0a0f4d86f041c781febd1ac1d87f2dfed4352a03f2963152e150ca9de8c67b"),
-    ("fit", "card9", "malvestuto", 4, "json"): (0, "db609074dd90a2a711e7f7b740296573d41c4075a7648b6b118e3c353e29a502"),
+    ("fit", "card9", "sk", 4, "json"): (0, "502294f40eb2f162d9c10292dc2dc024b16e8f9c37e82ea6590741fc6678aa1b"),
+    ("fit", "card9", "malvestuto", 4, "json"): (0, "626171a6ec47f51f37a0e64c8a43fb57ffb0885d862af9790edcc0ec7a3d9fb3"),
 }
 
 
 COMMAND_EXPECTED = {
     ("check", "text"): (0, "69312f04e5716c5a2e7c94275dec8bf8f7d3cf6222de915aafaa74d4c4805890"),
     ("check", "json"): (0, "d7bb44f28dda6b847c7e31fb1ed0b107ffd1f2776675fe6993bf790423119d81"),
-    ("score", "text"): (0, "d7d76dda0095686b19b5f7747878308eeb25bc4a38f64839b1a35f99f263e1c2"),
-    ("score", "json"): (0, "b48ed5c638af055531b686b24c82e90929bd1643eefa2715597a1acd44943cf1"),
+    ("score", "text"): (0, "58e54c2829ca8ca88fc23bc5fed182e02ad6702fa881e3245a2591b3cca2ef36"),
+    ("score", "json"): (0, "afcedb62adebc8e9941e0a8d9ef791b34348d4b87f98ecee92192c9e7a36a30c"),
 }
 
 _SYNTH_FILES = {
