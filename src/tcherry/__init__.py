@@ -1,5 +1,14 @@
 """Learn, score and check k-th order t-cherry junction tree approximations."""
 
+import os
+import sys
+
+# No tcherry code calls BLAS, and OpenBLAS's idle threads spin on the cores
+# the counts codec's threads run on. Set before numpy's first import only,
+# and only where the user has not chosen.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distribution import (
     DEFAULT_CELL_CAP,
     JointTable,

@@ -20,6 +20,8 @@ import csv
 import functools
 import json
 import math
+import os
+import threading
 from contextlib import contextmanager
 from io import TextIOWrapper
 from itertools import islice, product
@@ -34,11 +36,19 @@ from .errors import DataFormatError
 #: Lines parsed per array chunk.
 _CHUNK_LINES = 65_536
 
-#: Cells formatted per write chunk, few enough that its arrays stay in cache.
+#: Cells formatted per part of a write chunk, few enough that its arrays
+#: stay in cache.
 _WRITE_CELLS = 8_192
 
-#: Bytes per chunk the byte decoders read, rounded down to whole sample rows.
-_CHUNK_BYTES = 1 << 20
+#: Parts a counts-codec chunk is split into, run at once on threads: one
+#: per CPU this process may run on.
+_PARTS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+
+#: Bytes per chunk the byte decoders read, rounded down to whole sample
+#: rows: 1 MiB per part of a counts chunk, few enough that a part's arrays
+#: stay in cache.
+_CHUNK_BYTES = _PARTS << 20
 
 #: States are parsed as int32.
 _MAX_STATE = int(np.iinfo(np.int32).max)
@@ -151,12 +161,55 @@ def _decode_digits(chunk, d):
     return _digit_codes(np.frombuffer(chunk, dtype="<u2").reshape(-1, d), "\n")
 
 
+def _in_parts(fn, parts):
+    """``[fn(*args) for args in parts]``, the first part in this thread and
+    each other on a thread of its own; an exception a part raises is
+    raised here once every part has ended."""
+    results, errors = [None] * len(parts), []
+
+    def run(i):
+        try:
+            results[i] = fn(*parts[i])
+        except BaseException as exc:  # raised again below, in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _decode_counts(chunk, d):
     """The codes and counts of ``chunk`` up to its last '\\n', when each row
     there is d digits 1-9 each followed by ',', then a count of the bytes
     ``0-9.eE+-`` that reads whole as one finite non-negative float, then
-    '\\n'; else None."""
+    '\\n'; else None.
+
+    The rows are split at line ends into up to ``_PARTS`` parts, decoded
+    at once; the chunk is refused if any part is."""
+    stop = chunk.rfind(b"\n") + 1
+    cuts = sorted({0, stop, *(chunk.rfind(b"\n", 0, stop * i // _PARTS) + 1
+                              for i in range(1, _PARTS))})
     buf = np.frombuffer(chunk, dtype=np.uint8)
+    if len(cuts) < 3:
+        return _decode_count_rows(buf, d)
+    # The tables the parts share are built here, not by two parts at once.
+    _decoding_tables()
+    _powers()
+    got = _in_parts(_decode_count_rows, [(buf[i:j], d) for i, j in zip(cuts, cuts[1:])])
+    if any(part is None for part in got):
+        return None
+    codes, counts = zip(*got)
+    return np.concatenate(codes), np.concatenate(counts)
+
+
+def _decode_count_rows(buf, d):
+    """``_decode_counts`` of the uint8 array ``buf``, in this thread."""
     ends = np.flatnonzero(buf == ord("\n"))
     widths = np.diff(ends, prepend=-1) - 1 - 2 * d
     if not len(ends) or widths.min() < 1:
@@ -798,31 +851,44 @@ def write_counts_csv(path, table: JointTable):
     positive cell is ever written as 0.
     """
     probs, n = table.probs.reshape(-1), table.total_count
-    (head, head_keep), (tail, tail_keep) = _label_bytes(table.cardinalities)
+    labels = _label_bytes(table.cardinalities)
+    # The tables the parts share are built here, not by two parts at once.
+    _spelling_tables()
+    _powers()
     with open(path, "wb") as f:
         f.write(",".join(f"x{i + 1}" for i in range(table.d)).encode() + b",count\n")
         nonzero = np.flatnonzero(probs)
-        for start in range(0, len(nonzero), _WRITE_CELLS):
-            pos = nonzero[start:start + _WRITE_CELLS]
-            counts = probs[pos] if n is None else probs[pos] * n
-            whole = np.round(counts)
-            integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)
-            text, text_keep, fast = _spell_floats(counts)
-            # Integral counts, and what the kernel leaves, are spelled by Python.
-            slow = np.flatnonzero(integral | ~fast)
-            text_keep[slow] = False
-            words, words_keep = _byte_rows([
-                str(int(w)).encode() if i else repr(c).encode()
-                for i, w, c in zip(integral[slow].tolist(), whole[slow].tolist(),
-                                   counts[slow].tolist())])
-            spare = np.zeros((len(pos), words.shape[1]), dtype=np.uint8)
-            spare_keep = np.zeros(spare.shape, dtype=bool)
-            spare[slow], spare_keep[slow] = words, words_keep
-            h, t = np.divmod(pos, len(tail))
-            body = np.concatenate([np.take(head, h, axis=0), np.take(tail, t, axis=0), text,
-                                   spare, np.full((len(pos), 1), ord("\n"), dtype=np.uint8)],
-                                  axis=1)
-            keep = np.concatenate([np.take(head_keep, h, axis=0), np.take(tail_keep, t, axis=0),
-                                   text_keep, spare_keep, np.ones((len(pos), 1), dtype=bool)],
-                                  axis=1)
-            f.write(body.ravel()[keep.ravel()].tobytes())
+        cells = [nonzero[i:i + _WRITE_CELLS] for i in range(0, len(nonzero), _WRITE_CELLS)]
+        for k in range(0, len(cells), _PARTS):
+            parts = [(probs, n, labels, pos) for pos in cells[k:k + _PARTS]]
+            for text in _in_parts(_encode_cells, parts):
+                f.write(text)
+
+
+def _encode_cells(probs, n, labels, pos):
+    """The counts CSV rows, as bytes, of the cells at ``pos`` of the flat
+    ``probs`` of a table with total count ``n`` (or None) and
+    ``_label_bytes`` ``labels``."""
+    (head, head_keep), (tail, tail_keep) = labels
+    counts = probs[pos] if n is None else probs[pos] * n
+    whole = np.round(counts)
+    integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)
+    text, text_keep, fast = _spell_floats(counts)
+    # Integral counts, and what the kernel leaves, are spelled by Python.
+    slow = np.flatnonzero(integral | ~fast)
+    text_keep[slow] = False
+    words, words_keep = _byte_rows([
+        str(int(w)).encode() if i else repr(c).encode()
+        for i, w, c in zip(integral[slow].tolist(), whole[slow].tolist(),
+                           counts[slow].tolist())])
+    spare = np.zeros((len(pos), words.shape[1]), dtype=np.uint8)
+    spare_keep = np.zeros(spare.shape, dtype=bool)
+    spare[slow], spare_keep[slow] = words, words_keep
+    h, t = np.divmod(pos, len(tail))
+    body = np.concatenate([np.take(head, h, axis=0), np.take(tail, t, axis=0), text,
+                           spare, np.full((len(pos), 1), ord("\n"), dtype=np.uint8)],
+                          axis=1)
+    keep = np.concatenate([np.take(head_keep, h, axis=0), np.take(tail_keep, t, axis=0),
+                           text_keep, spare_keep, np.ones((len(pos), 1), dtype=bool)],
+                          axis=1)
+    return body.ravel()[keep.ravel()].tobytes()

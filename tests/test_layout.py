@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "tcherry"
 
 
@@ -168,3 +170,50 @@ def test_every_definition_is_referenced():
                 defined.append((node.name, f"{path.name}:{node.lineno}"))
     assert defined
     assert [where for name, where in defined if name not in named] == []
+
+
+#: Names that start threads or worker processes.
+THREAD_STARTERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "ThreadPool",
+                   "concurrent.futures", "multiprocessing", "_thread"}
+
+
+def test_threads_start_only_in_the_codec_part_runner():
+    # One helper runs the counts codec's parts; a second threading path in
+    # the package would have to repeat its ordering and error handling.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        runner = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_in_parts"
+                  for node in ast.walk(fn)} if path.name == "io.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None), *(a.name for a in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in THREAD_STARTERS and id(node) not in runner]
+    assert SRC.is_dir() and not found
+
+
+@pytest.mark.parametrize("case", ["unset", "chosen", "numpy first"])
+def test_import_runs_blas_on_one_thread_unless_chosen(case):
+    # OpenBLAS's threads spin on the cores the codec's parts run on, and no
+    # tcherry code calls BLAS.
+    code = ("import os\n"
+            + ("import numpy\n" if case == "numpy first" else "")
+            + "before = dict(os.environ)\n"
+            "import tcherry\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before)")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    if case == "chosen":
+        env["OPENBLAS_NUM_THREADS"] = "2"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == {"unset": ["1", "False"], "chosen": ["2", "True"],
+                                   "numpy first": ["None", "True"]}[case]
