@@ -32,7 +32,6 @@ from .errors import (CapacityError, ConsistencyError, DataFormatError, DomainErr
 from .io import load_table, write_counts_csv
 from .junction_tree import (
     Hypergraph,
-    TCherryJunctionTree,
     first_rip_violation,
     graham_reduce,
     parse_tree_document,
@@ -325,9 +324,9 @@ def _table_rows(table: CandidateTable, weight, measure, n: int | None = None) ->
 
 
 def _sk_rows(fr: FitResult, cache: MarginalCache) -> list[list]:
-    """Decreasing-w candidate rows, cut after the last accepted growth row."""
+    """Decreasing-w candidate rows, cut after the last row growth accepts."""
     table = fr.candidate_table
-    last = max((table.index(s.cluster, s.separator) for s in fr.trace[1:]), default=0)
+    last = max((row for row, _ in table.growth(fr.tree.parent)), default=0)
     return _table_rows(table, table.w, cache.info, last + 1)
 
 
@@ -335,10 +334,8 @@ def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[list]:
     """Each growth step's admissible block in increasing omega: the rows the
     tree of the first j clusters admits, for j = 1, 2, ..."""
     rows = [[] for _ in range(5)]
-    t = fr.tree
-    for j in range(1, len(t.clusters)):
-        block = fr.candidate_table.admissible(
-            TCherryJunctionTree(t.k, t.clusters[:j], t.links[:j - 1]))
+    for _, admitted in fr.candidate_table.growth(fr.tree.parent):
+        block = fr.candidate_table.take(admitted)
         for column, part in zip(rows, _table_rows(block, block.omega, cache.h)):
             column += part
     return rows

@@ -41,14 +41,16 @@ _CHUNK_LINES = 65_536
 _WRITE_CELLS = 8_192
 
 #: Parts a counts-codec chunk is split into, run at once on threads: one
-#: per CPU this process may run on.
-_PARTS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
+#: per CPU this process may run on, at most 2, the only count measured.
+_PARTS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1, 2)
 
 #: Bytes per chunk the byte decoders read, rounded down to whole sample
-#: rows: 1 MiB per part of a counts chunk, few enough that a part's arrays
-#: stay in cache.
-_CHUNK_BYTES = _PARTS << 20
+#: rows. Both are constants, so a load's memory does not depend on the
+#: host: a counts chunk is split into ``_PARTS`` parts, and the samples
+#: decoder reads its chunks whole, in this thread.
+_COUNTS_CHUNK_BYTES = 2 << 20
+_SAMPLES_CHUNK_BYTES = 1 << 20
 
 #: States are parsed as int32.
 _MAX_STATE = int(np.iinfo(np.int32).max)
@@ -449,7 +451,8 @@ def _read_digits(f, has_count):
         f.seek(0)
         return 0, has_count, [], []
     decode = _decode_counts if has_count else _decode_digits
-    size = max(_CHUNK_BYTES // (2 * d), 1) * 2 * d
+    size = max((_COUNTS_CHUNK_BYTES if has_count else _SAMPLES_CHUNK_BYTES)
+               // (2 * d), 1) * 2 * d
     codes, counts = [], []
     while (chunk := f.read(size)) and (got := decode(chunk, d)) is not None:
         if has_count:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
@@ -61,8 +60,8 @@ class CandidateTable:
     ``clusters[cluster_rank[i]]`` across the rest of that cluster, the
     (k−1)-subset of rank ``base_rank[i]``. Ranks are lexicographic, the
     order ``combinations`` yields, so they order exactly as the tuples
-    do. ``by_w``, ``by_omega`` and ``admissible`` give their rows as
-    another table.
+    do. ``by_w``, ``by_omega`` and ``take`` give their rows as another
+    table.
     """
 
     __slots__ = ("d", "clusters", "members", "cluster_rank", "pos", "base_rank", "w", "omega")
@@ -75,7 +74,8 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.w)
 
-    def _take(self, rows) -> CandidateTable:
+    def take(self, rows) -> CandidateTable:
+        """The table of ``rows``: positions, or a mask over the rows."""
         return CandidateTable(self.d, self.clusters, self.members, self.cluster_rank[rows],
                               self.pos[rows], self.base_rank[rows], self.w[rows],
                               self.omega[rows])
@@ -83,7 +83,7 @@ class CandidateTable:
     def _ranked(self, primary) -> CandidateTable:
         # A base is lexicographically smaller the later its cluster drops a
         # vertex, so (cluster, -pos) orders ties as (cluster, base) does.
-        return self._take(np.lexsort((-self.pos, self.cluster_rank, primary)))
+        return self.take(np.lexsort((-self.pos, self.cluster_rank, primary)))
 
     def by_w(self) -> CandidateTable:
         """Decreasing w; ties by cluster, then base."""
@@ -102,22 +102,26 @@ class CandidateTable:
         keep = np.arange(k) != self.pos[:, None]
         return self.members[self.cluster_rank][keep].reshape(len(self), k - 1)
 
-    def index(self, cluster: IndexSet, base: IndexSet) -> int:
-        """Position of the candidate that attaches ``cluster`` across ``base``."""
-        (vertex,) = set(cluster) - set(base)
-        rank = _lex_ranks(np.array([cluster]), self.d)[0]
-        return int(np.flatnonzero((self.cluster_rank == rank)
-                                  & (self.pos == cluster.index(vertex)))[0])
-
-    def admissible(self, tree: TCherryJunctionTree) -> CandidateTable:
-        """The rows ``tree`` admits, in this table's order: the new vertex is
-        uncovered and the base is a (k−1)-subset of some cluster."""
+    def growth(self, parent: IndexSet):
+        """Grow from ``parent`` until every variable is covered: for each of
+        the d − k steps, yield the row accepted and the mask of the rows
+        admitted, those whose new vertex is uncovered and whose base is a
+        (k−1)-subset of a cluster built. The row accepted is the mask's
+        first, O(C) per step for C rows."""
+        k = len(parent)
         covered = np.zeros(self.d + 1, dtype=bool)
-        covered[list(tree.vertices)] = True
-        eligible = np.zeros(math.comb(self.d, tree.k - 1), dtype=bool)
-        eligible[_lex_ranks(np.array(list(eligible_separators(tree))), self.d)] = True
-        return self._take(np.flatnonzero(~covered[self.new_vertices()]
-                                         & eligible[self.base_rank]))
+        covered[list(parent)] = True
+        eligible = np.zeros(math.comb(self.d, k - 1), dtype=bool)
+        vertices, cluster = self.new_vertices(), parent
+        for _ in range(self.d - k):
+            eligible[_lex_ranks(np.array(list(combinations(cluster, k - 1))), self.d)] = True
+            admitted = ~covered[vertices] & eligible[self.base_rank]
+            row = int(admitted.argmax())
+            if not admitted[row]:
+                raise ConsistencyError("no admissible candidate although vertices remain")
+            yield row, admitted
+            covered[vertices[row]] = True
+            cluster = self.members[self.cluster_rank[row]].tolist()
 
 
 @dataclass(frozen=True)
@@ -174,42 +178,11 @@ def find_parent_cluster(p: JointTable, k: int,
     return order.clusters[order.cluster_rank[0]]
 
 
-def _grow(p, table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSet]]:
-    """The (vertex, base) steps that grow from ``parent`` by accepting, until
-    every variable is covered, the first admissible candidate in ``table``'s
-    order.
-
-    A heap holds the positions of the candidates whose base lies in some
-    cluster; a base's candidates enter once, when a new cluster makes it
-    eligible. A covered vertex stays covered, so after popping those the
-    top of the heap is the first admissible candidate: O(C log C) in all
-    for C candidates.
-    """
-    k = len(parent)
-    by_base = np.argsort(table.base_rank, kind="stable").reshape(-1, p.d - k + 1).tolist()
-    bases_of = np.empty(table.members.shape, dtype=np.int64)
-    bases_of[table.cluster_rank, table.pos] = table.base_rank
-    vertices, bases = table.new_vertices().tolist(), table.bases()
-    eligible, heap, covered, steps = set(), [], set(parent), []
-
-    def open_bases(cluster_rank):
-        for b in bases_of[cluster_rank].tolist():
-            if b not in eligible:
-                eligible.add(b)
-                for i in by_base[b]:
-                    heappush(heap, i)
-
-    open_bases(_lex_ranks(np.array([parent]), p.d)[0])
-    while len(covered) < p.d:
-        if not heap:
-            raise ConsistencyError("no admissible candidate although vertices remain")
-        i = heappop(heap)
-        if vertices[i] in covered:
-            continue
-        covered.add(vertices[i])
-        steps.append((vertices[i], tuple(bases[i].tolist())))
-        open_bases(table.cluster_rank[i])
-    return steps
+def _grow(table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSet]]:
+    """The (vertex, base) steps of ``table.growth(parent)``."""
+    vertices, bases = table.new_vertices(), table.bases()
+    return [(int(vertices[row]), tuple(bases[row].tolist()))
+            for row, _ in table.growth(parent)]
 
 
 def _fit(algorithm: str, p: JointTable, cache: MarginalCache, table: CandidateTable,
@@ -250,7 +223,7 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_w()
     parent = order.clusters[order.cluster_rank[0]]
-    return _fit("sk", p, cache, order, parent, _grow(p, order, parent))
+    return _fit("sk", p, cache, order, parent, _grow(order, parent))
 
 
 def fit_malvestuto(p: JointTable, k: int,
@@ -260,7 +233,7 @@ def fit_malvestuto(p: JointTable, k: int,
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_omega()
     parent = min(combinations(p.variables, k), key=lambda c: (cache.h(c), c))
-    return _fit("malvestuto", p, cache, order, parent, _grow(p, order, parent))
+    return _fit("malvestuto", p, cache, order, parent, _grow(order, parent))
 
 
 def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult:

@@ -1,4 +1,4 @@
-"""The columnar candidate table: its order, the heap growth and its subtables.
+"""The columnar candidate table: its order, its growth and its subtables.
 
 The references are the tuple-key sort and the scan growth the table
 replaced: sort every row (``conftest.candidate_rows``) by
@@ -6,6 +6,7 @@ replaced: sort every row (``conftest.candidate_rows``) by
 step by step, the first candidate in that order the tree admits.
 """
 
+from contextlib import nullcontext
 from itertools import combinations
 
 import numpy as np
@@ -114,25 +115,48 @@ def test_exhaustive_table_is_the_sk_order():
         candidate_rows(enumerate_candidates(t, 3, cache)), key=sk_key)
 
 
-def test_index_and_admissible_match_a_scan():
+def scan_masks(table, parent):
+    """Reference masks of ``table.growth(parent)``: at each step the rows
+    ``tree.admits``, accepting the first, until the tree covers every
+    variable or no row is admitted."""
+    cands = candidate_rows(table)
+    tree, masks = new_parent(len(parent), parent), []
+    while len(tree.vertices) < table.d:
+        masks.append([tree.admits(c.new_vertex, c.base) for c in cands])
+        if not any(masks[-1]):
+            break
+        c = cands[masks[-1].index(True)]
+        tree = add_hypercherry(tree, c.new_vertex, c.base)
+    return masks
+
+
+def test_growth_masks_match_a_scan():
     rng = np.random.default_rng(29)
     t = random_table(rng, (2, 3, 2, 2, 3, 2, 2))
-    for k in (2, 3, 4):
-        table = fit_malvestuto(t, k).candidate_table
-        cands = candidate_rows(table)
-        assert table.bases().tolist() == [list(c.base) for c in cands]
-        assert table.new_vertices().tolist() == [c.new_vertex for c in cands]
-        for i in (0, len(cands) // 2, len(cands) - 1):
-            assert table.index(cands[i].cluster, cands[i].base) == i
-        for _ in range(4):
-            tree = new_parent(k, random_tree(rng, 7, k).parent)
-            while True:
-                want = [c for c in cands if tree.admits(c.new_vertex, c.base)]
-                assert candidate_rows(table.admissible(tree)) == want
-                if not want:
-                    break
-                c = want[int(rng.integers(len(want)))]
-                tree = add_hypercherry(tree, c.new_vertex, c.base)
+    stuck = 0
+    for k in (2, 3, 4, 7):
+        full = fit_malvestuto(t, k).candidate_table
+        cands = candidate_rows(full)
+        assert full.bases().tolist() == [list(c.base) for c in cands]
+        assert full.new_vertices().tolist() == [c.new_vertex for c in cands]
+        n = len(full)
+        # Shuffled orders, and tables thinned to a half and a quarter of
+        # their rows, where growth may find no admissible row.
+        for rows in (rng.permutation(n), rng.permutation(n),
+                     np.sort(rng.permutation(n)[:n // 2]), rng.permutation(n)[:n // 4]):
+            table = full.take(rows)
+            for _ in range(3):
+                parent = random_tree(rng, 7, k).parent
+                want = scan_masks(table, parent)
+                ends_stuck = bool(want) and not any(want[-1])
+                stuck += ends_stuck
+                got = []
+                with pytest.raises(ConsistencyError) if ends_stuck else nullcontext():
+                    for row, admitted in table.growth(parent):
+                        assert row == np.flatnonzero(admitted)[0]
+                        got.append(admitted.tolist())
+                assert got == want[:len(want) - ends_stuck]
+    assert stuck
 
 
 def test_lex_ranks_follow_combinations():

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import tcherry.cli
-from conftest import candidate_dicts, expand_tables
-from tcherry import (ConsistencyError, add_hypercherry, fit_chow_liu, fit_exhaustive,
-                     fit_malvestuto, fit_sk, generate_tcherry_distribution, new_parent,
-                     tree_to_json)
+from conftest import candidate_dicts, candidate_rows, expand_tables
+from tcherry import (ConsistencyError, MarginalCache, TCherryJunctionTree, add_hypercherry,
+                     fit_chow_liu, fit_exhaustive, fit_malvestuto, fit_sk,
+                     generate_tcherry_distribution, new_parent, tree_to_json)
 from tcherry.cli import main
 from tcherry.io import load_table
 
@@ -367,6 +367,40 @@ def test_report_json_rows(capsys):
     assert doc["rows"][0]["cluster"] == [1, 3, 4, 5]
     assert doc["rows"][0]["values"][2] == pytest.approx(0.083680, abs=1e-6)
     assert doc["accepted"] == "parent 1 3 4 5; add 2 via 1 4 5"
+
+
+@pytest.mark.parametrize("algorithm", ["sk", "malvestuto"])
+@pytest.mark.parametrize("data, k", [
+    ("synth10", 3),
+    # Above the order the table was drawn at, and at d = k.
+    ("synth10", 4),
+    ("d3", 3),
+])
+def test_report_rows_match_a_scan_of_the_fitted_tree(capsys, monkeypatch, synth10, synth3_13,
+                                                    algorithm, data, k):
+    path = f"{synth10}.csv" if data == "synth10" else synth3_13[data]
+    code, _, docs = emitted(capsys, monkeypatch, [
+        "report", "--k", str(k), "--algorithm", algorithm, "--format", "json", path])
+    assert code == 0
+    p = load_table(path)
+    cache = MarginalCache(p)
+    fr = (fit_sk if algorithm == "sk" else fit_malvestuto)(p, k, cache)
+    cands = candidate_rows(fr.candidate_table)
+    if algorithm == "sk":
+        # The by-w table, cut at the last row growth accepted.
+        keys = [(c.cluster, c.base) for c in cands]
+        last = max((keys.index((s.cluster, s.separator)) for s in fr.trace[1:]), default=0)
+        want = [(c, cache.info, c.w) for c in cands[:last + 1]]
+    else:
+        # Step j's block: the rows the tree of the first j clusters admits.
+        t, want = fr.tree, []
+        for j in range(1, len(t.clusters)):
+            tree = TCherryJunctionTree(k, t.clusters[:j], t.links[:j - 1])
+            want += [(c, cache.h, c.omega) for c in cands if tree.admits(c.new_vertex, c.base)]
+    rows = expand_tables(docs[0])["rows"][algorithm == "malvestuto":]
+    assert rows == [{"cluster": list(c.cluster), "separator": list(c.base),
+                     "values": [measure(c.cluster), measure(c.base), weight]}
+                    for c, measure, weight in want]
 
 
 # -- check ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
@@ -329,8 +330,7 @@ def test_chunked_reads_match_one_chunk(tmp_path, monkeypatch):
     assert str(exc.value) == f"{path}:{40 + 2}: expected 4 fields, got 5"
 
 
-# 1 MiB, one part of the default chunk, is a fixed stand-in for the default:
-# _CHUNK_BYTES grows with the CPU count and would change the test id per host.
+# 1 MiB is the default samples chunk.
 @pytest.mark.parametrize("chunk_bytes", [4, 8, 16, 1 << 20])
 def test_samples_chunk_of_another_width(tmp_path, monkeypatch, chunk_bytes):
     # Every row of the second chunk has one field too many, so the array
@@ -339,7 +339,7 @@ def test_samples_chunk_of_another_width(tmp_path, monkeypatch, chunk_bytes):
     path = tmp_path / "s.csv"
     path.write_text("x1,x2\n1,2\n2,1\n1,1\n2,2\n1,2,1\n2,1,1\n1,1,1\n2,2,1\n")
     monkeypatch.setattr(tcherry.io, "_CHUNK_LINES", 4)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", chunk_bytes)
     with pytest.raises(DataFormatError) as exc:
         load_table(path)
     assert str(exc.value) == f"{path}:6: expected 2 fields, got 3"
@@ -401,8 +401,8 @@ def test_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed):
     path.write_bytes(_samples_bytes(rng, cards, int(rng.integers(1, 5001))))
     with _text_path_only(monkeypatch):
         expected = _load_recording(path, monkeypatch)
-    for chunk_bytes in (2 * d, 7, 64, tcherry.io._CHUNK_BYTES):
-        monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (2 * d, 7, 64, tcherry.io._SAMPLES_CHUNK_BYTES):
+        monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", chunk_bytes)
         assert _load_recording(path, monkeypatch) == expected
 
 
@@ -462,7 +462,7 @@ def test_odd_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, monkeyp
         return calls[-1]
 
     monkeypatch.setattr(tcherry.io, "_decode_digits", decode)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
+    monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", 100 * 6)
     assert _load_recording(path, monkeypatch) == expected
     # Decoded chunks came first, and after the first refusal the decoder
     # was not tried again.
@@ -480,7 +480,7 @@ def test_canonical_samples_never_reach_loadtxt(tmp_path, monkeypatch):
         raise AssertionError("np.loadtxt called")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100)
+    monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", 100)
     t = load_table(path)
     assert t.cardinalities == expected.cardinalities
     assert t.probs.tobytes() == expected.probs.tobytes()
@@ -552,8 +552,8 @@ def test_counts_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed)
         with _text_path_only(monkeypatch):
             expected = _load_recording(path, monkeypatch)
         # Chunks below a row, and chunks that split rows.
-        for chunk_bytes in (2 * d, 97, 1000, 4096, tcherry.io._CHUNK_BYTES):
-            monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
+        for chunk_bytes in (2 * d, 97, 1000, 4096, tcherry.io._COUNTS_CHUNK_BYTES):
+            monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", chunk_bytes)
             assert _load_recording(path, monkeypatch) == expected
 
 
@@ -629,7 +629,7 @@ def test_odd_counts_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, 
         return calls[-1]
 
     monkeypatch.setattr(tcherry.io, "_decode_counts", decode)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
+    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 100 * 6)
     assert _load_recording(path, monkeypatch) == expected
     # Decoded chunks came first, and after the first refusal the decoder
     # was not tried again. With no final line end, the chunk before the
@@ -665,7 +665,7 @@ def test_odd_counts_row_in_a_later_part_hands_the_whole_chunk_to_the_text_reader
 
     monkeypatch.setattr(tcherry.io, "_decode_counts", decode_chunk)
     monkeypatch.setattr(tcherry.io, "_decode_count_rows", decode_part)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
+    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 100 * 6)
     monkeypatch.setattr(tcherry.io, "_PARTS", 2)
     assert _load_recording(path, monkeypatch) == expected
     # The 20th chunk was refused whole, by its second part alone.
@@ -688,7 +688,7 @@ def test_canonical_counts_never_reach_loadtxt(tmp_path, monkeypatch):
         raise AssertionError("np.loadtxt called")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100)
+    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 100)
     t = load_table(path)
     assert t.cardinalities == expected.cardinalities
     assert t.probs.tobytes() == expected.probs.tobytes()
@@ -954,7 +954,7 @@ def test_a_part_failure_reaches_the_caller_and_every_thread_ends(tmp_path, monke
     table, path = _synth_counts_file(tmp_path)
     monkeypatch.setattr(tcherry.io, "_PARTS", 3)
     monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 64)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 3 * 4096)
+    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 3 * 4096)
     name = "_spell_floats" if stage == "write" else "_decode_floats"
     real, error = getattr(tcherry.io, name), MemoryError("part")
 
@@ -996,7 +996,7 @@ def test_parts_share_lookup_tables_built_once(tmp_path, monkeypatch):
     table, _ = _synth_counts_file(tmp_path)
     monkeypatch.setattr(tcherry.io, "_PARTS", 4)
     monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 64)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 4 * 4096)
+    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 4 * 4096)
     tables = (tcherry.io._powers, tcherry.io._decoding_tables, tcherry.io._spelling_tables)
     for build in tables:
         build.cache_clear()
@@ -1012,7 +1012,7 @@ def test_more_parts_than_cores_keep_file_order_under_fast_switching(tmp_path, mo
     expected = read_counts_csv(path).probs.tobytes()
     monkeypatch.setattr(tcherry.io, "_PARTS", 8)
     monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 16)
-    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 8 * 512)
+    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 8 * 512)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1022,3 +1022,21 @@ def test_more_parts_than_cores_keep_file_order_under_fast_switching(tmp_path, mo
             assert read_counts_csv(path).probs.tobytes() == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_load_memory_does_not_grow_with_the_part_count(tmp_path, monkeypatch, capsys):
+    # The counts chunk is a constant, so more parts split it finer and do
+    # not read more of the file at once.
+    assert main(["synth", "--d", "18", "--k", "3", "--n", "1e6", "--seed", "1",
+                 "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    peaks = {}
+    for parts in (1, 8):
+        monkeypatch.setattr(tcherry.io, "_PARTS", parts)
+        tracemalloc.start()
+        try:
+            load_table(tmp_path / "s.csv")
+            peaks[parts] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= peaks[1]
