@@ -29,7 +29,7 @@ from .distribution import (
 )
 from .errors import (CapacityError, ConsistencyError, DataFormatError, DomainError,
                      StructureError)
-from .io import load_table, write_counts_csv
+from .io import load_table, write_counts_csv, write_scheme_json
 from .junction_tree import (
     Hypergraph,
     first_rip_violation,
@@ -208,30 +208,31 @@ def _fit_doc(fr: FitResult) -> dict:
     }
 
 
+def _set_fields(table: CandidateTable) -> list:
+    """The ``cluster`` and ``separator`` fields of ``table``'s rows, by column."""
+    return [("cluster", True, table.members[table.cluster_rank].T.tolist()),
+            ("separator", True, table.bases().T.tolist())]
+
+
 def _candidate_rows(table: CandidateTable) -> RowTable:
     """The candidate rows of the fit document, read from the table's columns."""
-    return RowTable([
-        ("cluster", True, table.members[table.cluster_rank].T.tolist()),
-        ("separator", True, table.bases().T.tolist()),
+    return RowTable(_set_fields(table) + [
         ("new_vertex", False, [table.new_vertices().tolist()]),
         ("w", False, [table.w.tolist()]),
         ("omega", False, [table.omega.tolist()]),
     ])
 
 
+def _tree_lines(tree) -> list[str]:
+    """The ``clusters:`` and ``separators:`` lines of ``tree``."""
+    return ["clusters: " + " | ".join(_fmt_set(c) for c in tree.clusters),
+            "separators: " + (" | ".join(f"{_fmt_set(s)} (nu={n})" for s, n in tree.nu.items())
+                              if tree.nu else "(none)")]
+
+
 def _fit_lines(fr: FitResult, nats: bool) -> list[str]:
     entropy_style = fr.algorithm == "malvestuto"
-    lines = [
-        f"algorithm: {fr.algorithm}",
-        f"k: {fr.tree.k}",
-        "clusters: " + " | ".join(_fmt_set(c) for c in fr.tree.clusters),
-    ]
-    if fr.tree.nu:
-        lines.append("separators: " + " | ".join(
-            f"{_fmt_set(s)} (nu={n})" for s, n in fr.tree.nu.items()
-        ))
-    else:
-        lines.append("separators: (none)")
+    lines = [f"algorithm: {fr.algorithm}", f"k: {fr.tree.k}", *_tree_lines(fr.tree)]
     sc = fr.score
     lines.append(f"weight: {_unit(sc.weight, nats):.6f}")
     lines.append(f"I(X): {_unit(sc.total_information, nats):.6f}")
@@ -314,64 +315,40 @@ def _accepted_summary(fr: FitResult) -> str:
     return "accepted: " + "; ".join(parts)
 
 
-def _table_rows(table: CandidateTable, weight, measure, n: int | None = None) -> list[list]:
-    """Report columns of the first ``n`` rows of ``table`` (all by default):
-    cluster, separator, ``measure`` of each and ``weight``."""
-    clusters = [table.clusters[rank] for rank in table.cluster_rank[:n].tolist()]
-    bases = list(map(tuple, table.bases()[:n].tolist()))
-    return [clusters, bases, list(map(measure, clusters)), list(map(measure, bases)),
-            weight[:n].tolist()]
-
-
-def _sk_rows(fr: FitResult, cache: MarginalCache) -> list[list]:
-    """Decreasing-w candidate rows, cut after the last row growth accepts."""
-    table = fr.candidate_table
-    last = max((row for row, _ in table.growth(fr.tree.parent)), default=0)
-    return _table_rows(table, table.w, cache.info, last + 1)
-
-
-def _malvestuto_rows(fr: FitResult, cache: MarginalCache) -> list[list]:
-    """Each growth step's admissible block in increasing omega: the rows the
-    tree of the first j clusters admits, for j = 1, 2, ..."""
-    rows = [[] for _ in range(5)]
-    for _, admitted in fr.candidate_table.growth(fr.tree.parent):
-        block = fr.candidate_table.take(admitted)
-        for column, part in zip(rows, _table_rows(block, block.omega, cache.h)):
-            column += part
-    return rows
-
-
 def cmd_report(args) -> int:
     p = _load_input(args.input, args.scheme, args.smoothing, args.cap)
-    cache = MarginalCache(p)
     if args.algorithm == "malvestuto":
-        fr = fit_malvestuto(p, args.k, cache)
+        fr = fit_malvestuto(p, args.k)
         columns = ["cluster", "separator", "H(C)", "H(S)", "omega"]
-        # The parent row comes first: its cluster and entropy alone.
-        parent = fr.trace[0].cluster
-        head = [(parent, cache.h(parent))]
-        clusters, bases, *values = _malvestuto_rows(fr, cache)
+        # The parent row comes first, its cluster and entropy alone, then
+        # each growth step's admissible block in increasing omega: the rows
+        # the tree of the first j clusters admits, for j = 1, 2, ...
+        table, head = fr.candidate_table, fr.trace[:1]
+        table = table.take([row for _, admitted in table.growth(fr.tree.parent)
+                            for row in admitted.nonzero()[0].tolist()])
+        values = table.h_cluster[table.cluster_rank], table.h_base[table.base_rank], table.omega
     else:
-        fr = fit_sk(p, args.k, cache)
+        fr = fit_sk(p, args.k)
         columns = ["cluster", "separator", "I(C)", "I(S)", "w"]
-        head = []
-        clusters, bases, *values = _sk_rows(fr, cache)
+        # Decreasing-w rows, cut after the last row growth accepted.
+        table, head = fr.candidate_table.take(slice(max(fr.rows, default=0) + 1)), ()
+        values = table.i_cluster[table.cluster_rank], table.i_base[table.base_rank], table.w
+    sets, values = _set_fields(table), [column.tolist() for column in values]
     if args.format == "json":
-        table = RowTable([("cluster", True, list(zip(*clusters))),
-                          ("separator", True, list(zip(*bases))),
-                          ("values", True, values)])
         _emit_json({
             "algorithm": fr.algorithm,
             "k": fr.tree.k,
             "columns": columns,
-            "rows": [{"cluster": list(c), "separator": None, "values": [h, None, None]}
-                     for c, h in head] + [table],
+            "rows": [{"cluster": list(s.cluster), "separator": None,
+                      "values": [s.omega, None, None]} for s in head]
+                    + [RowTable(sets + [("values", True, values)])],
             "accepted": _accepted_summary(fr)[len("accepted: "):],
         })
         return 0
     lines = [" | ".join(columns)]
-    lines.extend(f"{_fmt_set(c)} | - | {h:.6f} | - | -" for c, h in head)
-    for c, b, *row in zip(clusters, bases, *values):
+    lines.extend(f"{_fmt_set(s.cluster)} | - | {s.omega:.6f} | - | -" for s in head)
+    (_, _, clusters), (_, _, bases) = sets
+    for c, b, *row in zip(zip(*clusters), zip(*bases), *values):
         lines.append(" | ".join([_fmt_set(c), _fmt_set(b), *(f"{v:.6f}" for v in row)]))
     lines.append(_accepted_summary(fr))
     _emit(lines)
@@ -565,12 +542,7 @@ def cmd_synth(args) -> int:
     scheme_path = out.with_name(out.name + ".scheme.json")
     tree_path = out.with_name(out.name + ".tree.json")
     write_counts_csv(counts_path, table)
-    with open(scheme_path, "w") as f:
-        json.dump({"variables": [
-            {"index": v.index, "name": v.name or f"x{v.index}", "cardinality": v.cardinality}
-            for v in table.scheme
-        ]}, f, indent=2)
-        f.write("\n")
+    write_scheme_json(scheme_path, table.scheme)
     with open(tree_path, "w") as f:
         f.write(tree_to_json(tree))
 
@@ -592,10 +564,7 @@ def cmd_synth(args) -> int:
         f"d: {args.d}",
         f"k: {args.k}",
         f"seed: {args.seed}",
-        "clusters: " + " | ".join(_fmt_set(c) for c in tree.clusters),
-        "separators: " + (" | ".join(
-            f"{_fmt_set(s)} (nu={n})" for s, n in tree.nu.items()
-        ) if tree.nu else "(none)"),
+        *_tree_lines(tree),
         f"wrote: {counts_path}",
         f"wrote: {scheme_path}",
         f"wrote: {tree_path}",

@@ -568,6 +568,14 @@ def read_scheme_json(path):
     return tuple(specs)
 
 
+def write_scheme_json(path, scheme) -> None:
+    """Write the scheme sidecar ``read_scheme_json`` reads; an unnamed
+    variable is named x<index>."""
+    doc = {"variables": [{"index": v.index, "name": v.name or f"x{v.index}",
+                          "cardinality": v.cardinality} for v in scheme]}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
 def find_scheme_sidecar(data_path) -> Path | None:
     """Sidecar convention: <input stem>.scheme.json next to the data file."""
     p = Path(data_path)

@@ -61,24 +61,30 @@ class CandidateTable:
     (k−1)-subset of rank ``base_rank[i]``. Ranks are lexicographic, the
     order ``combinations`` yields, so they order exactly as the tuples
     do. ``by_w``, ``by_omega`` and ``take`` give their rows as another
-    table.
+    table, which shares the I and H of each cluster and each base, by
+    rank: ``w`` is ``i_cluster[cluster_rank] − i_base[base_rank]`` and
+    ``omega`` the same in H, to the bit.
     """
 
-    __slots__ = ("d", "clusters", "members", "cluster_rank", "pos", "base_rank", "w", "omega")
+    __slots__ = ("d", "clusters", "members", "cluster_rank", "pos", "base_rank", "w", "omega",
+                 "i_cluster", "h_cluster", "i_base", "h_base")
 
-    def __init__(self, d, clusters, members, cluster_rank, pos, base_rank, w, omega):
+    def __init__(self, d, clusters, members, cluster_rank, pos, base_rank, w, omega,
+                 i_cluster, h_cluster, i_base, h_base):
         self.d, self.clusters, self.members = d, clusters, members
         self.cluster_rank, self.pos, self.base_rank = cluster_rank, pos, base_rank
         self.w, self.omega = w, omega
+        self.i_cluster, self.h_cluster, self.i_base, self.h_base = i_cluster, h_cluster, i_base, h_base
 
     def __len__(self) -> int:
         return len(self.w)
 
     def take(self, rows) -> CandidateTable:
-        """The table of ``rows``: positions, or a mask over the rows."""
+        """The table of ``rows``: a list of positions, a slice or a mask."""
         return CandidateTable(self.d, self.clusters, self.members, self.cluster_rank[rows],
                               self.pos[rows], self.base_rank[rows], self.w[rows],
-                              self.omega[rows])
+                              self.omega[rows], self.i_cluster, self.h_cluster, self.i_base,
+                              self.h_base)
 
     def _ranked(self, primary) -> CandidateTable:
         # A base is lexicographically smaller the later its cluster drops a
@@ -131,6 +137,8 @@ class FitResult:
     trace: tuple[TraceStep, ...]
     score: ScoreBreakdown
     candidate_table: CandidateTable
+    #: The rows of ``candidate_table`` the tree grew by, in order; none at d = k.
+    rows: tuple[int, ...]
 
 
 def _validate_k(d: int, k: int) -> int:
@@ -168,7 +176,7 @@ def enumerate_candidates(p: JointTable, k: int,
     n = len(clusters)
     return CandidateTable(p.d, clusters, members, np.repeat(np.arange(n), k),
                           np.tile(np.arange(k), n), base_rank.ravel(), w.ravel(),
-                          omega.ravel())
+                          omega.ravel(), i_cluster, h_cluster, i_base, h_base)
 
 
 def find_parent_cluster(p: JointTable, k: int,
@@ -178,28 +186,21 @@ def find_parent_cluster(p: JointTable, k: int,
     return order.clusters[order.cluster_rank[0]]
 
 
-def _grow(table: CandidateTable, parent: IndexSet) -> list[tuple[int, IndexSet]]:
-    """The (vertex, base) steps of ``table.growth(parent)``."""
-    vertices, bases = table.new_vertices(), table.bases()
-    return [(int(vertices[row]), tuple(bases[row].tolist()))
-            for row, _ in table.growth(parent)]
-
-
 def _fit(algorithm: str, p: JointTable, cache: MarginalCache, table: CandidateTable,
-         parent: IndexSet, steps) -> FitResult:
-    """Build the tree and trace of ``steps`` from ``parent``, score the tree
-    and check both accumulators against it.
+         parent: IndexSet, rows: list[int]) -> FitResult:
+    """Build the tree and trace that grow from ``parent`` by the table's
+    ``rows``, score the tree and check both accumulators against it.
 
-    Each step's w = I(C) − I(S) and ω = H(C) − H(S) subtract the cached
-    floats the candidate table subtracts, so they equal its bits.
+    Each step's vertex, base, w and ω are its row's, so w and ω are the
+    bits I(C) − I(S) and H(C) − H(S) give from the cached floats.
     """
+    steps = table.take(rows)
     tree = new_parent(len(parent), parent)
     trace = [TraceStep(parent, None, cache.info(parent), cache.h(parent))]
-    for vertex, base in steps:
-        tree = add_hypercherry(tree, vertex, base)
-        cluster = tree.clusters[-1]
-        trace.append(TraceStep(cluster, base, cache.info(cluster) - cache.info(base),
-                               cache.h(cluster) - cache.h(base)))
+    for vertex, base, w, omega in zip(steps.new_vertices().tolist(), steps.bases().tolist(),
+                                      steps.w.tolist(), steps.omega.tolist()):
+        tree = add_hypercherry(tree, vertex, tuple(base))
+        trace.append(TraceStep(tree.clusters[-1], tuple(base), w, omega))
     score = tree_weight(p, tree, cache)
     if abs(math.fsum(s.w for s in trace) - score.weight) > WEIGHT_CHECK_TOL:
         raise ConsistencyError("greedy weight accumulator disagrees with itemized score")
@@ -209,7 +210,7 @@ def _fit(algorithm: str, p: JointTable, cache: MarginalCache, table: CandidateTa
     )
     if abs(math.fsum(s.omega for s in trace) - itemized) > WEIGHT_CHECK_TOL:
         raise ConsistencyError("entropy accumulator disagrees with itemized sum")
-    return FitResult(algorithm, tree, tuple(trace), score, table)
+    return FitResult(algorithm, tree, tuple(trace), score, table, tuple(rows))
 
 
 def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResult:
@@ -223,17 +224,18 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_w()
     parent = order.clusters[order.cluster_rank[0]]
-    return _fit("sk", p, cache, order, parent, _grow(order, parent))
+    return _fit("sk", p, cache, order, parent, [row for row, _ in order.growth(parent)])
 
 
 def fit_malvestuto(p: JointTable, k: int,
                    cache: MarginalCache | None = None) -> FitResult:
-    """Greedy fit by increasing entropy weight, seeded at the min-entropy cluster."""
+    """Greedy fit by increasing entropy weight, seeded at the min-entropy
+    cluster, the lexicographically first of a tie."""
     k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_omega()
-    parent = min(combinations(p.variables, k), key=lambda c: (cache.h(c), c))
-    return _fit("malvestuto", p, cache, order, parent, _grow(order, parent))
+    parent = order.clusters[int(order.h_cluster.argmin())]
+    return _fit("malvestuto", p, cache, order, parent, [row for row, _ in order.growth(parent)])
 
 
 def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult:
@@ -324,7 +326,11 @@ def fit_exhaustive(p: JointTable, k: int, cache: MarginalCache | None = None) ->
         if best is None or key < best[0]:
             best = (key, witness)
     (neg_weight, _, _), (parent, steps) = best
-    fr = _fit("exhaustive", p, cache, table, parent, steps)
+    # A witness step's row attaches its vertex to the cluster it makes.
+    clusters = [table.clusters[rank] for rank in table.cluster_rank.tolist()]
+    where = {key: row for row, key in enumerate(zip(clusters, table.new_vertices().tolist()))}
+    rows = [where[tuple(sorted(base + (vertex,))), vertex] for vertex, base in steps]
+    fr = _fit("exhaustive", p, cache, table, parent, rows)
     if abs(-neg_weight - fr.score.weight) > WEIGHT_CHECK_TOL:
         raise ConsistencyError("oracle weight disagrees with itemized score")
     return fr

@@ -14,8 +14,8 @@ import pytest
 
 import tcherry.cli
 from conftest import candidate_dicts, candidate_rows, expand_tables
-from tcherry import (ConsistencyError, MarginalCache, TCherryJunctionTree, add_hypercherry,
-                     fit_chow_liu, fit_exhaustive, fit_malvestuto, fit_sk,
+from tcherry import (CandidateTable, ConsistencyError, MarginalCache, TCherryJunctionTree,
+                     add_hypercherry, fit_chow_liu, fit_exhaustive, fit_malvestuto, fit_sk,
                      generate_tcherry_distribution, new_parent, tree_to_json)
 from tcherry.cli import main
 from tcherry.io import load_table
@@ -367,6 +367,30 @@ def test_report_json_rows(capsys):
     assert doc["rows"][0]["cluster"] == [1, 3, 4, 5]
     assert doc["rows"][0]["values"][2] == pytest.approx(0.083680, abs=1e-6)
     assert doc["accepted"] == "parent 1 3 4 5; add 2 via 1 4 5"
+
+
+@pytest.mark.parametrize("argv, grown", [
+    (["fit", "--k", "3"], 1),
+    (["fit", "--k", "3", "--algorithm", "malvestuto"], 1),
+    (["fit", "--k", "2", "--algorithm", "chow_liu"], 1),
+    (["fit", "--k", "3", "--algorithm", "exhaustive"], 0),
+    (["fit", "--k", "2", "--algorithm", "all"], 3),
+    # report --algorithm sk cuts the fit's table after the fit's last row.
+    (["report", "--k", "3"], 1),
+    # The malvestuto blocks need the masks, which a fit does not keep.
+    (["report", "--k", "3", "--algorithm", "malvestuto"], 2),
+], ids=["fit-sk", "fit-malvestuto", "fit-chow_liu", "fit-exhaustive", "fit-all", "report-sk",
+        "report-malvestuto"])
+def test_each_greedy_fit_grows_once(capsys, monkeypatch, argv, grown):
+    calls, growth = [], CandidateTable.growth
+
+    def counted(table, parent):
+        calls.append(parent)
+        return growth(table, parent)
+
+    monkeypatch.setattr(CandidateTable, "growth", counted)
+    assert run(capsys, *argv, "lizards.csv")[0] == 0
+    assert len(calls) == grown
 
 
 @pytest.mark.parametrize("algorithm", ["sk", "malvestuto"])

@@ -14,7 +14,7 @@ from conftest import random_table
 from tcherry import (CapacityError, DataFormatError, DomainError, JointTable, from_counts,
                      generate_tcherry_distribution, make_scheme)
 from tcherry.cli import main
-from tcherry.distribution import from_codes
+from tcherry.distribution import VariableSpec, from_codes
 from tcherry.io import (
     find_scheme_sidecar,
     load_table,
@@ -22,6 +22,7 @@ from tcherry.io import (
     read_samples_csv,
     read_scheme_json,
     write_counts_csv,
+    write_scheme_json,
 )
 
 # numpy warns on a parse chunk that holds no rows; none may reach a user.
@@ -138,6 +139,23 @@ def test_scheme_smaller_than_data_rejected(tmp_path):
     scheme.write_text('{"variables": [{"index": 1, "cardinality": 2}]}')
     with pytest.raises(DomainError, match="out of range"):
         load_table(data, scheme_path=scheme)
+
+
+def test_scheme_sidecar_round_trips(tmp_path, capsys):
+    # The sidecar synth writes reads back as the table's scheme.
+    cards = [2, 3, 4, 2, 5]
+    assert main(["synth", "--d", "5", "--k", "3", "--seed", "6", "--cards", "2,3,4,2,5",
+                 "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    table, _ = generate_tcherry_distribution(6, 5, 3, cards, 2.0)
+    scheme = read_scheme_json(tmp_path / "s.scheme.json")
+    assert [(v.index, v.cardinality) for v in scheme] == [
+        (v.index, v.cardinality) for v in table.scheme] == list(enumerate(cards, start=1))
+    assert [v.name for v in scheme] == ["x1", "x2", "x3", "x4", "x5"]
+    # A named variable keeps its name.
+    named = (VariableSpec(1, 3, "hue"), VariableSpec(2, 2, None))
+    write_scheme_json(tmp_path / "n.json", named)
+    assert read_scheme_json(tmp_path / "n.json") == (named[0], VariableSpec(2, 2, "x2"))
 
 
 def test_scheme_json_validates_indices(tmp_path):

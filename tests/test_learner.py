@@ -164,12 +164,28 @@ def test_sk_never_loses_to_malvestuto_on_lizard(lizard, lizard_cache):
 
 
 def test_trace_replay_rebuilds_the_tree(lizard, lizard_cache):
-    for fit in (fit_sk, fit_malvestuto, fit_exhaustive):
-        for k in (2, 3, 4):
-            fr = fit(lizard, k, cache=lizard_cache)
-            assert fr.trace[0].cluster == fr.tree.parent and fr.trace[0].separator is None
-            assert ([(s.cluster, s.separator) for s in fr.trace[1:]]
-                    == list(zip(fr.tree.clusters[1:], fr.tree.separators)))
+    fits = [(fit, k) for fit in (fit_sk, fit_malvestuto, fit_exhaustive) for k in (2, 3, 4, 5)]
+    # k = 5 is d = k on lizards: a tree of the parent alone, grown by no rows.
+    for fit, k in fits + [(lambda p, k, cache: fit_chow_liu(p, cache), 2)]:
+        fr = fit(lizard, k, cache=lizard_cache)
+        assert fr.trace[0].cluster == fr.tree.parent and fr.trace[0].separator is None
+        assert ([(s.cluster, s.separator) for s in fr.trace[1:]]
+                == list(zip(fr.tree.clusters[1:], fr.tree.separators)))
+        # The rows the tree grew by replay the trace, bit for bit.
+        table, rows = fr.candidate_table, list(fr.rows)
+        assert len(rows) == len(fr.trace) - 1 == lizard.d - k
+        replayed = zip(table.new_vertices()[rows].tolist(), table.bases()[rows].tolist(),
+                       table.w[rows].tolist(), table.omega[rows].tolist())
+        assert [(v, tuple(b), w.hex(), o.hex()) for v, b, w, o in replayed] == [
+            ((set(s.cluster) - set(s.separator)).pop(), s.separator, s.w.hex(), s.omega.hex())
+            for s in fr.trace[1:]]
+        # Those are the bits the cache's I and H give.
+        cache = lizard_cache
+        assert [(s.w.hex(), s.omega.hex()) for s in fr.trace[1:]] == [
+            ((cache.info(s.cluster) - cache.info(s.separator)).hex(),
+             (cache.h(s.cluster) - cache.h(s.separator)).hex()) for s in fr.trace[1:]]
+        if fr.algorithm != "exhaustive":
+            assert fr.rows == tuple(row for row, _ in table.growth(fr.tree.parent))
 
 
 def test_trace_weights_sum_to_score(lizard, lizard_cache):
