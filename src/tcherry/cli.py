@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 structural check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -675,4 +676,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # What import built lives until the process ends. Frozen, the collector
+    # skips it during the run and at exit, where freeing it is the OS's job.
+    gc.freeze()
     sys.exit(main())

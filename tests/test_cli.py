@@ -1,12 +1,15 @@
 """Command-line behavior: golden outputs, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -455,16 +458,19 @@ def test_check_reports_recovery_violations_without_failing(tmp_path, capsys,
     assert "result: ok" in out
 
 
-def test_check_non_rip_cluster_list(tmp_path, capsys):
-    doc = {
+def _non_rip_tree(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
         "k": 2,
         "clusters": [[1, 2], [3, 4], [2, 3]],
         "separators": [{"set": [2], "attach_to": 0}, {"set": [3], "attach_to": 1}],
         "parent": [1, 2],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "check", str(path))
+    }))
+    return str(path)
+
+
+def test_check_non_rip_cluster_list(tmp_path, capsys):
+    code, out, _ = run(capsys, "check", _non_rip_tree(tmp_path))
     assert code == 1
     assert "running intersection: VIOLATED at clusters[2]" in out
     assert "result: FAIL" in out
@@ -781,6 +787,73 @@ def test_fit_on_samples_leaves_stderr_empty(tmp_path):
     proc = run_child("fit", "--k", "2", str(path))
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# The entry point freezes the import graph before main. These pin that a
+# child process still flushes every byte and passes on main's exit code.
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["fit", "--k", "4", "--format", "json", "lizards.csv"]),
+    (1, ["check", "NON_RIP"]),
+    (2, ["fit", "--k", "3", "MISSING"]),
+    (3, ["fit", "--k", "3", "--cap", "10", "lizards.csv"]),
+])
+def test_child_prints_and_exits_as_main_does(tmp_path, capsys, code, argv):
+    paths = {"NON_RIP": _non_rip_tree(tmp_path), "MISSING": str(tmp_path / "missing.csv")}
+    argv = [paths.get(a, a) for a in argv]
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    proc = run_child(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_child_synth_writes_the_files_main_writes(tmp_path, capsys):
+    args = ["synth", "--d", "12", "--k", "3", "--seed", "4", "--n", "1e5", "--out"]
+    code, out, err = run(capsys, *args, str(tmp_path / "main"))
+    proc = run_child(*args, str(tmp_path / "child"))
+    out = out.replace(str(tmp_path / "main"), str(tmp_path / "child"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    for suffix in (".csv", ".scheme.json", ".tree.json"):
+        assert (tmp_path / f"child{suffix}").read_bytes() == \
+            (tmp_path / f"main{suffix}").read_bytes()
+
+
+def test_child_json_of_a_megabyte_reaches_the_parent_whole(tmp_path, capsys):
+    prefix = str(tmp_path / "s15")
+    run(capsys, "synth", "--d", "15", "--k", "4", "--seed", "2", "--n", "1e5", "--out", prefix)
+    argv = ["fit", "--k", "4", "--format", "json", prefix + ".csv"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and len(out) >= 1 << 20
+    proc = run_child(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_no_file_or_thread_outlives_main(tmp_path, capsys):
+    # Under the entry point's freeze nothing alive is ever finalized, so a
+    # file left for its finalizer to close would lose its buffered bytes.
+    prefix = str(tmp_path / "s14")
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x1,x2,x3\n" + "1,2,1\n2,2,1\n" * 50)
+    commands = [
+        ["synth", "--d", "14", "--k", "3", "--seed", "1", "--n", "1e5", "--out", prefix],
+        ["fit", "--k", "3", "--format", "json", prefix + ".csv"],
+        ["fit", "--k", "2", str(samples)],
+        ["report", "--k", "3", prefix + ".csv"],
+        ["check", prefix + ".tree.json", prefix + ".csv"],
+        ["score", prefix + ".tree.json", prefix + ".csv"],
+        ["check", _non_rip_tree(tmp_path)],
+        ["fit", "--k", "3", str(tmp_path / "missing.csv")],
+    ]
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [main(argv) for argv in commands]
+        gc.collect()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 2]
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert threading.active_count() == threads
 
 
 def test_bundled_fallback_matches_real_path(capsys):

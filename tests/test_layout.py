@@ -131,6 +131,14 @@ def test_every_imported_name_is_read():
     assert SRC.is_dir() and not found
 
 
+def _child(code, cwd=None):
+    """Standard output of ``python -c code`` run on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=env, check=True).stdout
+
+
 def test_import_binds_little_array_data():
     # Every command pays for what importing the package builds; lookup
     # tables belong in functions that build them on first use.
@@ -144,11 +152,7 @@ def test_import_binds_little_array_data():
             "print(sum(a.nbytes for name, m in list(sys.modules.items())\n"
             "          if name.split('.')[0] == 'tcherry'\n"
             "          for v in vars(m).values() for a in arrays(v)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert int(proc.stdout) < 64 * 1024
+    assert int(_child(code)) < 64 * 1024
 
 
 def test_every_definition_is_referenced():
@@ -198,6 +202,44 @@ def test_threads_start_only_in_the_codec_part_runner():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name in THREAD_STARTERS and id(node) not in runner]
     assert SRC.is_dir() and not found
+
+
+def test_gc_is_used_only_by_the_cli_entry_point():
+    # The entry point freezes what import built; library users and
+    # in-process callers of main keep the collector as Python sets it.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        entry = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "entry"
+                 for node in ast.walk(fn)} if path.name == "cli.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                used = any(a.name == "gc" and (a.asname or path.name != "cli.py")
+                           for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                used = node.module == "gc"
+            else:
+                used = isinstance(node, ast.Name) and node.id == "gc" and id(node) not in entry
+            if used:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert SRC.is_dir() and not found
+
+
+def test_import_and_main_leave_the_collector_alone(tmp_path):
+    code = ("import contextlib, gc, io\n"
+            "import tcherry, tcherry.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = tcherry.cli.main(['fit', '--k', '3', 'lizards.csv'])\n"
+            "print(code, gc.get_freeze_count(), gc.isenabled())")
+    assert _child(code, tmp_path).split() == ["0", "0", "True"]
+
+
+def test_entry_freezes_what_import_built_before_main(tmp_path):
+    code = ("import gc, tcherry.cli\n"
+            "tcherry.cli.main = lambda: print(gc.get_freeze_count() > 10_000, gc.isenabled())\n"
+            "tcherry.cli.entry()")
+    assert _child(code, tmp_path).split() == ["True", "True"]
 
 
 @pytest.mark.parametrize("case", ["unset", "chosen", "numpy first"])
