@@ -17,9 +17,11 @@ import json
 import math
 import sys
 from importlib.resources import as_file
-from itertools import islice
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .datasets import lizards_path
 from .distribution import (
@@ -30,7 +32,8 @@ from .distribution import (
 )
 from .errors import (CapacityError, ConsistencyError, DataFormatError, DomainError,
                      StructureError)
-from .io import load_table, write_counts_csv, write_scheme_json
+from .io import (compact, float_column, int_column, lay_out, load_table, write_counts_csv,
+                 write_scheme_json)
 from .junction_tree import (
     Hypergraph,
     first_rip_violation,
@@ -110,12 +113,17 @@ def _emit_json(obj) -> None:
 
 
 class RowTable(NamedTuple):
-    """JSON rows declared by columns. Each field is (key, nested, columns):
-    every value is a Python int or finite float, which ``repr`` spells as
-    json does, and a ``nested`` value is a list with one column per
-    position; a plain value has one column."""
+    """JSON rows declared by columns. Each field is (key, values, rank):
+    ``values`` is a numpy array of ints or finite floats, 1-D for a plain
+    value and 2-D, with at least one column, for a list; row i holds
+    ``values[i]``, or ``values[rank[i]]`` where a rank array is given.
+    The value of each rank is spelled once for the whole table."""
 
     fields: list
+
+
+#: Rows of a declared table written per piece.
+_TABLE_ROWS = 2048
 
 
 def _holds_table(obj) -> bool:
@@ -127,9 +135,9 @@ def _holds_table(obj) -> bool:
 def _json_chunks(obj, pad: str):
     """Pieces of json.dumps(obj, indent=2) with every line after the first
     indented by ``pad``. A declared table stands for the list of its rows,
-    and inside a list for its rows as items. json with ``indent`` has no C
-    encoder, so a table's rows are formatted from one template, 2,048 rows
-    a piece; everything that holds no table is dumped whole."""
+    and inside a list for its rows as items; its rows are laid out as
+    bytes column by column (``_table_chunks``). Everything that holds no
+    table is dumped whole."""
     if isinstance(obj, RowTable):
         obj = [obj]
     if not _holds_table(obj):
@@ -142,8 +150,8 @@ def _json_chunks(obj, pad: str):
         head = "[\n" + inner
         for item in obj:
             if isinstance(item, RowTable):
-                for batch in _row_batches(item.fields, inner):
-                    yield head + batch
+                for chunk in _table_chunks(item, inner, head[0]):
+                    yield chunk
                     head = sep
             else:
                 yield head
@@ -159,20 +167,58 @@ def _json_chunks(obj, pad: str):
     yield f"\n{pad}}}"
 
 
-def _row_batches(fields, pad: str):
-    """The rows of ``fields`` written at ``pad``, 2,048 a piece, joined by
-    ',' and a line break; none for a table with no rows."""
+def _value_pieces(arrays, pad: str) -> list:
+    """For each of ``arrays``, the ``lay_out`` pieces of the JSON text of
+    each of its values, whose lines after the first are indented by
+    ``pad``: a 2-D array holds a list per row. One call spells every
+    float column."""
+    columns = [column for a in arrays for column in ([a] if a.ndim == 1 else a.T)]
+    floats = [column for column in columns if column.dtype.kind == "f"]
+    spelled = iter(())
+    if floats:
+        ends = np.cumsum([len(column) for column in floats])
+        spelled = zip(*(np.split(part, ends) for part in float_column(np.concatenate(floats))))
+    texts = iter([next(spelled) if column.dtype.kind == "f" else int_column(column)
+                  for column in columns])
+    item = f",\n{pad}  ".encode()
+    out = []
+    for a in arrays:
+        pieces = [next(texts)]
+        if a.ndim == 2:
+            pieces = [f"[\n{pad}  ".encode(), *pieces]
+            for _ in range(1, a.shape[1]):
+                pieces += [item, next(texts)]
+            pieces.append(f"\n{pad}]".encode())
+        out.append(pieces)
+    return out
+
+
+def _table_chunks(table: RowTable, pad: str, opening: str):
+    """The rows of ``table`` as list items at ``pad``, ``_TABLE_ROWS`` a
+    piece, each row led by ',' and a line break, the first by ``opening``
+    instead of ','. A row is its fields' texts laid out between constant
+    bytes, and a piece of rows is compacted at once."""
     inner = pad + "  "
-    parts, columns = [], []
-    for key, nested, positions in fields:
-        columns.extend(positions)
-        value = (f"[\n{inner}  " + f",\n{inner}  ".join(["%r"] * len(positions))
-                 + f"\n{inner}]") if nested else "%r"
-        parts.append(json.dumps(key) + ": " + value)
-    template = "{\n" + inner + f",\n{inner}".join(parts) + f"\n{pad}}}"
-    rows = zip(*columns)
-    while batch := list(islice(rows, 2048)):
-        yield f",\n{pad}".join(map(template.__mod__, batch))
+    ranked = iter(map(lay_out, _value_pieces(
+        [values for _, values, rank in table.fields if rank is not None], inner)))
+    texts = [None if rank is None else next(ranked) for _, _, rank in table.fields]
+    _, values, rank = table.fields[0]
+    n = len(values if rank is None else rank)
+    for start in range(0, n, _TABLE_ROWS):
+        rows = slice(start, start + _TABLE_ROWS)
+        plain = iter(_value_pieces([values[rows] for _, values, rank in table.fields
+                                    if rank is None], inner))
+        lead = np.full((min(_TABLE_ROWS, n - start), 1), ord(","), dtype=np.uint8)
+        lead[0] = ord(opening)
+        pieces, sep = [(lead, np.ones(lead.shape, dtype=bool))], f"\n{pad}{{\n{inner}"
+        for (key, values, rank), ranked_texts in zip(table.fields, texts):
+            pieces.append(f"{sep}{json.dumps(key)}: ".encode())
+            pieces += next(plain) if rank is None else [
+                tuple(np.take(t, rank[rows], axis=0) for t in ranked_texts)]
+            sep = f",\n{inner}"
+        pieces.append(f"\n{pad}}}".encode())
+        yield str(compact(pieces).data, "ascii")
+        opening = ","
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +256,19 @@ def _fit_doc(fr: FitResult) -> dict:
 
 
 def _set_fields(table: CandidateTable) -> list:
-    """The ``cluster`` and ``separator`` fields of ``table``'s rows, by column."""
-    return [("cluster", True, table.members[table.cluster_rank].T.tolist()),
-            ("separator", True, table.bases().T.tolist())]
+    """The ``cluster`` and ``separator`` fields of ``table``'s rows: each
+    k-subset and each (k−1)-subset of 1..d, by rank."""
+    bases = np.array(list(combinations(range(1, table.d + 1), table.members.shape[1] - 1)))
+    return [("cluster", table.members, table.cluster_rank),
+            ("separator", bases, table.base_rank)]
 
 
 def _candidate_rows(table: CandidateTable) -> RowTable:
     """The candidate rows of the fit document, read from the table's columns."""
     return RowTable(_set_fields(table) + [
-        ("new_vertex", False, [table.new_vertices().tolist()]),
-        ("w", False, [table.w.tolist()]),
-        ("omega", False, [table.omega.tolist()]),
+        ("new_vertex", np.arange(table.d + 1), table.new_vertices()),
+        ("w", table.w, None),
+        ("omega", table.omega, None),
     ])
 
 
@@ -334,7 +382,7 @@ def cmd_report(args) -> int:
         # Decreasing-w rows, cut after the last row growth accepted.
         table, head = fr.candidate_table.take(slice(max(fr.rows, default=0) + 1)), ()
         values = table.i_cluster[table.cluster_rank], table.i_base[table.base_rank], table.w
-    sets, values = _set_fields(table), [column.tolist() for column in values]
+    values = np.stack(values, axis=1)
     if args.format == "json":
         _emit_json({
             "algorithm": fr.algorithm,
@@ -342,14 +390,14 @@ def cmd_report(args) -> int:
             "columns": columns,
             "rows": [{"cluster": list(s.cluster), "separator": None,
                       "values": [s.omega, None, None]} for s in head]
-                    + [RowTable(sets + [("values", True, values)])],
+                    + [RowTable(_set_fields(table) + [("values", values, None)])],
             "accepted": _accepted_summary(fr)[len("accepted: "):],
         })
         return 0
     lines = [" | ".join(columns)]
     lines.extend(f"{_fmt_set(s.cluster)} | - | {s.omega:.6f} | - | -" for s in head)
-    (_, _, clusters), (_, _, bases) = sets
-    for c, b, *row in zip(zip(*clusters), zip(*bases), *values):
+    for c, b, row in zip(table.members[table.cluster_rank].tolist(), table.bases().tolist(),
+                         values.tolist()):
         lines.append(" | ".join([_fmt_set(c), _fmt_set(b), *(f"{v:.6f}" for v in row)]))
     lines.append(_accepted_summary(fr))
     _emit(lines)

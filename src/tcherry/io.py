@@ -611,16 +611,16 @@ _POW_BIAS, _POW_TOP = 327, 308
 _NORMAL = 2.2250738585072014e-308
 
 #: Layout keys of ``_spell_floats``: 20 positional forms (decpt -3..16)
-#: and two exponent widths, each times 17 digit counts; key _KEYS keeps
-#: nothing.
+#: and two exponent widths, each times 17 digit counts; key _KEYS spells
+#: 0.0 and key _KEYS + 1 keeps nothing.
 _KEYS = 22 * 17
 
-#: The spelling template of ``_spell_floats``: '0.000', the digits before
-#: the point right-aligned in 16, '.', the digits after it left-aligned in
-#: 17, and 'e±XX' left-aligned in 8.
-_TEMPLATE = np.dtype({"names": ["zero", "head", "dot", "lead", "tail", "exp"],
-                      "formats": ["S5", ("<u8", 2), "S1", "u1", ("<u8", 2), "<u8"],
-                      "offsets": [0, 5, 21, 22, 23, 39], "itemsize": 47})
+#: The spelling template of ``_spell_floats``: '-', '0.000', the digits
+#: before the point right-aligned in 16, '.', the digits after it
+#: left-aligned in 17, and 'e±XX' left-aligned in 8.
+_TEMPLATE = np.dtype({"names": ["sign", "zero", "head", "dot", "lead", "tail", "exp"],
+                      "formats": ["S1", "S5", ("<u8", 2), "S1", "u1", ("<u8", 2), "<u8"],
+                      "offsets": [0, 1, 6, 22, 23, 24, 40], "itemsize": 48})
 
 
 @functools.cache
@@ -668,20 +668,20 @@ def _spelling_tables():
     quads = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
              + ord("0")).astype(np.uint8).view("<u4").reshape(-1)
     exps = np.array([b"e%+03d" % i for i in range(-400, 400)], dtype="S8").view("<u8")
-    keep = np.zeros((_KEYS + 1, _TEMPLATE.itemsize), dtype=bool)
-    for key in range(_KEYS):
-        form, n = divmod(key, 17)
-        n += 1
-        if form < 20:  # positional, decpt = form - 3
-            decpt = form - 3
-            if decpt <= 0:  # '0.', -decpt zeros, the digits
-                cols = [*range(2 - decpt), *range(22, 22 + n)]
-            else:  # decpt digits, '.', the rest or '0'
-                cols = [*range(21 - decpt, 22 + max(n - decpt, 1))]
-        else:  # d.ddde±XX (form 20) or d.ddde±XXX (form 21)
-            cols = [20, *range(21, 21 + n)] if n > 1 else [20]
-            cols += range(39, 23 + form)
-        keep[key, cols] = True
+    # Key form·17 + n − 1 keeps the columns of two runs, [a, b) and [c, e).
+    form, n = np.divmod(np.arange(_KEYS), 17)
+    n, decpt = n + 1, form - 3
+    kind = [form >= 20,  # d.ddde±XX (form 20) or d.ddde±XXX (form 21)
+            decpt <= 0]  # '0.', -decpt zeros, the digits; else the digits and '.'
+    a = np.select(kind, [21, 1], 22 - decpt)
+    b = np.select(kind, [22 + n * (n > 1), 3 - decpt], 23 + np.maximum(n - decpt, 1))
+    c = np.select(kind, [40, 23], 0)
+    e = np.select(kind, [24 + form, 23 + n], 0)
+    col = np.arange(_TEMPLATE.itemsize)
+    keep = np.zeros((_KEYS + 2, _TEMPLATE.itemsize), dtype=bool)
+    keep[:_KEYS] = (((a[:, None] <= col) & (col < b[:, None]))
+                    | ((c[:, None] <= col) & (col < e[:, None])))
+    keep[_KEYS, 1:4] = True  # '0.0'
     return _read_only(quads, exps, keep)
 
 
@@ -795,18 +795,21 @@ def _shortest_digits(x):
 
 def _spell_floats(x):
     """``repr`` of each double of ``x`` as a ``_TEMPLATE`` row and a keep
-    mask, both (len(x), 47) bytes: the kept bytes of row i, in order,
-    spell x[i]. Also returns where ``_shortest_digits`` took the value;
-    elsewhere nothing is kept.
+    mask, both (len(x), 48) bytes: the kept bytes of row i, in order,
+    spell x[i]. Also returns where the kernel took the value: a zero, or
+    a magnitude ``_shortest_digits`` took; elsewhere nothing is kept.
 
     The digits are split where the point goes (after the first in the
     d.ddde±XX form, before all in the 0.000ddd form), so that each
-    spelling is one or two runs of the template, which the caller's mask
-    compacts quickly. Which bytes are kept depends on the form, the
-    decimal point and the digit count: repr is positional when
-    -4 < decpt <= 16, and d.ddde±XX otherwise.
+    spelling is a sign and one or two runs of the template, which the
+    caller's mask compacts quickly. Which bytes are kept depends on the
+    form, the decimal point and the digit count: repr is positional when
+    -4 < decpt <= 16, and d.ddde±XX otherwise. The sign is kept where
+    the sign bit is set, as repr writes -0.0.
     """
     quads, exps, keep = _spelling_tables()
+    negative, x = np.signbit(x), np.abs(x)
+    zero = x == 0
     digits, count, decpt, fast = _shortest_digits(x)
     positional = (decpt > -4) & (decpt <= 16)
     point = np.where(positional, np.maximum(decpt, 0), 1)  # digits before it
@@ -814,21 +817,27 @@ def _spell_floats(x):
     head = digits // unit
     tail = (digits - head * unit) * 10**point
     out = np.empty(len(x), dtype=_TEMPLATE)
-    out["zero"], out["dot"] = b"0.000", b"."
+    out["sign"], out["zero"], out["dot"] = b"-", b"0.000", b"."
     out["head"] = _ascii16(head, quads)
     out["lead"] = tail // 10**16 + ord("0")
     out["tail"] = _ascii16(tail % 10**16, quads)
     out["exp"] = exps[decpt + 399]
     key = np.where(positional, decpt + 3, 20 + (np.abs(decpt - 1) >= 100)) * 17
-    key = np.where(fast, key + count - 1, _KEYS)
-    return out.view(np.uint8).reshape(len(x), -1), np.take(keep, key, axis=0), fast
+    key = np.where(fast, key + count - 1, np.where(zero, _KEYS, _KEYS + 1))
+    keep = np.take(keep, key, axis=0)
+    fast |= zero
+    keep[:, 0] = negative & fast
+    return out.view(np.uint8).reshape(len(x), -1), keep, fast
 
 
 def _ascii16(v, quads):
     """The 16 decimal digits of each of ``v`` (below 10^16) as two
     little-endian uint64 of ASCII."""
-    return np.stack([quads[v // 10**12] | quads[v // 10**8 % 10_000].astype("<u8") << 32,
-                     quads[v // 10**4 % 10_000] | quads[v % 10_000].astype("<u8") << 32], axis=1)
+    high, low = np.divmod(v, 10**8)
+    out = np.empty((len(v), 4), dtype="<u4")
+    out[:, 0], out[:, 1] = (quads[q] for q in np.divmod(high, 10_000))
+    out[:, 2], out[:, 3] = (quads[q] for q in np.divmod(low, 10_000))
+    return out.view("<u8")
 
 
 def _label_bytes(cards):
@@ -877,29 +886,74 @@ def write_counts_csv(path, table: JointTable):
 
 
 def _encode_cells(probs, n, labels, pos):
-    """The counts CSV rows, as bytes, of the cells at ``pos`` of the flat
-    ``probs`` of a table with total count ``n`` (or None) and
+    """The counts CSV rows, as ``compact`` bytes, of the cells at ``pos``
+    of the flat ``probs`` of a table with total count ``n`` (or None) and
     ``_label_bytes`` ``labels``."""
     (head, head_keep), (tail, tail_keep) = labels
     counts = probs[pos] if n is None else probs[pos] * n
     whole = np.round(counts)
     integral = (np.abs(counts - whole) < 1e-9) & (whole != 0) & (n is not None)
-    text, text_keep, fast = _spell_floats(counts)
-    # Integral counts, and what the kernel leaves, are spelled by Python.
-    slow = np.flatnonzero(integral | ~fast)
-    text_keep[slow] = False
-    words, words_keep = _byte_rows([
-        str(int(w)).encode() if i else repr(c).encode()
-        for i, w, c in zip(integral[slow].tolist(), whole[slow].tolist(),
-                           counts[slow].tolist())])
-    spare = np.zeros((len(pos), words.shape[1]), dtype=np.uint8)
-    spare_keep = np.zeros(spare.shape, dtype=bool)
-    spare[slow], spare_keep[slow] = words, words_keep
     h, t = np.divmod(pos, len(tail))
-    body = np.concatenate([np.take(head, h, axis=0), np.take(tail, t, axis=0), text,
-                           spare, np.full((len(pos), 1), ord("\n"), dtype=np.uint8)],
-                          axis=1)
-    keep = np.concatenate([np.take(head_keep, h, axis=0), np.take(tail_keep, t, axis=0),
-                           text_keep, spare_keep, np.ones((len(pos), 1), dtype=bool)],
-                          axis=1)
-    return body.ravel()[keep.ravel()].tobytes()
+    return compact([(np.take(head, h, axis=0), np.take(head_keep, h, axis=0)),
+                    (np.take(tail, t, axis=0), np.take(tail_keep, t, axis=0)),
+                    float_column(np.where(integral, whole, counts), integral), b"\n"])
+
+
+def float_column(x, integral=None):
+    """``repr`` of each double of ``x`` as a byte matrix and its keep mask,
+    a piece of ``lay_out``; where ``integral`` is set, x holds an integer,
+    spelled without a point. The kernel spells what it can, Python the
+    rest."""
+    if integral is None:
+        integral = np.zeros(len(x), dtype=bool)
+    text, keep, fast = _spell_floats(x)
+    slow = np.flatnonzero(integral | ~fast)
+    if len(slow):
+        words, words_keep = _byte_rows([
+            str(int(v)).encode() if i else repr(v).encode()
+            for i, v in zip(integral[slow].tolist(), x[slow].tolist())])
+        wider = words.shape[1] - text.shape[1]
+        if wider > 0:
+            text, keep = (np.pad(a, ((0, 0), (0, wider))) for a in (text, keep))
+        keep[slow] = False
+        text[slow, :words.shape[1]], keep[slow, :words.shape[1]] = words, words_keep
+    # Only the span of columns some row keeps is laid out.
+    used = keep.any(axis=0)
+    span = slice(used.argmax(), len(used) - used[::-1].argmax())
+    return text[:, span], keep[:, span]
+
+
+def int_column(v):
+    """The decimal text of each int of ``v`` as a byte matrix and its keep
+    mask, a piece of ``lay_out``: each distinct value is spelled once."""
+    values, index = np.unique(v, return_inverse=True)
+    text, keep = _byte_rows([b"%d" % i for i in values.tolist()])
+    return np.take(text, index, axis=0), np.take(keep, index, axis=0)
+
+
+def lay_out(pieces):
+    """``pieces`` side by side as one byte matrix and its keep mask. A piece
+    is a byte matrix and its keep mask, of as many rows as every other
+    matrix piece, or bytes that every row holds whole; at least one is a
+    matrix."""
+    rows = next(len(piece[0]) for piece in pieces if not isinstance(piece, bytes))
+    widths = [len(piece) if isinstance(piece, bytes) else piece[0].shape[1]
+              for piece in pieces]
+    body = np.empty((rows, sum(widths)), dtype=np.uint8)
+    keep = np.empty(body.shape, dtype=bool)
+    at = 0
+    for piece, width in zip(pieces, widths):
+        if isinstance(piece, bytes):
+            body[:, at:at + width] = np.frombuffer(piece, dtype=np.uint8)
+            keep[:, at:at + width] = True
+        else:
+            body[:, at:at + width], keep[:, at:at + width] = piece
+        at += width
+    return body, keep
+
+
+def compact(pieces) -> np.ndarray:
+    """The kept bytes of ``lay_out(pieces)``, row after row, as a uint8
+    array, which a binary file writes as it is."""
+    body, keep = lay_out(pieces)
+    return body.ravel()[keep.ravel()]

@@ -88,12 +88,11 @@ def candidate_dicts(table) -> list[dict]:
 def row_dicts(table: RowTable) -> list[dict]:
     """The rows a ``RowTable`` declares, read from its fields."""
     rows = []
-    for key, nested, columns in table.fields:
-        values = zip(*columns) if nested else columns[0]
-        for i, value in enumerate(values):
+    for key, values, rank in table.fields:
+        for i, value in enumerate((values if rank is None else values[rank]).tolist()):
             if i == len(rows):
                 rows.append({})
-            rows[i][key] = list(value) if nested else value
+            rows[i][key] = value
     return rows
 
 

@@ -3,12 +3,14 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -257,6 +259,72 @@ def test_json_emit_matches_one_shot_dumps_across_batches(capsys):
 def test_json_emit_matches_dumps_on_ragged_rows(capsys, doc):
     tcherry.cli._emit_json(doc)
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+#: Doubles whose spelling is easy to get wrong: both zeros, tiny negatives,
+#: subnormals, values outside the kernel's range and every format switch.
+ODD_FLOATS = [0.0, -0.0, -1e-17, -3.3306690738754696e-16, 5e-324, -5e-324,
+              2.225073858507201e-308, 1e-290, -1e290, 1.7976931348623157e308,
+              1e-05, 9.999999999999999e-06, 0.0001, 9.999999999999999e-05,
+              1e+16, 9999999999999998.0, 1e+17, 0.1, -2 / 3, 123456.789, 1.0, -7.0]
+
+
+def _odd_table(rows, seed):
+    """A table of ``rows`` rows over every kind of field, its floats drawn
+    from ``ODD_FLOATS`` and its ints with 1, 2 and 3 digits."""
+    rng = np.random.default_rng(seed)
+    floats = np.array(ODD_FLOATS)
+    lists = rng.integers(-9, 1000, size=(7, 3))
+    return tcherry.cli.RowTable([
+        ("f", rng.choice(floats, rows), None),
+        ("i", rng.integers(0, 1000, rows), None),
+        ("list", lists, rng.integers(0, len(lists), rows)),
+        ("pair", rng.choice(floats, (rows, 2)), None),
+        ("one", rng.choice(floats, (rows, 1)), None),
+        ("ranked", floats, rng.integers(0, len(floats), rows)),
+    ])
+
+
+@pytest.mark.parametrize("rows", [0, 1, tcherry.cli._TABLE_ROWS - 1, tcherry.cli._TABLE_ROWS,
+                                  tcherry.cli._TABLE_ROWS + 1, 2 * tcherry.cli._TABLE_ROWS + 1])
+def test_table_writer_matches_dumps_on_odd_columns(capsys, rows):
+    doc = {"t": _odd_table(rows, 1),
+           "l": [_odd_table(rows, 2), {"x": [1, -0.0]}, _odd_table(rows, 3), _odd_table(1, 4)],
+           "deep": {"q": [_odd_table(rows, 5)], "": []}}
+    tcherry.cli._emit_json(doc)
+    out = capsys.readouterr().out
+    # Lines, so that a failure names the first one that differs.
+    assert out.splitlines() == json.dumps(expand_tables(doc), indent=2).splitlines()
+    assert out.endswith("}\n")
+
+
+def _synthetic_candidates(rows, d=30, k=3):
+    """A candidate table of ``rows`` rows over the k-subsets of 1..d, its
+    w and ω random and of either sign."""
+    clusters = tuple(itertools.combinations(range(1, d + 1), k))
+    index = {base: i for i, base in enumerate(itertools.combinations(range(1, d + 1), k - 1))}
+    base_rank = np.array([index[c[:j] + c[j + 1:]] for c in clusters for j in range(k)])
+    row = np.arange(rows) % len(base_rank)
+    rng = np.random.default_rng(rows)
+    return CandidateTable(d, clusters, np.array(clusters), row // k, row % k, base_rank[row],
+                          rng.random(rows) - 0.5, rng.random(rows) * 4, None, None, None, None)
+
+
+def test_table_emission_memory_does_not_grow_with_the_table(monkeypatch):
+    # About 3 MiB at either size; a writer that spelled the whole table
+    # at once would peak near 250 MiB at 200,000 rows.
+    peaks = {}
+    for rows in (20_000, 200_000):
+        doc = {"candidates": tcherry.cli._candidate_rows(_synthetic_candidates(rows))}
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                tcherry.cli._emit_json(doc)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[200_000] <= peaks[20_000] + 2**20
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,9 @@ from tcherry import (CapacityError, DataFormatError, DomainError, JointTable, fr
 from tcherry.cli import main
 from tcherry.distribution import VariableSpec, from_codes
 from tcherry.io import (
+    compact,
     find_scheme_sidecar,
+    float_column,
     load_table,
     read_counts_csv,
     read_samples_csv,
@@ -898,7 +900,8 @@ def _spelling_cases():
     ])
     with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
         x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
-    return x[np.isfinite(x) & (x > 0)]
+    x = x[np.isfinite(x) & (x > 0)]
+    return np.concatenate([x, -x, [0.0, -0.0, -5e-324]])
 
 
 def test_float_spelling_matches_repr():
@@ -906,14 +909,28 @@ def test_float_spelling_matches_repr():
     got = _spellings(x)
     spelled = [(w, repr(v)) for w, v in zip(got, x.tolist()) if w is not None]
     assert [w for w, r in spelled if w != r] == []
-    # Every digit count and both format switches were spelled here.
-    assert {len(r.split("e")[0].replace(".", "").strip("0")) for _, r in spelled} \
-        == set(range(1, 18))
-    assert {"1e-05", "0.0001", "1e+16", "1000000000000000.0"} <= {w for w, _ in spelled}
+    # Every digit count and both format switches were spelled here, and
+    # zeros of either sign.
+    assert {len(r.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+            for _, r in spelled if float(r)} == set(range(1, 18))
+    assert {"1e-05", "0.0001", "1e+16", "1000000000000000.0", "-1e-05", "-1e+16",
+            "0.0", "-0.0"} <= {w for w, _ in spelled}
     # repr takes only values outside the fast range, ties and interval ends.
     low, high = tcherry.io._FAST_RANGE
-    inside = (x >= low) & (x <= high)
+    inside = (np.abs(x) >= low) & (np.abs(x) <= high)
     assert sum(w is None for w, ok in zip(got, inside.tolist()) if ok) < 0.02 * inside.sum()
+    # A sign does not change which magnitudes the kernel leaves to repr.
+    half = (len(x) - 3) // 2
+    assert [w is None for w in got[:half]] == [w is None for w in got[half:2 * half]]
+
+
+def test_float_column_spells_every_double_and_wide_integers():
+    x = np.array([1e300, 2.5, 5e-324, -0.0, 3.0, 1e-300])
+    integral = np.array([True, False, False, False, True, False])
+    text = compact([float_column(x, integral), b"\n"]).tobytes().decode().splitlines()
+    assert text == [str(int(1e300)), "2.5", "5e-324", "-0.0", "3", "1e-300"]
+    assert (compact([float_column(x), b"\n"]).tobytes().decode().splitlines()
+            == list(map(repr, x.tolist())))
 
 
 @pytest.mark.parametrize("seed", [201, 301, 401])
