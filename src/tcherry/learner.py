@@ -54,59 +54,68 @@ class TraceStep:
 
 
 class CandidateTable:
-    """Scored candidates as numpy columns, one row per (k-subset, new vertex).
+    """Scored candidates, one row per (k-subset, base): C(d,k)·k rows.
 
-    Row i attaches the vertex at position ``pos[i]`` of cluster
-    ``clusters[cluster_rank[i]]`` across the rest of that cluster, the
-    (k−1)-subset of rank ``base_rank[i]``. Ranks are lexicographic, the
-    order ``combinations`` yields, so they order exactly as the tuples
-    do. ``by_w``, ``by_omega`` and ``take`` give their rows as another
-    table, which shares the I and H of each cluster and each base, by
-    rank: ``w`` is ``i_cluster[cluster_rank] − i_base[base_rank]`` and
-    ``omega`` the same in H, to the bit.
+    Row id r stands for the cluster of rank r // k and its (r % k)-th
+    base, which leaves out the cluster's (r % k)-th vertex from the end.
+    Ranks are lexicographic, the order ``combinations`` yields, so ids
+    order as (cluster, base) do. The table stores its rows, in order, as
+    the one array ``ids``. The per-rank arrays beside it, ``members`` and
+    ``base_ranks`` (each C(d,k) by k) and the I and H of each cluster and
+    each base, are shared with the tables ``take``, ``by_w`` and
+    ``by_omega`` give. The other columns are gathered when read: ``w`` is
+    ``i_cluster[cluster_rank] − i_base[base_rank]`` and ``omega`` the same
+    in H, to the bit.
     """
 
-    __slots__ = ("d", "clusters", "members", "cluster_rank", "pos", "base_rank", "w", "omega",
-                 "i_cluster", "h_cluster", "i_base", "h_base")
+    __slots__ = ("d", "members", "base_ranks", "i_cluster", "h_cluster", "i_base", "h_base", "ids")
 
-    def __init__(self, d, clusters, members, cluster_rank, pos, base_rank, w, omega,
-                 i_cluster, h_cluster, i_base, h_base):
-        self.d, self.clusters, self.members = d, clusters, members
-        self.cluster_rank, self.pos, self.base_rank = cluster_rank, pos, base_rank
-        self.w, self.omega = w, omega
+    def __init__(self, d, members, base_ranks, i_cluster, h_cluster, i_base, h_base, ids=None):
+        self.d, self.members, self.base_ranks = d, members, base_ranks
         self.i_cluster, self.h_cluster, self.i_base, self.h_base = i_cluster, h_cluster, i_base, h_base
+        self.ids = np.arange(base_ranks.size) if ids is None else ids
 
     def __len__(self) -> int:
-        return len(self.w)
+        return len(self.ids)
 
     def take(self, rows) -> CandidateTable:
         """The table of ``rows``: a list of positions, a slice or a mask."""
-        return CandidateTable(self.d, self.clusters, self.members, self.cluster_rank[rows],
-                              self.pos[rows], self.base_rank[rows], self.w[rows],
-                              self.omega[rows], self.i_cluster, self.h_cluster, self.i_base,
-                              self.h_base)
-
-    def _ranked(self, primary) -> CandidateTable:
-        # A base is lexicographically smaller the later its cluster drops a
-        # vertex, so (cluster, -pos) orders ties as (cluster, base) does.
-        return self.take(np.lexsort((-self.pos, self.cluster_rank, primary)))
+        return CandidateTable(self.d, self.members, self.base_ranks, self.i_cluster,
+                              self.h_cluster, self.i_base, self.h_base, self.ids[rows])
 
     def by_w(self) -> CandidateTable:
-        """Decreasing w; ties by cluster, then base."""
-        return self._ranked(-self.w)
+        """Decreasing w; ties by row id, which is by cluster, then base."""
+        return self.take(np.lexsort((self.ids, -self.w)))
 
     def by_omega(self) -> CandidateTable:
-        """Increasing ω; ties by cluster, then base."""
-        return self._ranked(self.omega)
+        """Increasing ω; ties by row id, which is by cluster, then base."""
+        return self.take(np.lexsort((self.ids, self.omega)))
+
+    @property
+    def cluster_rank(self) -> np.ndarray:
+        return self.ids // self.members.shape[1]
+
+    @property
+    def base_rank(self) -> np.ndarray:
+        return self.base_ranks.ravel()[self.ids]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.i_cluster[self.cluster_rank] - self.i_base[self.base_rank]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.h_cluster[self.cluster_rank] - self.h_base[self.base_rank]
 
     def new_vertices(self) -> np.ndarray:
-        return self.members[self.cluster_rank, self.pos]
+        """The vertex each row adds: its cluster's (r % k)-th from the end."""
+        return self.members[:, ::-1].ravel()[self.ids]
 
     def bases(self) -> np.ndarray:
         """The base of each row, ascending: an (n, k−1) array."""
         k = self.members.shape[1]
-        keep = np.arange(k) != self.pos[:, None]
-        return self.members[self.cluster_rank][keep].reshape(len(self), k - 1)
+        keep = np.arange(k) != (k - 1 - self.ids % k)[:, None]
+        return self.members[self.ids // k][keep].reshape(len(self), k - 1)
 
     def growth(self, parent: IndexSet):
         """Grow from ``parent`` until every variable is covered: for each of
@@ -118,16 +127,16 @@ class CandidateTable:
         covered = np.zeros(self.d + 1, dtype=bool)
         covered[list(parent)] = True
         eligible = np.zeros(math.comb(self.d, k - 1), dtype=bool)
-        vertices, cluster = self.new_vertices(), parent
+        eligible[_lex_ranks(np.array(list(combinations(parent, k - 1))), self.d)] = True
+        vertices, bases = self.new_vertices().astype(np.intp), self.base_rank
         for _ in range(self.d - k):
-            eligible[_lex_ranks(np.array(list(combinations(cluster, k - 1))), self.d)] = True
-            admitted = ~covered[vertices] & eligible[self.base_rank]
+            admitted = ~covered[vertices] & eligible[bases]
             row = int(admitted.argmax())
             if not admitted[row]:
                 raise ConsistencyError("no admissible candidate although vertices remain")
             yield row, admitted
             covered[vertices[row]] = True
-            cluster = self.members[self.cluster_rank[row]].tolist()
+            eligible[self.base_ranks[self.ids[row] // k]] = True
 
 
 @dataclass(frozen=True)
@@ -160,30 +169,25 @@ def _lex_ranks(subsets: np.ndarray, d: int) -> np.ndarray:
 
 def enumerate_candidates(p: JointTable, k: int,
                          cache: MarginalCache | None = None) -> CandidateTable:
-    """Score every (k-subset, distinguished vertex) pair: C(d,k)·k candidates,
-    by cluster in lexicographic order, then by the new vertex's position."""
+    """Score every (k-subset, base) pair: C(d,k)·k candidates, by row id:
+    by cluster, then by base, both in lexicographic order."""
     k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     cache.prefetch(k)
     clusters = tuple(combinations(p.variables, k))
     i_base, h_base = cache.info_h(combinations(p.variables, k - 1))
     i_cluster, h_cluster = cache.info_h(clusters)
-    members = np.array(clusters)
-    base_rank = np.stack([_lex_ranks(np.delete(members, j, axis=1), p.d)
-                          for j in range(k)], axis=1)
-    w = i_cluster[:, None] - i_base[base_rank]
-    omega = h_cluster[:, None] - h_base[base_rank]
-    n = len(clusters)
-    return CandidateTable(p.d, clusters, members, np.repeat(np.arange(n), k),
-                          np.tile(np.arange(k), n), base_rank.ravel(), w.ravel(),
-                          omega.ravel(), i_cluster, h_cluster, i_base, h_base)
+    members = np.array(clusters, dtype=np.min_scalar_type(p.d))
+    base_ranks = np.stack([_lex_ranks(np.delete(members, j, axis=1), p.d)
+                           for j in reversed(range(k))], axis=1)
+    return CandidateTable(p.d, members, base_ranks, i_cluster, h_cluster, i_base, h_base)
 
 
 def find_parent_cluster(p: JointTable, k: int,
                         cache: MarginalCache | None = None) -> IndexSet:
     """Cluster of the best candidate: argmax over K of max_v I(K) − I(K∖{v})."""
     order = enumerate_candidates(p, k, cache_for(p, cache)).by_w()
-    return order.clusters[order.cluster_rank[0]]
+    return tuple(order.members[order.cluster_rank[0]].tolist())
 
 
 def _fit(algorithm: str, p: JointTable, cache: MarginalCache, table: CandidateTable,
@@ -223,7 +227,7 @@ def fit_sk(p: JointTable, k: int, cache: MarginalCache | None = None) -> FitResu
     k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_w()
-    parent = order.clusters[order.cluster_rank[0]]
+    parent = tuple(order.members[order.cluster_rank[0]].tolist())
     return _fit("sk", p, cache, order, parent, [row for row, _ in order.growth(parent)])
 
 
@@ -234,7 +238,7 @@ def fit_malvestuto(p: JointTable, k: int,
     k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     order = enumerate_candidates(p, k, cache).by_omega()
-    parent = order.clusters[int(order.h_cluster.argmin())]
+    parent = tuple(order.members[order.h_cluster.argmin()].tolist())
     return _fit("malvestuto", p, cache, order, parent, [row for row, _ in order.growth(parent)])
 
 
@@ -327,8 +331,8 @@ def fit_exhaustive(p: JointTable, k: int, cache: MarginalCache | None = None) ->
             best = (key, witness)
     (neg_weight, _, _), (parent, steps) = best
     # A witness step's row attaches its vertex to the cluster it makes.
-    clusters = [table.clusters[rank] for rank in table.cluster_rank.tolist()]
-    where = {key: row for row, key in enumerate(zip(clusters, table.new_vertices().tolist()))}
+    where = {(tuple(c), v): row for row, (c, v) in enumerate(zip(
+        table.members[table.cluster_rank].tolist(), table.new_vertices().tolist()))}
     rows = [where[tuple(sorted(base + (vertex,))), vertex] for vertex, base in steps]
     fr = _fit("exhaustive", p, cache, table, parent, rows)
     if abs(-neg_weight - fr.score.weight) > WEIGHT_CHECK_TOL:

@@ -67,13 +67,13 @@ class CandidateRow(NamedTuple):
 
 def candidate_rows(table) -> list[CandidateRow]:
     """Reference rows of a candidate table, read from its public columns:
-    row i attaches the vertex at position ``pos[i]`` of its cluster across
-    the rest of the cluster."""
+    row i attaches its new vertex across the rest of its cluster."""
     rows = []
-    for rank, j, w, omega in zip(table.cluster_rank.tolist(), table.pos.tolist(),
-                                 table.w.tolist(), table.omega.tolist()):
-        cluster = table.clusters[rank]
-        rows.append(CandidateRow(cluster, cluster[:j] + cluster[j + 1:], cluster[j], w, omega))
+    for cluster, vertex, w, omega in zip(table.members[table.cluster_rank].tolist(),
+                                         table.new_vertices().tolist(), table.w.tolist(),
+                                         table.omega.tolist()):
+        base = tuple(v for v in cluster if v != vertex)
+        rows.append(CandidateRow(tuple(cluster), base, vertex, w, omega))
     return rows
 
 

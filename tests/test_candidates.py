@@ -6,6 +6,8 @@ replaced: sort every row (``conftest.candidate_rows``) by
 step by step, the first candidate in that order the tree admits.
 """
 
+import math
+import tracemalloc
 from contextlib import nullcontext
 from itertools import combinations
 
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import candidate_rows, random_table, random_tree
 from tcherry import (
+    CandidateTable,
     ConsistencyError,
     JointTable,
     MarginalCache,
@@ -77,12 +80,21 @@ TIES = [pytest.param(t, ks, id=name)
 @pytest.mark.parametrize("table, orders", CASES + TIES)
 def test_lexsort_order_equals_tuple_key_sort(table, orders):
     cache = MarginalCache(table)
+    rng = np.random.default_rng(table.d)
     for k in orders:
         cands = enumerate_candidates(table, k, cache)
         plain = candidate_rows(cands)
         assert candidate_rows(cands.by_w()) == sorted(plain, key=sk_key)
         assert candidate_rows(cands.by_omega()) == sorted(plain, key=malvestuto_key)
         assert find_parent_cluster(table, k, cache) == min(plain, key=sk_key).cluster
+        # A shuffled table, and a shuffled half of it, order as their rows
+        # sort, whatever order they hold them in.
+        n = len(cands)
+        for rows in (rng.permutation(n), rng.permutation(n)[:max(1, n // 2)]):
+            taken = cands.take(rows)
+            plain = candidate_rows(taken)
+            assert candidate_rows(taken.by_w()) == sorted(plain, key=sk_key)
+            assert candidate_rows(taken.by_omega()) == sorted(plain, key=malvestuto_key)
 
 
 @pytest.mark.parametrize("table, orders", TIES)
@@ -157,6 +169,34 @@ def test_growth_masks_match_a_scan():
                         got.append(admitted.tolist())
                 assert got == want[:len(want) - ends_stuck]
     assert stuck
+
+
+def test_table_memory_is_row_ids_over_per_rank_arrays():
+    # d=40, k=4: 91,390 clusters, 365,560 rows. The table holds an 8-byte
+    # id a row and about 12 bytes a row of per-rank arrays (k 8-byte base
+    # ranks, k 1-byte members and I and H per cluster); ordering and
+    # growing it gather a few 8-byte columns at once. Storing each row's
+    # cluster, base, position, w and ω would take 40 bytes a row before
+    # any sort or copy of them.
+    d, k = 40, 4
+    rng = np.random.default_rng(40)
+    tracemalloc.start()
+    try:
+        members = np.array(list(combinations(range(1, d + 1), k)), dtype=np.uint8)
+        base_ranks = np.stack([_lex_ranks(np.delete(members, j, axis=1), d)
+                               for j in reversed(range(k))], axis=1)
+        clusters, bases = len(members), math.comb(d, k - 1)
+        table = CandidateTable(d, members, base_ranks, rng.random(clusters),
+                               rng.random(clusters) * 4, rng.random(bases), rng.random(bases) * 4)
+        order = table.by_w()
+        parent = tuple(order.members[order.cluster_rank[0]].tolist())
+        rows = [row for row, _ in order.growth(parent)]
+        w = order.take(rows).w
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 365_560 and len(w) == d - k
+    assert peak <= 64 * len(table)
 
 
 def test_lex_ranks_follow_combinations():

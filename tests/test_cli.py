@@ -300,14 +300,15 @@ def test_table_writer_matches_dumps_on_odd_columns(capsys, rows):
 
 def _synthetic_candidates(rows, d=30, k=3):
     """A candidate table of ``rows`` rows over the k-subsets of 1..d, its
-    w and ω random and of either sign."""
+    per-rank I and H random, so that w and ω are of either sign."""
     clusters = tuple(itertools.combinations(range(1, d + 1), k))
     index = {base: i for i, base in enumerate(itertools.combinations(range(1, d + 1), k - 1))}
-    base_rank = np.array([index[c[:j] + c[j + 1:]] for c in clusters for j in range(k)])
-    row = np.arange(rows) % len(base_rank)
+    base_ranks = np.array([[index[b] for b in itertools.combinations(c, k - 1)]
+                           for c in clusters])
     rng = np.random.default_rng(rows)
-    return CandidateTable(d, clusters, np.array(clusters), row // k, row % k, base_rank[row],
-                          rng.random(rows) - 0.5, rng.random(rows) * 4, None, None, None, None)
+    return CandidateTable(d, np.array(clusters), base_ranks, rng.random(len(clusters)),
+                          rng.random(len(clusters)) * 4, rng.random(len(index)),
+                          rng.random(len(index)) * 4, np.arange(rows) % base_ranks.size)
 
 
 def test_table_emission_memory_does_not_grow_with_the_table(monkeypatch):
@@ -338,6 +339,18 @@ def synth10(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def synth6(tmp_path_factory):
+    """Exact counts over 6 variables of mixed cardinality, uniform factors:
+    at k=3, 24 of its 60 candidate rows and 2 steps of the ``sk`` trace
+    have w < 0."""
+    prefix = tmp_path_factory.mktemp("synth6") / "s6"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--d", "6", "--k", "3", "--seed", "9", "--cards", "2,3,2,2,3,2",
+                     "--strength", "0", "--out", str(prefix)]) == 0
+    return prefix
+
+
+@pytest.fixture(scope="module")
 def synth3_13(tmp_path_factory):
     """Counts files over 3 variables (k = 3) and over 13 (k = 4)."""
     base = tmp_path_factory.mktemp("synth3_13")
@@ -358,19 +371,21 @@ def emitted(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("algorithm", ["sk", "malvestuto", "chow_liu", "exhaustive", "all"])
 @pytest.mark.parametrize("k", [2, 3, 4])
-@pytest.mark.parametrize("data", ["lizards", "synth10"])
-def test_fit_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, data, k,
+@pytest.mark.parametrize("data", ["lizards", "synth10", "synth6"])
+def test_fit_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10, synth6, data, k,
                                                algorithm):
-    path = "lizards.csv" if data == "lizards" else f"{synth10}.csv"
+    path = {"lizards": "lizards.csv", "synth10": f"{synth10}.csv", "synth6": f"{synth6}.csv"}
     code, out, docs = emitted(capsys, monkeypatch, [
-        "fit", "--k", str(k), "--algorithm", algorithm, "--format", "json", path])
-    d = 5 if data == "lizards" else 10
+        "fit", "--k", str(k), "--algorithm", algorithm, "--format", "json", path[data]])
+    d = {"lizards": 5, "synth10": 10, "synth6": 6}[data]
     if algorithm == "chow_liu" and k > 2 or algorithm == "exhaustive" and d > 7:
         assert (code, out, docs) == ((2 if algorithm == "chow_liu" else 3), "", [])
         return
     assert code == 0 and len(docs) == 1
     doc = expand_tables(docs[0])
-    assert out == json.dumps(doc, indent=2) + "\n"
+    # Lines, so that a failure names the first one that differs; split at
+    # "\n" alone, so the lists are equal exactly when the strings are.
+    assert out.split("\n") == (json.dumps(doc, indent=2) + "\n").split("\n")
     for result in doc.get("results", [doc]):
         assert len(result["candidates"]) == math.comb(d, result["k"]) * result["k"]
 
@@ -397,7 +412,7 @@ def test_command_json_equals_dumps_of_its_document(capsys, monkeypatch, synth10,
     code, out, docs = emitted(capsys, monkeypatch,
                               [a.format(**fields) for a in argv] + ["--format", "json"])
     assert code == 0 and len(docs) == 1
-    assert out == json.dumps(expand_tables(docs[0]), indent=2) + "\n"
+    assert out.split("\n") == (json.dumps(expand_tables(docs[0]), indent=2) + "\n").split("\n")
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -6,6 +6,11 @@ table became columnar: every algorithm at k = 2..4 for ``fit``, ``sk``
 and ``malvestuto`` for ``report``, text and JSON, on ``lizards`` and on a
 ``synth --d 10 --k 3 --n 5000 --seed 3`` counts file. A change to any
 byte of these outputs must be deliberate and comes with new hashes.
+The two ``synth6`` entries, ``fit --k 3`` in JSON by ``sk`` and by
+``malvestuto`` on the exact counts of ``synth --d 6 --k 3 --seed 9
+--cards 2,3,2,2,3,2 --strength 0``, were recorded before the candidate
+table kept its rows as ids: 24 of their 60 candidate rows have w < 0
+(and 2 of the ``sk`` trace's steps), which no other entry prints.
 The three ``fit lizards exhaustive {2,3,4} json`` entries were
 re-recorded when ``exhaustive`` began to score from the marginals its
 candidate table prefetches, as the other fits do: its w, ω and score
@@ -145,6 +150,8 @@ EXPECTED = {
     ("fit", "synth10", "all", 4, "json"): (0, "d5ae5b244d1f2a0665662f978e00cb165d2a15f3d98e7e1089ea3e916d51fbe9"),
     ("report", "synth10", "sk", 4, "json"): (0, "a14fc92a143b8e5f4370c265245e9563ba141462d1398c5d0041fa920b51ff44"),
     ("report", "synth10", "malvestuto", 4, "json"): (0, "5fd93837ecaa5365de81617cdfbf6464e88fd4f81fb7702327dd753c576b3691"),
+    ("fit", "synth6", "sk", 3, "json"): (0, "7b69b16d4e862f7cd528f31bdc4823fe201418bc6d3e1257ea79bec60141c9cc"),
+    ("fit", "synth6", "malvestuto", 3, "json"): (0, "7c6453df3c8820d2c0e01ba1a68d318fc19f22081aebc75d9d5ad6fd97c76eea"),
 }
 
 
@@ -220,6 +227,15 @@ def synth10(tmp_path_factory):
     return f"{prefix}.csv"
 
 
+@pytest.fixture(scope="module")
+def synth6(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("hashes") / "s6"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--d", "6", "--k", "3", "--seed", "9", "--cards", "2,3,2,2,3,2",
+                     "--strength", "0", "--out", str(prefix)]) == 0
+    return f"{prefix}.csv"
+
+
 def _run(command, path, algorithm, k, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -228,8 +244,8 @@ def _run(command, path, algorithm, k, fmt):
 
 
 @pytest.mark.parametrize("command, data, algorithm, k, fmt", list(EXPECTED))
-def test_stdout_bytes_are_unchanged(synth10, command, data, algorithm, k, fmt):
-    path = "lizards.csv" if data == "lizards" else synth10
+def test_stdout_bytes_are_unchanged(synth10, synth6, command, data, algorithm, k, fmt):
+    path = {"lizards": "lizards.csv", "synth10": synth10, "synth6": synth6}[data]
     assert _run(command, path, algorithm, k, fmt) == EXPECTED[command, data, algorithm, k, fmt]
 
 
