@@ -16,7 +16,6 @@ import gc
 import json
 import math
 import sys
-from importlib.resources import as_file
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -77,11 +76,8 @@ def _load_input(path_str: str, scheme, smoothing: float, cap: int) -> JointTable
     p = Path(path_str)
     if not p.exists() and p.name in ("lizards", "lizards.csv"):
         # The bundled file, with its scheme sidecar unless --scheme is given.
-        with as_file(lizards_path()) as real:
-            table = load_table(real, scheme_path=scheme, cap=cap)
-    else:
-        table = load_table(p, scheme_path=scheme, cap=cap)
-    return with_additive_smoothing(table, smoothing)
+        p = lizards_path()
+    return with_additive_smoothing(load_table(p, scheme_path=scheme, cap=cap), smoothing)
 
 
 def _read_tree_doc(path_str: str):

@@ -5,20 +5,19 @@ structural-habitat cells: perch height, perch diameter, insolation,
 time of day (3 levels) and species, a 2x2x2x3x2 contingency table.
 """
 
-from importlib.resources import as_file, files
+from pathlib import Path
 
 from .distribution import DEFAULT_CELL_CAP, JointTable
 from .io import read_counts_csv, read_scheme_json
 
 
-def lizards_path():
+def lizards_path() -> Path:
     """Filesystem path of the bundled lizard counts CSV."""
-    return files("tcherry").joinpath("data/lizards.csv")
+    return Path(__file__).with_name("data") / "lizards.csv"
 
 
 def load_lizards(cap: int = DEFAULT_CELL_CAP) -> JointTable:
     """The lizard habitat contingency table as a joint distribution."""
-    data = files("tcherry")
-    with as_file(data.joinpath("data/lizards.csv")) as csv_path, \
-            as_file(data.joinpath("data/lizards.scheme.json")) as scheme_path:
-        return read_counts_csv(csv_path, scheme=read_scheme_json(scheme_path), cap=cap)
+    path = lizards_path()
+    return read_counts_csv(path, scheme=read_scheme_json(path.with_suffix(".scheme.json")),
+                           cap=cap)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,21 +35,20 @@ MASS_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class VariableSpec:
+class VariableSpec(NamedTuple("VariableSpec", [("index", int), ("cardinality", int),
+                                               ("name", str | None)])):
     """One discrete variable: its 1-based index, cardinality, optional name."""
 
-    index: int
-    cardinality: int
-    name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise DomainError(f"variable index must be >= 1, got {self.index}")
-        if self.cardinality < 2:
+    def __new__(cls, index: int, cardinality: int, name: str | None = None):
+        if index < 1:
+            raise DomainError(f"variable index must be >= 1, got {index}")
+        if cardinality < 2:
             raise DomainError(
-                f"variable {self.index}: cardinality must be >= 2, got {self.cardinality}"
+                f"variable {index}: cardinality must be >= 2, got {cardinality}"
             )
+        return super().__new__(cls, index, cardinality, name)
 
 
 def make_scheme(cardinalities: Sequence[int]):
@@ -367,13 +365,12 @@ class MarginalCache:
         self._marginals.update(zip(keys, zip(repeat(stack), range(len(keys)))))
         flat = stack.reshape(len(keys), -1)
         # Each row is summed pairwise, as ``entropy`` sums its nonzero
-        # cells; a row with a zero cell comes out nan and is summed again
-        # over its nonzero cells alone, as ``entropy`` does.
+        # cells; a row with a zero cell comes out nan and is left to
+        # ``entropy``, which sums its nonzero cells alone.
         with np.errstate(divide="ignore", invalid="ignore"):
             h = (-(flat * np.log2(flat)).sum(axis=1)).tolist()
         for r in np.flatnonzero(np.isnan(h)).tolist():
-            nz = flat[r][flat[r] > 0.0]
-            h[r] = float(-np.sum(nz * np.log2(nz)))
+            h[r] = entropy(flat[r])
         self._h.update(zip(keys, h))
 
     def _ensure(self, key: tuple[int, ...]) -> None:

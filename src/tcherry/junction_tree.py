@@ -13,7 +13,6 @@ iteration order deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -34,17 +33,16 @@ def _is_subset(a: IndexSet, b: IndexSet) -> bool:
     return set(a) <= set(b)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple("Hypergraph", [("vertices", IndexSet),
+                                           ("hyperedges", tuple[IndexSet, ...])])):
     """A finite hypergraph; hyperedges must not be subsets of one another."""
 
-    vertices: IndexSet
-    hyperedges: tuple[IndexSet, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vertices = _canon(self.vertices, "vertices")
+    def __new__(cls, vertices: Iterable[int], hyperedges: Iterable[Iterable[int]]):
+        vertices = _canon(vertices, "vertices")
         vset = set(vertices)
-        edges = tuple(_canon(e, "hyperedge") for e in self.hyperedges)
+        edges = tuple(_canon(e, "hyperedge") for e in hyperedges)
         for e in edges:
             if not e:
                 raise StructureError("hyperedges must be non-empty")
@@ -56,8 +54,7 @@ class Hypergraph:
                     raise StructureError(
                         f"hyperedge {a} is contained in {b}; redundant edges are rejected"
                     )
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "hyperedges", edges)
+        return super().__new__(cls, vertices, edges)
 
 
 class GrahamResult(NamedTuple):
@@ -129,8 +126,7 @@ def first_rip_violation(clusters) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SeparatorLink:
+class SeparatorLink(NamedTuple):
     """Separator of one grown cluster and the index of the cluster it attaches to."""
 
     separator: IndexSet
@@ -280,8 +276,7 @@ def add_hypercherry(t: TCherryJunctionTree, new_vertex: int, separator) -> TCher
     )
 
 
-@dataclass(frozen=True)
-class PuzzleNumbering:
+class PuzzleNumbering(NamedTuple):
     """A processing order of a tree's vertices.
 
     ``order[:k]`` is the parent cluster; each later vertex ``order[r]``

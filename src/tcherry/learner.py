@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .scoring import ScoreBreakdown, tree_weight
 WEIGHT_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One accepted growth step; the first step records the parent pick."""
 
     cluster: IndexSet
@@ -139,8 +137,7 @@ class CandidateTable:
             eligible[self.base_ranks[self.ids[row] // k]] = True
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     algorithm: str
     tree: TCherryJunctionTree
     trace: tuple[TraceStep, ...]
@@ -250,7 +247,7 @@ def fit_chow_liu(p: JointTable, cache: MarginalCache | None = None) -> FitResult
     """
     if p.d < 2:
         raise DomainError("chow_liu needs at least two variables")
-    return replace(fit_sk(p, 2, cache), algorithm="chow_liu")
+    return FitResult("chow_liu", *fit_sk(p, 2, cache)[1:])
 
 
 #: The most structures ``fit_exhaustive`` scores: the count at d = 7,

@@ -12,8 +12,8 @@ one block of cells at a time and builds no table of q. Units are bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ RECOVERY_TIE_TOL = 1e-12
 KL_BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     """Weight, total information and divergence of one tree, itemized."""
 
     weight: float
@@ -116,8 +115,7 @@ def kl_exact(p: JointTable, t: TCherryJunctionTree,
     return total
 
 
-@dataclass(frozen=True)
-class ConditionComparison:
+class ConditionComparison(NamedTuple):
     """One inequality instance from the recovery-condition sweep.
 
     Vertex ``later`` (numbered at position ``later_pos``) is compared
@@ -134,8 +132,7 @@ class ConditionComparison:
     earlier_gain: float
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     violations: tuple[ConditionComparison, ...]
     ties: tuple[ConditionComparison, ...]
     checked: int

@@ -131,12 +131,14 @@ def test_every_imported_name_is_read():
     assert SRC.is_dir() and not found
 
 
-def _child(code, cwd=None):
-    """Standard output of ``python -c code`` run on this checkout's package."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=cwd, env=env, check=True).stdout
+def _child(code, cwd=None, flags=(), path=None):
+    """Standard output of ``python *flags -c code`` run on this checkout's
+    package. The child's PYTHONPATH is this checkout's ``src``, then
+    ``path`` if given, else the inherited PYTHONPATH."""
+    rest = os.environ.get("PYTHONPATH") if path is None else path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), rest)))}
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, cwd=cwd, env=env, check=True).stdout
 
 
 def test_import_binds_little_array_data():
@@ -153,6 +155,66 @@ def test_import_binds_little_array_data():
             "          if name.split('.')[0] == 'tcherry'\n"
             "          for v in vars(m).values() for a in arrays(v)))")
     assert int(_child(code)) < 64 * 1024
+
+
+#: Modules that every process would pay for at import: records are
+#: NamedTuples and the bundled data is read by path.
+UNIMPORTED = {"dataclasses", "importlib.resources"}
+
+
+def test_no_module_imports_dataclasses_or_resources():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if any(f"{name}.".startswith(f"{banned}.") for banned in UNIMPORTED)]
+    assert SRC.is_dir() and not found
+
+
+def test_cli_import_loads_no_dataclasses_or_resources():
+    # -S, because a host's site may import importlib.resources through a
+    # .pth file; numpy's own directory is the only other entry on the path.
+    numpy_dir = Path(importlib.util.find_spec("numpy").origin).parents[1]
+    code = ("import sys, numpy, tcherry.cli\n"
+            f"print(sorted({sorted(UNIMPORTED)!r} & sys.modules.keys()))")
+    assert _child(code, flags=["-S"], path=str(numpy_dir)) == "[]\n"
+
+
+#: Each record of the package, built by keyword from its fields in order.
+RECORDS = [
+    ("distribution", "VariableSpec", {"index": 1, "cardinality": 3, "name": "hue"}),
+    ("junction_tree", "Hypergraph", {"vertices": (1, 2, 3), "hyperedges": ((1, 2), (2, 3))}),
+    ("junction_tree", "SeparatorLink", {"separator": (2,), "attach_to": 0}),
+    ("junction_tree", "PuzzleNumbering",
+     {"k": 2, "order": (1, 2, 3), "attach_separators": ((2,),)}),
+    ("learner", "TraceStep", {"cluster": (1, 2), "separator": None, "w": 0.5, "omega": 1.5}),
+    ("learner", "FitResult", {"algorithm": "sk", "tree": None, "trace": (), "score": None,
+                              "candidate_table": None, "rows": ()}),
+    ("scoring", "ScoreBreakdown", {"weight": 0.5, "total_information": 1.0, "kl": 0.5,
+                                   "per_cluster": (((1, 2), 0.5),),
+                                   "per_separator": (((2,), 2, 0.25),)}),
+    ("scoring", "ConditionComparison",
+     {"earlier_pos": 2, "earlier": 3, "later_pos": 3, "later": 4, "separator": (2,),
+      "later_gain": 0.25, "earlier_gain": 0.5}),
+    ("scoring", "ConditionReport", {"violations": (), "ties": (), "checked": 0}),
+]
+
+
+@pytest.mark.parametrize("module, name, fields", RECORDS, ids=[r[1] for r in RECORDS])
+def test_records_are_immutable_and_spelled_by_field(module, name, fields):
+    cls = getattr(importlib.import_module(f"tcherry.{module}"), name)
+    record = cls(**fields)
+    assert cls._fields == tuple(fields)
+    for attr in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
 
 
 def test_every_definition_is_referenced():

@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -275,7 +274,7 @@ def test_every_fit_checks_its_weight_accumulator(lizard, monkeypatch, capsys):
 
     def shifted(*args):
         sb = real(*args)
-        return replace(sb, weight=sb.weight + 1e-6)
+        return sb._replace(weight=sb.weight + 1e-6)
 
     monkeypatch.setattr(tcherry.learner, "tree_weight", shifted)
     for fit in (lambda: fit_sk(lizard, 3), lambda: fit_malvestuto(lizard, 3),
