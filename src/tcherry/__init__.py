@@ -3,9 +3,9 @@
 import os
 import sys
 
-# No tcherry code calls BLAS, and OpenBLAS's idle threads spin on the cores
-# the counts codec's threads run on. Set before numpy's first import only,
-# and only where the user has not chosen.
+# No tcherry code calls BLAS, and numpy imports faster when OpenBLAS starts
+# no thread per core. Set before numpy's first import only, and only where
+# the user has not chosen.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

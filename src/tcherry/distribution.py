@@ -50,6 +50,11 @@ class VariableSpec(NamedTuple("VariableSpec", [("index", int), ("cardinality", i
             )
         return super().__new__(cls, index, cardinality, name)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so that ``_replace`` validates too."""
+        return cls(*iterable)
+
 
 def make_scheme(cardinalities: Sequence[int]):
     """Build a scheme tuple for variables 1..d with the given cardinalities."""
@@ -422,13 +427,14 @@ class MarginalCache:
 
     def info_h(self, subsets) -> tuple[np.ndarray, np.ndarray]:
         """I and H of each of ``subsets``, canonical tuples of one size, as
-        two arrays: the floats ``info`` and ``h`` give, filled per stack."""
+        two arrays: the floats ``info`` and ``h`` give, filled per stack.
+        The I values are not cached: their keys would keep the caller's
+        tuples alive."""
         subsets = list(subsets)
         self.fill(subsets)
         h = np.fromiter(map(self.h, subsets), np.float64, len(subsets))
         singles = np.array(self._single_h())[np.array(subsets) - 1]
         info = np.fromiter(map(math.fsum, singles.tolist()), np.float64, len(subsets)) - h
-        self._info.update(zip(subsets, info.tolist()))
         return info, h
 
     def point(self, subset, full_state: Sequence[int]) -> float:

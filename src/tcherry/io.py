@@ -20,8 +20,6 @@ import csv
 import functools
 import json
 import math
-import os
-import threading
 from contextlib import contextmanager
 from io import TextIOWrapper
 from itertools import islice, product
@@ -36,21 +34,13 @@ from .errors import DataFormatError
 #: Lines parsed per array chunk.
 _CHUNK_LINES = 65_536
 
-#: Cells formatted per part of a write chunk, few enough that its arrays
-#: stay in cache.
+#: Cells formatted per write chunk, few enough that its arrays stay in
+#: cache.
 _WRITE_CELLS = 8_192
 
-#: Parts a counts-codec chunk is split into, run at once on threads: one
-#: per CPU this process may run on, at most 2, the only count measured.
-_PARTS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1, 2)
-
 #: Bytes per chunk the byte decoders read, rounded down to whole sample
-#: rows. Both are constants, so a load's memory does not depend on the
-#: host: a counts chunk is split into ``_PARTS`` parts, and the samples
-#: decoder reads its chunks whole, in this thread.
-_COUNTS_CHUNK_BYTES = 2 << 20
-_SAMPLES_CHUNK_BYTES = 1 << 20
+#: rows: a constant, so a load's memory does not depend on the host.
+_CHUNK_BYTES = 1 << 20
 
 #: States are parsed as int32.
 _MAX_STATE = int(np.iinfo(np.int32).max)
@@ -163,55 +153,12 @@ def _decode_digits(chunk, d):
     return _digit_codes(np.frombuffer(chunk, dtype="<u2").reshape(-1, d), "\n")
 
 
-def _in_parts(fn, parts):
-    """``[fn(*args) for args in parts]``, the first part in this thread and
-    each other on a thread of its own; an exception a part raises is
-    raised here once every part has ended."""
-    results, errors = [None] * len(parts), []
-
-    def run(i):
-        try:
-            results[i] = fn(*parts[i])
-        except BaseException as exc:  # raised again below, in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _decode_counts(chunk, d):
     """The codes and counts of ``chunk`` up to its last '\\n', when each row
     there is d digits 1-9 each followed by ',', then a count of the bytes
     ``0-9.eE+-`` that reads whole as one finite non-negative float, then
-    '\\n'; else None.
-
-    The rows are split at line ends into up to ``_PARTS`` parts, decoded
-    at once; the chunk is refused if any part is."""
-    stop = chunk.rfind(b"\n") + 1
-    cuts = sorted({0, stop, *(chunk.rfind(b"\n", 0, stop * i // _PARTS) + 1
-                              for i in range(1, _PARTS))})
+    '\\n'; else None."""
     buf = np.frombuffer(chunk, dtype=np.uint8)
-    if len(cuts) < 3:
-        return _decode_count_rows(buf, d)
-    # The tables the parts share are built here, not by two parts at once.
-    _decoding_tables()
-    _powers()
-    got = _in_parts(_decode_count_rows, [(buf[i:j], d) for i, j in zip(cuts, cuts[1:])])
-    if any(part is None for part in got):
-        return None
-    codes, counts = zip(*got)
-    return np.concatenate(codes), np.concatenate(counts)
-
-
-def _decode_count_rows(buf, d):
-    """``_decode_counts`` of the uint8 array ``buf``, in this thread."""
     ends = np.flatnonzero(buf == ord("\n"))
     widths = np.diff(ends, prepend=-1) - 1 - 2 * d
     if not len(ends) or widths.min() < 1:
@@ -451,8 +398,7 @@ def _read_digits(f, has_count):
         f.seek(0)
         return 0, has_count, [], []
     decode = _decode_counts if has_count else _decode_digits
-    size = max((_COUNTS_CHUNK_BYTES if has_count else _SAMPLES_CHUNK_BYTES)
-               // (2 * d), 1) * 2 * d
+    size = max(_CHUNK_BYTES // (2 * d), 1) * 2 * d
     codes, counts = [], []
     while (chunk := f.read(size)) and (got := decode(chunk, d)) is not None:
         if has_count:
@@ -872,17 +818,11 @@ def write_counts_csv(path, table: JointTable):
     """
     probs, n = table.probs.reshape(-1), table.total_count
     labels = _label_bytes(table.cardinalities)
-    # The tables the parts share are built here, not by two parts at once.
-    _spelling_tables()
-    _powers()
     with open(path, "wb") as f:
         f.write(",".join(f"x{i + 1}" for i in range(table.d)).encode() + b",count\n")
         nonzero = np.flatnonzero(probs)
-        cells = [nonzero[i:i + _WRITE_CELLS] for i in range(0, len(nonzero), _WRITE_CELLS)]
-        for k in range(0, len(cells), _PARTS):
-            parts = [(probs, n, labels, pos) for pos in cells[k:k + _PARTS]]
-            for text in _in_parts(_encode_cells, parts):
-                f.write(text)
+        for i in range(0, len(nonzero), _WRITE_CELLS):
+            f.write(_encode_cells(probs, n, labels, nonzero[i:i + _WRITE_CELLS]))
 
 
 def _encode_cells(probs, n, labels, pos):

@@ -56,6 +56,12 @@ class Hypergraph(NamedTuple("Hypergraph", [("vertices", IndexSet),
                     )
         return super().__new__(cls, vertices, edges)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so that ``_replace`` checks and
+        canonicalizes too."""
+        return cls(*iterable)
+
 
 class GrahamResult(NamedTuple):
     reduced: Hypergraph

@@ -6,6 +6,7 @@ import pytest
 from tcherry import (
     JointTable,
     MarginalCache,
+    TCherryError,
     add_hypercherry,
     eligible_separators,
     load_lizards,
@@ -94,6 +95,16 @@ def row_dicts(table: RowTable) -> list[dict]:
                 rows.append({})
             rows[i][key] = value
     return rows
+
+
+def built(build):
+    """The type and value ``build()`` returns, or the type and message of
+    the package error it raises."""
+    try:
+        got = build()
+    except TCherryError as exc:
+        return type(exc), str(exc)
+    return type(got), got
 
 
 def expand_tables(obj):

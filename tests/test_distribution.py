@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tcherry.distribution
-from conftest import random_table
+from conftest import built, random_table
 from tcherry import (
     CapacityError,
     ConsistencyError,
@@ -79,6 +79,14 @@ def test_scheme_must_be_ascending_from_one():
 def test_variable_spec_rejects_unit_cardinality():
     with pytest.raises(DomainError, match="cardinality"):
         VariableSpec(1, 1)
+
+
+@pytest.mark.parametrize("fields", [(0, 2, None), (1, 1, None), (3, 0, "hue"), (3, 4, "hue")])
+def test_variable_spec_make_and_replace_build_as_the_constructor(fields):
+    want = built(lambda: VariableSpec(*fields))
+    assert built(lambda: VariableSpec._make(fields)) == want
+    replaced = dict(zip(VariableSpec._fields, fields))
+    assert built(lambda: VariableSpec(1, 2)._replace(**replaced)) == want
 
 
 def test_probs_must_sum_to_one():
@@ -358,6 +366,20 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
                 assert got_h.hex() == want_h.hex() == cache.h(s).hex()
                 assert got_i.hex() == want_i.hex() == cache.info(s).hex()
     assert zero_rows > 0
+
+
+def test_info_h_caches_no_info_and_gives_the_bits_info_gives():
+    # info_h's subsets are the caller's C(d,k) tuples, which a cache keyed by
+    # them would keep alive: 37 MiB of them at d=60, k=4.
+    table, _ = generate_tcherry_distribution(1, 18, 3, 2, 2.0)
+    cache = MarginalCache(table)
+    cache.prefetch(4)
+    for k in (4, 3):
+        subsets = list(combinations(table.variables, k))
+        before = dict(cache._info)
+        info, _ = cache.info_h(subsets)
+        assert cache._info == before
+        assert [x.hex() for x in info.tolist()] == [cache.info(s).hex() for s in subsets]
 
 
 def _pinned_tables():

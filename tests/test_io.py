@@ -1,7 +1,5 @@
 """CSV and scheme-sidecar ingestion, write/read round trips."""
 
-import sys
-import threading
 import tracemalloc
 from contextlib import contextmanager
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
@@ -350,7 +348,7 @@ def test_chunked_reads_match_one_chunk(tmp_path, monkeypatch):
     assert str(exc.value) == f"{path}:{40 + 2}: expected 4 fields, got 5"
 
 
-# 1 MiB is the default samples chunk.
+# 1 MiB is the default chunk.
 @pytest.mark.parametrize("chunk_bytes", [4, 8, 16, 1 << 20])
 def test_samples_chunk_of_another_width(tmp_path, monkeypatch, chunk_bytes):
     # Every row of the second chunk has one field too many, so the array
@@ -359,7 +357,7 @@ def test_samples_chunk_of_another_width(tmp_path, monkeypatch, chunk_bytes):
     path = tmp_path / "s.csv"
     path.write_text("x1,x2\n1,2\n2,1\n1,1\n2,2\n1,2,1\n2,1,1\n1,1,1\n2,2,1\n")
     monkeypatch.setattr(tcherry.io, "_CHUNK_LINES", 4)
-    monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
     with pytest.raises(DataFormatError) as exc:
         load_table(path)
     assert str(exc.value) == f"{path}:6: expected 2 fields, got 3"
@@ -421,8 +419,8 @@ def test_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed):
     path.write_bytes(_samples_bytes(rng, cards, int(rng.integers(1, 5001))))
     with _text_path_only(monkeypatch):
         expected = _load_recording(path, monkeypatch)
-    for chunk_bytes in (2 * d, 7, 64, tcherry.io._SAMPLES_CHUNK_BYTES):
-        monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (2 * d, 7, 64, tcherry.io._CHUNK_BYTES):
+        monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
         assert _load_recording(path, monkeypatch) == expected
 
 
@@ -482,7 +480,7 @@ def test_odd_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, monkeyp
         return calls[-1]
 
     monkeypatch.setattr(tcherry.io, "_decode_digits", decode)
-    monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", 100 * 6)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
     assert _load_recording(path, monkeypatch) == expected
     # Decoded chunks came first, and after the first refusal the decoder
     # was not tried again.
@@ -500,7 +498,7 @@ def test_canonical_samples_never_reach_loadtxt(tmp_path, monkeypatch):
         raise AssertionError("np.loadtxt called")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    monkeypatch.setattr(tcherry.io, "_SAMPLES_CHUNK_BYTES", 100)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100)
     t = load_table(path)
     assert t.cardinalities == expected.cardinalities
     assert t.probs.tobytes() == expected.probs.tobytes()
@@ -572,8 +570,8 @@ def test_counts_byte_decoder_equals_the_text_reader(tmp_path, monkeypatch, seed)
         with _text_path_only(monkeypatch):
             expected = _load_recording(path, monkeypatch)
         # Chunks below a row, and chunks that split rows.
-        for chunk_bytes in (2 * d, 97, 1000, 4096, tcherry.io._COUNTS_CHUNK_BYTES):
-            monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", chunk_bytes)
+        for chunk_bytes in (2 * d, 97, 1000, 4096, tcherry.io._CHUNK_BYTES):
+            monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", chunk_bytes)
             assert _load_recording(path, monkeypatch) == expected
 
 
@@ -649,52 +647,13 @@ def test_odd_counts_row_after_decoded_chunks_reads_as_the_text_reader(tmp_path, 
         return calls[-1]
 
     monkeypatch.setattr(tcherry.io, "_decode_counts", decode)
-    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 100 * 6)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100 * 6)
     assert _load_recording(path, monkeypatch) == expected
     # Decoded chunks came first, and after the first refusal the decoder
     # was not tried again. With no final line end, the chunk before the
     # last line decodes and the last line alone is refused.
     assert len(calls) == (28 if ODD_COUNTS_ROWS[name] is None else 20) and calls[-1] is None
     assert all(c is not None for c in calls[:-1])
-
-
-@pytest.mark.parametrize("name", sorted(k for k, row in ODD_COUNTS_ROWS.items() if row))
-def test_odd_counts_row_in_a_later_part_hands_the_whole_chunk_to_the_text_reader(
-        tmp_path, monkeypatch, name):
-    # 600-byte chunks of two parts, 37 and 38 rows of 8 bytes; file line
-    # 1472 is the 46th row of the 20th chunk, in its second part.
-    rng = np.random.default_rng(8)
-    lines = [b"x1,x2,x3,count\n"] + [b"%d,%d,%d,%d\n" % (*s, c) for s, c in
-                                     zip(rng.integers(1, 4, (2000, 3)), rng.integers(1, 10, 2000))]
-    lines[1471] = ODD_COUNTS_ROWS[name]
-    path = tmp_path / "c.csv"
-    path.write_bytes(b"".join(lines))
-    with _text_path_only(monkeypatch):
-        expected = _load_recording(path, monkeypatch)
-    chunks, parts = [], []
-    real_chunk, real_part = tcherry.io._decode_counts, tcherry.io._decode_count_rows
-
-    def decode_chunk(chunk, d):
-        chunks.append((chunk, real_chunk(chunk, d)))
-        return chunks[-1][1]
-
-    def decode_part(buf, d):
-        got = real_part(buf, d)
-        parts.append((buf.tobytes(), got))
-        return got
-
-    monkeypatch.setattr(tcherry.io, "_decode_counts", decode_chunk)
-    monkeypatch.setattr(tcherry.io, "_decode_count_rows", decode_part)
-    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 100 * 6)
-    monkeypatch.setattr(tcherry.io, "_PARTS", 2)
-    assert _load_recording(path, monkeypatch) == expected
-    # The 20th chunk was refused whole, by its second part alone.
-    assert len(chunks) == 20 and chunks[-1][1] is None
-    assert all(got is not None for _, got in chunks[:-1])
-    assert len(parts) == 40
-    first, second = sorted(parts[-2:], key=lambda part: not chunks[-1][0].startswith(part[0]))
-    assert chunks[-1][0].startswith(first[0]) and first[1] is not None
-    assert ODD_COUNTS_ROWS[name] in second[0] and second[1] is None
 
 
 def test_canonical_counts_never_reach_loadtxt(tmp_path, monkeypatch):
@@ -708,7 +667,7 @@ def test_canonical_counts_never_reach_loadtxt(tmp_path, monkeypatch):
         raise AssertionError("np.loadtxt called")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 100)
+    monkeypatch.setattr(tcherry.io, "_CHUNK_BYTES", 100)
     t = load_table(path)
     assert t.cardinalities == expected.cardinalities
     assert t.probs.tobytes() == expected.probs.tobytes()
@@ -847,33 +806,6 @@ def test_writer_matches_reference_loop(tmp_path, monkeypatch, cards, total):
     assert path.read_text() == _reference_write(t)
 
 
-def test_writer_bytes_do_not_depend_on_the_part_count(tmp_path, monkeypatch):
-    # Integral counts, positional and exponent spellings, and values below
-    # the fast range, which repr spells. These sit every seventh cell, so
-    # with 4-cell parts they land in first, second and third parts.
-    rng = np.random.default_rng(9)
-    cards = (4, 5, 3)
-    kinds = np.array([7.0, 0.37, 123.456, 2.5e-7, 1e-290, 41.0, 0.5])
-    raw = np.resize(kinds, 60) * rng.uniform(1, 2, 60)
-    raw[::2] = np.round(raw[::2])
-    raw[[5, 17, 33]] = 0.0
-    probs = np.resize(np.array([0.1, 1e-5, 0.02, 1e-300, 3e-17, 0.5, 0.7]), 60)
-    probs[[3, 40]] = 0.0
-    tables = [JointTable(make_scheme(cards), (raw / raw.sum()).reshape(cards),
-                         total_count=float(raw.sum())),
-              JointTable(make_scheme(cards), (probs / probs.sum()).reshape(cards))]
-    monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 4)
-    for table in tables:
-        expected = _reference_write(table)
-        values = [float(line.rsplit(",", 1)[1]) for line in expected.splitlines()[1:]]
-        assert "e-" in expected and min(values) < tcherry.io._FAST_RANGE[0]
-        for parts in (1, 2, 3):
-            monkeypatch.setattr(tcherry.io, "_PARTS", parts)
-            path = tmp_path / f"w{parts}.csv"
-            write_counts_csv(path, table)
-            assert path.read_bytes() == expected.encode()
-
-
 def _spellings(x):
     """What ``_spell_floats`` spells for each of ``x``, None where it leaves
     the value to repr."""
@@ -973,105 +905,17 @@ def test_probability_file_rewritten_keeps_every_cell(tmp_path):
     np.testing.assert_allclose(second.probs, table.probs, rtol=1e-12, atol=0)
 
 
-# -- codec parts ---------------------------------------------------------------
-
-
-def _synth_counts_file(tmp_path):
-    table, _ = generate_tcherry_distribution(3, 10, 3, 2, 2.0)
-    table = JointTable(table.scheme, table.probs, total_count=1e6)
-    path = tmp_path / "c.csv"
-    write_counts_csv(path, table)
-    return table, path
-
-
-@pytest.mark.parametrize("stage", ["write", "read"])
-def test_a_part_failure_reaches_the_caller_and_every_thread_ends(tmp_path, monkeypatch, stage):
-    table, path = _synth_counts_file(tmp_path)
-    monkeypatch.setattr(tcherry.io, "_PARTS", 3)
-    monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 64)
-    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 3 * 4096)
-    name = "_spell_floats" if stage == "write" else "_decode_floats"
-    real, error = getattr(tcherry.io, name), MemoryError("part")
-
-    def fail_off_the_calling_thread(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise error
-        return real(*args)
-
-    monkeypatch.setattr(tcherry.io, name, fail_off_the_calling_thread)
-    before = threading.active_count()
-    with pytest.raises(MemoryError) as exc:
-        if stage == "write":
-            write_counts_csv(tmp_path / "w.csv", table)
-        else:
-            load_table(path)
-    assert exc.value is error
-    assert threading.active_count() == before
-
-
-def test_one_part_starts_no_thread(tmp_path, monkeypatch):
-    table, path = _synth_counts_file(tmp_path)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", refuse)
-    # One CPU: the whole file in one-part chunks.
-    monkeypatch.setattr(tcherry.io, "_PARTS", 1)
-    write_counts_csv(tmp_path / "w.csv", table)
-    assert (tmp_path / "w.csv").read_bytes() == path.read_bytes()
-    np.testing.assert_allclose(read_counts_csv(path).probs, table.probs, rtol=1e-15, atol=0)
-    # More CPUs, but fewer cells than a part holds, and one row per chunk.
-    monkeypatch.setattr(tcherry.io, "_PARTS", 4)
-    write_counts_csv(tmp_path / "w.csv", JointTable(make_scheme([2, 3]), np.full((2, 3), 1 / 6)))
-    assert tcherry.io._decode_counts(b"1,2,0.5\n2,", 2) is not None
-
-
-def test_parts_share_lookup_tables_built_once(tmp_path, monkeypatch):
-    table, _ = _synth_counts_file(tmp_path)
-    monkeypatch.setattr(tcherry.io, "_PARTS", 4)
-    monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 64)
-    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 4 * 4096)
-    tables = (tcherry.io._powers, tcherry.io._decoding_tables, tcherry.io._spelling_tables)
-    for build in tables:
-        build.cache_clear()
-    path = tmp_path / "w.csv"
-    write_counts_csv(path, table)
-    back = load_table(path)
-    np.testing.assert_allclose(back.probs, table.probs, rtol=1e-15, atol=0)
-    assert [build.cache_info().misses for build in tables] == [1, 1, 1]
-
-
-def test_more_parts_than_cores_keep_file_order_under_fast_switching(tmp_path, monkeypatch):
-    table, path = _synth_counts_file(tmp_path)
-    expected = read_counts_csv(path).probs.tobytes()
-    monkeypatch.setattr(tcherry.io, "_PARTS", 8)
-    monkeypatch.setattr(tcherry.io, "_WRITE_CELLS", 16)
-    monkeypatch.setattr(tcherry.io, "_COUNTS_CHUNK_BYTES", 8 * 512)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            write_counts_csv(tmp_path / "w.csv", table)
-            assert (tmp_path / "w.csv").read_bytes() == path.read_bytes()
-            assert read_counts_csv(path).probs.tobytes() == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_load_memory_does_not_grow_with_the_part_count(tmp_path, monkeypatch, capsys):
-    # The counts chunk is a constant, so more parts split it finer and do
-    # not read more of the file at once.
+def test_counts_load_traced_peak_stays_under_13_mib(tmp_path, capsys):
+    # A load decodes one 1 MiB chunk at a time: the 15 MB d=18 file peaks
+    # at about 11.2 MiB. Chunks of 2 MiB peak at 16.2 MiB, and two 1 MiB
+    # chunks decoded at once at 14.6-16.2.
     assert main(["synth", "--d", "18", "--k", "3", "--n", "1e6", "--seed", "1",
                  "--out", str(tmp_path / "s")]) == 0
     capsys.readouterr()
-    peaks = {}
-    for parts in (1, 8):
-        monkeypatch.setattr(tcherry.io, "_PARTS", parts)
-        tracemalloc.start()
-        try:
-            load_table(tmp_path / "s.csv")
-            peaks[parts] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[8] <= peaks[1]
+    tracemalloc.start()
+    try:
+        load_table(tmp_path / "s.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 << 20

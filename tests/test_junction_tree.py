@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_tree
+from conftest import built, random_tree
 from tcherry import (
     DataFormatError,
     DomainError,
@@ -46,6 +46,19 @@ def test_hypergraph_rejects_absorbed_edges():
 def test_hypergraph_rejects_stray_vertices():
     with pytest.raises(StructureError):
         Hypergraph((1, 2), ((1, 2, 3),))
+
+
+@pytest.mark.parametrize("fields", [
+    ((2, 1, 3), ((3, 2), (2, 1))),  # canonicalized
+    ((1, 2), ((2, 1), (1, 2, 2))),  # a duplicated vertex
+    ((1, 2, 3), ((1, 2, 3), (2, 3))),  # an absorbed edge
+    ((1, 2), ((1, 2, 3),)),  # a stray vertex
+])
+def test_hypergraph_make_and_replace_build_as_the_constructor(fields):
+    want = built(lambda: Hypergraph(*fields))
+    assert built(lambda: Hypergraph._make(fields)) == want
+    base = Hypergraph((1, 2), ((1, 2),))
+    assert built(lambda: base._replace(vertices=fields[0], hyperedges=fields[1])) == want
 
 
 def test_graham_chain_reduces_to_nothing():

@@ -239,19 +239,16 @@ def test_every_definition_is_referenced():
 
 
 #: Names that start threads or worker processes.
-THREAD_STARTERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "ThreadPool",
-                   "concurrent.futures", "multiprocessing", "_thread"}
+THREAD_STARTERS = {"threading", "Thread", "ThreadPoolExecutor", "ProcessPoolExecutor",
+                   "ThreadPool", "concurrent.futures", "multiprocessing", "_thread"}
 
 
-def test_threads_start_only_in_the_codec_part_runner():
-    # One helper runs the counts codec's parts; a second threading path in
-    # the package would have to repeat its ordering and error handling.
+def test_no_thread_starter_in_the_package():
+    # The package runs on one thread: in fresh processes on a 2-vCPU host
+    # the counts codec read and wrote faster serially than in two threads.
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        runner = {id(node) for fn in ast.walk(tree)
-                  if isinstance(fn, ast.FunctionDef) and fn.name == "_in_parts"
-                  for node in ast.walk(fn)} if path.name == "io.py" else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 names = [node.attr]
@@ -262,7 +259,7 @@ def test_threads_start_only_in_the_codec_part_runner():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name in THREAD_STARTERS and id(node) not in runner]
+                      if name in THREAD_STARTERS]
     assert SRC.is_dir() and not found
 
 
@@ -306,8 +303,8 @@ def test_entry_freezes_what_import_built_before_main(tmp_path):
 
 @pytest.mark.parametrize("case", ["unset", "chosen", "numpy first"])
 def test_import_runs_blas_on_one_thread_unless_chosen(case):
-    # OpenBLAS's threads spin on the cores the codec's parts run on, and no
-    # tcherry code calls BLAS.
+    # No tcherry code calls BLAS, and numpy imports faster when OpenBLAS
+    # starts no thread per core.
     code = ("import os\n"
             + ("import numpy\n" if case == "numpy first" else "")
             + "before = dict(os.environ)\n"
