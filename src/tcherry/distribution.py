@@ -88,8 +88,10 @@ def check_scheme(scheme) -> tuple[VariableSpec, ...]:
 
 
 def check_cap(scheme, cap: int) -> None:
-    """Raise, before any allocation, when the scheme's state space has more
-    cells than ``cap``."""
+    """Raise, before any allocation, when ``cap`` is below 1 or the scheme's
+    state space has more cells than ``cap``."""
+    if cap < 1:
+        raise DomainError(f"cell cap must be at least 1, got {cap}")
     cells = 1
     for v in scheme:
         cells *= v.cardinality
@@ -273,7 +275,8 @@ def _check_mass(keys: list, stack: np.ndarray, cells: int) -> None:
 
 
 class MarginalCache:
-    """Memoizes marginals, entropies and information contents per subset.
+    """Memoizes the marginal and entropy of each subset, and computes its
+    information content from them on demand.
 
     Every marginal but the full joint is summed from the joint by one
     route, the prefix walk: ``fill(subsets)`` caches any set of marginals
@@ -282,32 +285,27 @@ class MarginalCache:
     Marginals are kept in read-only stacks, one C-ordered (rows, *shape)
     array per cardinality shape of a walk, and handed out as rows; every
     marginal, also the joint, enters as a stack, whose mass and entropies
-    are computed in one pass.
+    are computed in one pass. Each subset has one entry, (stack, row, H),
+    under its canonical tuple.
     Values are deterministic, so concurrent writers racing on a key
     would store identical floats; within one process a plain dict is
     all that is needed.
     """
 
-    __slots__ = ("table", "_marginals", "_h", "_info", "_singles")
+    __slots__ = ("table", "_entries", "_singles")
 
     def __init__(self, table: JointTable):
         self.table = table
-        self._marginals: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}  # (stack, row)
-        self._h: dict[tuple[int, ...], float] = {}
-        self._info: dict[tuple[int, ...], float] = {}
+        self._entries: dict[tuple[int, ...], tuple[np.ndarray, int, float]] = {}
         self._singles: list[float] = []  # H(X_i) at i - 1, filled on first use
-
-    def _key(self, subset) -> tuple[int, ...]:
-        """``subset`` as the canonical tuple; a cached key is taken as is."""
-        if type(subset) is tuple and subset in self._marginals:
-            return subset
-        return canonical_subset(subset, self.table.d)
 
     def fill(self, subsets) -> None:
         """Cache the marginal of every subset in ``subsets``, of any sizes,
         in one walk over the joint; subsets already cached keep their
         values."""
-        keys = {self._key(s) for s in subsets}.difference(self._marginals)
+        store, d = self._entries, self.table.d
+        keys = {s if type(s) is tuple and s in store else canonical_subset(s, d)
+                for s in subsets}.difference(store)
         if keys:
             self._walk(sorted(keys))
 
@@ -318,7 +316,7 @@ class MarginalCache:
         d, k = self.table.d, int(k)
         if not 1 <= k <= d:
             raise DomainError(f"prefetch order must be in 1..{d}, got {k}")
-        store = self._marginals
+        store = self._entries
         keys = sorted(key for m in {k, k - 1, 1} - {0}
                       for key in combinations(range(1, d + 1), m) if key not in store)
         if keys:
@@ -359,6 +357,9 @@ class MarginalCache:
                 marginals.append(m)
 
         visit((), self.table.probs, 0, len(keys))
+        # ``visit`` holds itself through its closure; breaking that cycle frees
+        # the per-key marginals on return, not at the collector's next full pass.
+        del visit
         for shape, (group, marginals) in found.items():
             self._add_stack(group, np.concatenate(marginals).reshape(len(group), *shape))
 
@@ -367,7 +368,6 @@ class MarginalCache:
         summed from the joint, with the entropy of every row."""
         _check_mass(keys, stack, self.table.probs.size)
         stack.flags.writeable = False
-        self._marginals.update(zip(keys, zip(repeat(stack), range(len(keys)))))
         flat = stack.reshape(len(keys), -1)
         # Each row is summed pairwise, as ``entropy`` sums its nonzero
         # cells; a row with a zero cell comes out nan and is left to
@@ -376,72 +376,70 @@ class MarginalCache:
             h = (-(flat * np.log2(flat)).sum(axis=1)).tolist()
         for r in np.flatnonzero(np.isnan(h)).tolist():
             h[r] = entropy(flat[r])
-        self._h.update(zip(keys, h))
+        self._entries.update(zip(keys, zip(repeat(stack), range(len(keys)), h)))
 
-    def _ensure(self, key: tuple[int, ...]) -> None:
-        """Cache the canonical ``key``: walked alone, or, for the full key,
-        the joint itself."""
-        if key not in self._marginals:
+    def _entry(self, subset) -> tuple[tuple[int, ...], tuple[np.ndarray, int, float]]:
+        """The canonical key of ``subset`` and its (stack, row, H). A cached
+        tuple is looked up as it is; anything else is canonicalized, then
+        walked alone, or, for the full key, taken as the joint itself."""
+        entry = self._entries.get(subset) if type(subset) is tuple else None
+        if entry is not None:
+            return subset, entry
+        key = canonical_subset(subset, self.table.d)
+        if key not in self._entries:
             if len(key) == self.table.d:
                 self._add_stack([key], marginalize(self.table, key)[np.newaxis])
             else:
                 self._walk([key])
+        return key, self._entries[key]
 
     def marginal(self, subset) -> np.ndarray:
         """Read-only marginal over ``subset``, axes in ascending index order."""
-        key = self._key(subset)
-        self._ensure(key)
-        stack, row = self._marginals[key]
+        _, (stack, row, _) = self._entry(subset)
         return stack[row]
 
     def h(self, subset) -> float:
         """Entropy in bits of the marginal over ``subset``."""
-        value = self._h.get(subset) if type(subset) is tuple else None
-        if value is None:
-            key = self._key(subset)
-            self._ensure(key)
-            value = self._h[key]
-        return value
+        return self._entry(subset)[1][2]
 
     def info(self, subset) -> float:
-        """Information content of ``subset``: Σ H(X_i) − H(X_subset)."""
-        value = self._info.get(subset) if type(subset) is tuple else None
-        if value is None:
-            key = self._key(subset)
-            value = self._info.get(key)
-            if value is None:
-                if len(key) == 1:
-                    value = 0.0
-                else:
-                    singles = self._single_h()
-                    value = math.fsum(singles[i - 1] for i in key) - self.h(key)
-                self._info[key] = value
-        return value
+        """Information content of ``subset``: Σ H(X_i) − H(X_subset), and
+        0.0 for a single, which is not walked."""
+        if type(subset) is not tuple or subset not in self._entries:
+            subset = canonical_subset(subset, self.table.d)
+        if len(subset) == 1:
+            return 0.0
+        singles = self._single_h()
+        return math.fsum(singles[i - 1] for i in subset) - self.h(subset)
 
     def _single_h(self) -> list[float]:
         """H(X_i) at i - 1."""
         if not self._singles:
             self.fill((i,) for i in range(1, self.table.d + 1))
-            self._singles = [self._h[(i,)] for i in range(1, self.table.d + 1)]
+            self._singles = [self._entries[(i,)][2] for i in range(1, self.table.d + 1)]
         return self._singles
 
-    def info_h(self, subsets) -> tuple[np.ndarray, np.ndarray]:
-        """I and H of each of ``subsets``, canonical tuples of one size, as
-        two arrays: the floats ``info`` and ``h`` give, filled per stack.
-        The I values are not cached: their keys would keep the caller's
-        tuples alive."""
-        subsets = list(subsets)
-        self.fill(subsets)
-        h = np.fromiter(map(self.h, subsets), np.float64, len(subsets))
-        singles = np.array(self._single_h())[np.array(subsets) - 1]
-        info = np.fromiter(map(math.fsum, singles.tolist()), np.float64, len(subsets)) - h
+    def info_h(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """I and H of every m-subset, by lexicographic rank, as two arrays:
+        the floats ``info`` and ``h`` give. The m-subsets not cached are
+        walked in one walk."""
+        d = self.table.d
+        if not 1 <= m <= d:
+            raise DomainError(f"subset size must be in 1..{d}, got {m}")
+        keys = list(combinations(range(1, d + 1), m))
+        missing = [key for key in keys if key not in self._entries]
+        if missing:
+            self._walk(missing)
+        h = np.fromiter(map(self.h, keys), np.float64, len(keys))
+        singles = np.array(self._single_h())[np.array(keys) - 1]
+        info = np.fromiter(map(math.fsum, singles.tolist()), np.float64, len(keys)) - h
         return info, h
 
     def point(self, subset, full_state: Sequence[int]) -> float:
         """Marginal probability of ``full_state`` restricted to ``subset``."""
-        key = self._key(subset)
+        key, (stack, row, _) = self._entry(subset)
         cell = self.table.cell(full_state)
-        return float(self.marginal(key)[tuple(cell[i - 1] for i in key)])
+        return float(stack[row][tuple(cell[i - 1] for i in key)])
 
 
 def cache_for(p: JointTable, cache: MarginalCache | None) -> MarginalCache:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -171,10 +171,10 @@ def enumerate_candidates(p: JointTable, k: int,
     k = _validate_k(p.d, k)
     cache = cache_for(p, cache)
     cache.prefetch(k)
-    clusters = tuple(combinations(p.variables, k))
-    i_base, h_base = cache.info_h(combinations(p.variables, k - 1))
-    i_cluster, h_cluster = cache.info_h(clusters)
-    members = np.array(clusters, dtype=np.min_scalar_type(p.d))
+    i_base, h_base = cache.info_h(k - 1)
+    i_cluster, h_cluster = cache.info_h(k)
+    members = np.fromiter(chain.from_iterable(combinations(p.variables, k)),
+                          np.min_scalar_type(p.d), len(i_cluster) * k).reshape(-1, k)
     base_ranks = np.stack([_lex_ranks(np.delete(members, j, axis=1), p.d)
                            for j in reversed(range(k))], axis=1)
     return CandidateTable(p.d, members, base_ranks, i_cluster, h_cluster, i_base, h_base)
@@ -315,14 +315,14 @@ def fit_exhaustive(p: JointTable, k: int, cache: MarginalCache | None = None) ->
             f"(labeled {k - 1}-trees), more than {EXHAUSTIVE_LIMIT}"
         )
     cache = cache_for(p, cache)
-    # Scored first, as in every fit, so structures are weighed from the
-    # marginals the table prefetched and not from joint reductions.
     table = enumerate_candidates(p, k, cache).by_w()
+    # Structures are weighed from the table's I, the floats ``cache.info`` gives.
+    info = dict(zip(combinations(p.variables, k), table.i_cluster.tolist()))
+    info.update(zip(combinations(p.variables, k - 1), table.i_base.tolist()))
     best = None
     for clusters, seps, witness in iter_structures(p.d, k):
-        weight = math.fsum(cache.info(c) for c in clusters) - math.fsum(
-            cache.info(s) for s in seps
-        )
+        weight = math.fsum(map(info.__getitem__, clusters)) - math.fsum(
+            map(info.__getitem__, seps))
         key = (-weight, clusters, seps)
         if best is None or key < best[0]:
             best = (key, witness)

@@ -227,5 +227,5 @@ def test_derived_tables_check_mass_once_and_name_the_first_bad_subset():
     cache.fill([(1,)])
     for key, shape in (((1, 2), (2, 3)), ((2, 3), (3, 2)), ((1,), (2,))):
         assert cache.marginal(key).shape == shape
-        stack, _ = cache._marginals[key]
+        stack, _, _ = cache._entries[key]
         assert not stack.flags.writeable

@@ -229,6 +229,19 @@ def test_cap_guard_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [["fit", "--k", "3", "--cap", "0", "lizards.csv"],
+                                  ["fit", "--k", "2", "--cap", "-1", "lizards.csv"],
+                                  ["synth", "--d", "4", "--k", "2", "--cap", "0", "--out"]])
+def test_cap_below_one_is_an_input_error(tmp_path, capsys, argv):
+    # No table fits under such a cap: the cap itself is the bad input.
+    if argv[0] == "synth":
+        argv = argv + [str(tmp_path / "s")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cell cap must be at least 1, got {argv[argv.index('--cap') + 1]}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_consistency_failure_exit_code(capsys, monkeypatch):
     def drifted(*args):
         raise ConsistencyError("marginal over (1,) entries sum to 0.9, not 1")

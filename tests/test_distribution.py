@@ -4,6 +4,7 @@ Numeric checks run against a dict-based oracle written from scratch:
 no shared code with the library paths under test.
 """
 
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -103,6 +104,17 @@ def test_negative_mass_rejected():
 def test_cell_cap_guards_dense_allocation():
     with pytest.raises(CapacityError, match="cap"):
         JointTable(make_scheme([10] * 12), np.zeros(1), cap=10**6)
+
+
+def test_cell_cap_below_one_is_a_domain_error():
+    cells = [((1, 2), 3.0), ((2, 1), 1.0)]
+    for build in (lambda cap: JointTable(make_scheme([2, 2]), np.full((2, 2), 0.25), cap=cap),
+                  lambda cap: from_counts(cells, make_scheme([2, 2]), cap=cap),
+                  lambda cap: from_codes(np.zeros((1, 2), dtype=np.int64), None, None, cap=cap),
+                  lambda cap: generate_tcherry_distribution(0, 4, 2, 2, 1.0, cap=cap)):
+        for cap in (0, -1):
+            with pytest.raises(DomainError, match=f"cell cap must be at least 1, got {cap}$"):
+                build(cap)
 
 
 def test_table_is_immutable():
@@ -355,7 +367,7 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
         cache = MarginalCache(t)
         cache.prefetch(k)
         sizes = [list(combinations(t.variables, m)) for m in range(max(k - 1, 1), k + 1)]
-        got = [cache.info_h(subsets) for subsets in sizes]
+        got = [cache.info_h(m) for m in range(max(k - 1, 1), k + 1)]
         singles = [entropy(cache.marginal((v,))) for v in t.variables]
         for subsets, (info, h) in zip(sizes, got):
             for s, got_i, got_h in zip(subsets, info.tolist(), h.tolist()):
@@ -366,20 +378,6 @@ def test_stacked_entropies_and_informations_are_bit_identical(seed):
                 assert got_h.hex() == want_h.hex() == cache.h(s).hex()
                 assert got_i.hex() == want_i.hex() == cache.info(s).hex()
     assert zero_rows > 0
-
-
-def test_info_h_caches_no_info_and_gives_the_bits_info_gives():
-    # info_h's subsets are the caller's C(d,k) tuples, which a cache keyed by
-    # them would keep alive: 37 MiB of them at d=60, k=4.
-    table, _ = generate_tcherry_distribution(1, 18, 3, 2, 2.0)
-    cache = MarginalCache(table)
-    cache.prefetch(4)
-    for k in (4, 3):
-        subsets = list(combinations(table.variables, k))
-        before = dict(cache._info)
-        info, _ = cache.info_h(subsets)
-        assert cache._info == before
-        assert [x.hex() for x in info.tolist()] == [cache.info(s).hex() for s in subsets]
 
 
 def _pinned_tables():
@@ -440,7 +438,7 @@ def _cache_outputs(table) -> str:
 
     summed = MarginalCache(table)
     summed.prefetch(4)
-    for part in summed.info_h(list(combinations(table.variables, 3))):
+    for part in summed.info_h(3):
         sha.update(part.tobytes())
     for r in (3, 2, 1):
         for key in combinations(table.variables, r):
@@ -511,6 +509,41 @@ def test_prefetch_partial_sums_stay_below_one_joint_table(k):
     assert peak - current < t.probs.nbytes
 
 
+def test_prefetched_cache_holds_under_250_bytes_a_key_beyond_its_stacks():
+    # Each key's (stack, row, H) is one entry of one dict. What the cache
+    # holds is what dropping it frees: at d=20, k=4 about 236 bytes a key
+    # beside its stacks.
+    d = 20
+    probs = np.random.default_rng(89).random(2**d)
+    t = JointTable(make_scheme((2,) * d), probs / probs.sum())
+    keys = [key for m in (1, 3, 4) for key in combinations(t.variables, m)]
+    tracemalloc.start()
+    try:
+        cache = MarginalCache(t)
+        cache.prefetch(4)
+        stacks = sum({id(m.base): m.base.nbytes for m in map(cache.marginal, keys)}.values())
+        gc.collect()  # a full collection also empties the free lists
+        held = tracemalloc.get_traced_memory()[0]
+        del cache
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (freed - stacks) / len(keys) < 250
+
+
+@pytest.mark.parametrize("route", ["prefetch", "fill", "alone"])
+def test_a_walk_leaves_nothing_for_the_collector(route):
+    # The walk's partial sums and per-key marginals are freed when it ends,
+    # not kept by a reference cycle until the collector runs.
+    t = random_table(np.random.default_rng(97), (2, 3, 2, 2, 3))
+    cache = MarginalCache(t)
+    gc.collect()
+    {"prefetch": lambda: cache.prefetch(3), "fill": lambda: cache.fill([(1, 2), (3, 4, 5)]),
+     "alone": lambda: cache.marginal((2, 4))}[route]()
+    assert gc.collect() == 0
+
+
 def _reference_prefetch(table, k):
     """The k-subset walk ``prefetch`` ran before ``fill`` generalized it:
     children in index order, one axis summed out between consecutive ones.
@@ -543,7 +576,7 @@ def test_prefetch_equals_the_reference_walk(d):
         cache.prefetch(k)
         want = _reference_prefetch(t, k)
         sizes = {k, k - 1, 1} - {0}
-        assert sorted(cache._marginals) == sorted(
+        assert sorted(cache._entries) == sorted(
             key for m in sizes for key in combinations(t.variables, m))
         for key, probs in want.items():
             assert np.array_equal(cache.marginal(key), probs)
@@ -575,7 +608,7 @@ def test_fill_matches_marginalize_on_mixed_key_sets(seed, monkeypatch):
             m.setattr(tcherry.distribution, "marginalize", _refuse_full_table)
             cache.fill(keys)
             got = {s: cache.marginal(s) for s in keys}
-        assert sorted(cache._marginals) == sorted(keys)
+        assert sorted(cache._entries) == sorted(keys)
         for s, marginal in got.items():
             np.testing.assert_allclose(marginal, marginalize(t, s), strict=True,
                                        rtol=0, atol=1e-12)

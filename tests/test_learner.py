@@ -320,6 +320,19 @@ def test_exhaustive_k3_beats_both_greedies_on_lizard(lizard, lizard_cache):
     assert ex.score.kl <= SK3_KL and ex.score.kl <= M3_KL
 
 
+def test_exhaustive_weighs_structures_without_asking_the_cache(monkeypatch):
+    # The 1,215 structures at d=6, k=3 are weighed from the candidate
+    # table's I; only the fit's own scoring asks the cache, O(d) times.
+    t = random_table(np.random.default_rng(83), (2, 3, 2, 2, 3, 2))
+    asked = []
+    info = MarginalCache.info
+    monkeypatch.setattr(MarginalCache, "info",
+                        lambda cache, subset: asked.append(subset) or info(cache, subset))
+    fit_exhaustive(t, 3)
+    assert structure_count(6, 3) == 1215
+    assert 0 < len(asked) <= 3 * t.d
+
+
 def test_exhaustive_refuses_large_vertex_counts():
     t = random_table(np.random.default_rng(79), (2,) * 8)
     with pytest.raises(CapacityError, match=r"d=8, k=3: 799708 structures"):
