@@ -7,7 +7,7 @@ time of day (3 levels) and species, a 2x2x2x3x2 contingency table.
 
 from pathlib import Path
 
-from .distribution import DEFAULT_CELL_CAP, JointTable
+from .distribution import JointTable
 from .io import read_counts_csv, read_scheme_json
 
 
@@ -16,8 +16,7 @@ def lizards_path() -> Path:
     return Path(__file__).with_name("data") / "lizards.csv"
 
 
-def load_lizards(cap: int = DEFAULT_CELL_CAP) -> JointTable:
+def load_lizards() -> JointTable:
     """The lizard habitat contingency table as a joint distribution."""
     path = lizards_path()
-    return read_counts_csv(path, scheme=read_scheme_json(path.with_suffix(".scheme.json")),
-                           cap=cap)
+    return read_counts_csv(path, scheme=read_scheme_json(path.with_suffix(".scheme.json")))

@@ -2,11 +2,11 @@
 
 Variables are identified by 1-based indices 1..d, states by 1-based
 integers 1..cardinality. Probability tables are dense numpy arrays in
-row-major order over the scheme; a table refuses to materialize more
-cells than the cap allows. Every subset argument is canonicalized to a
-sorted tuple at the boundary, and all entropies are in bits. The
-library takes its marginals from ``MarginalCache``, which sums each one
-but the joint itself by one route, a walk over the subsets' prefixes.
+row-major order over the scheme; the cell cap is checked before a
+table is read, drawn or allocated, never for one that exists. Subsets
+are canonicalized to sorted tuples at the boundary, and all entropies
+are in bits. The library takes its marginals from ``MarginalCache``,
+which sums each one but the joint itself by one route, a prefix walk.
 
 Tables are values: arrays are frozen after construction and every
 operation returns a new object.
@@ -128,10 +128,8 @@ class JointTable:
 
     __slots__ = ("scheme", "probs", "total_count")
 
-    def __init__(self, scheme, probs, total_count: float | None = None,
-                 cap: int = DEFAULT_CELL_CAP):
+    def __init__(self, scheme, probs, total_count: float | None = None):
         scheme = check_scheme(scheme)
-        check_cap(scheme, cap)
         shape = tuple(v.cardinality for v in scheme)
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "probs", _frozen_probs(probs, shape))
@@ -178,7 +176,6 @@ def from_counts(cells, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable:
     probability weights); cells repeated in the input accumulate.
     """
     scheme = check_scheme(scheme)
-    check_cap(scheme, cap)
     states, counts = [], []
     for state, count in cells:
         state = tuple(int(s) for s in state)
@@ -243,7 +240,7 @@ def from_codes(codes, counts, scheme, cap: int = DEFAULT_CELL_CAP) -> JointTable
     if total <= 0.0:
         raise DomainError("counts are all zero; cannot form a distribution")
     table /= total
-    return JointTable(scheme, table, total_count=total, cap=cap)
+    return JointTable(scheme, table, total_count=total)
 
 
 def marginalize(p: JointTable, subset: Iterable[int]) -> np.ndarray:
@@ -472,8 +469,11 @@ def with_additive_smoothing(p: JointTable, alpha: float) -> JointTable:
     if alpha == 0.0:
         return p
     n = p.total_count if p.total_count is not None else 1.0
-    counts = p.probs * n + alpha
-    total = float(np.sum(counts))
-    if not math.isfinite(total) or total <= 0:
+    with np.errstate(over="ignore"):  # an infinite total is refused below
+        counts = p.probs * n + alpha
+        total = float(np.sum(counts))
+    if total == math.inf:
+        raise DomainError(f"smoothing {alpha!r} makes the counts' total overflow a double")
+    if not total > 0:
         raise ConsistencyError("smoothed counts did not produce positive mass")
     return JointTable(p.scheme, counts / total, total_count=n)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distribution import DEFAULT_CELL_CAP, JointTable, VariableSpec, from_codes
+from .distribution import DEFAULT_CELL_CAP, JointTable, VariableSpec, check_cap, from_codes
 from .errors import DataFormatError
 
 #: Lines parsed per array chunk.
@@ -443,6 +443,7 @@ def _read_body(f, d, has_count, path, first_line):
 def _read_table(path, want_count, scheme, cap):
     """Load counts (``want_count`` True) or samples (False), or with
     ``want_count`` None whichever the header names."""
+    check_cap(scheme or (), cap)  # before the file opens; with no scheme, only cap < 1
     with _open(path, binary=True) as raw:
         d, has_count, codes, counts = _read_digits(raw, want_count)
         f = TextIOWrapper(raw, encoding="utf-8")

@@ -357,6 +357,11 @@ def tree_to_dict(t: TCherryJunctionTree) -> dict:
     }
 
 
+def _int_list(x) -> bool:
+    """A JSON list of integers; true and false are not 1 and 0."""
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def parse_tree_document(doc) -> tuple[int, list[IndexSet], list[SeparatorLink]]:
     """Shape-check a tree document without constructing the tree.
 
@@ -377,7 +382,7 @@ def parse_tree_document(doc) -> tuple[int, list[IndexSet], list[SeparatorLink]]:
     if not isinstance(clusters, list) or not all(isinstance(c, list) for c in clusters):
         raise DataFormatError("'clusters' must be a list of vertex lists")
     for j, c in enumerate(clusters):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in c):
+        if not _int_list(c):
             raise DataFormatError(f"clusters[{j}] must contain integers only")
     if not isinstance(separators, list):
         raise DataFormatError("'separators' must be a list")
@@ -387,14 +392,14 @@ def parse_tree_document(doc) -> tuple[int, list[IndexSet], list[SeparatorLink]]:
             raise DataFormatError(
                 f"separators[{j}] must be an object with 'set' and 'attach_to'"
             )
-        if not isinstance(entry["set"], list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in entry["set"]
-        ):
+        if not _int_list(entry["set"]):
             raise DataFormatError(f"separators[{j}]['set'] must be a list of integers")
         if not isinstance(entry["attach_to"], int) or isinstance(entry["attach_to"], bool):
             raise DataFormatError(f"separators[{j}]['attach_to'] must be an integer")
         links.append(SeparatorLink(tuple(entry["set"]), entry["attach_to"]))
     raw_clusters = [tuple(c) for c in clusters]
+    if not _int_list(doc["parent"]):
+        raise DataFormatError("'parent' must be a list of integers")
     declared_parent = _canon(doc["parent"], "parent")
     if not raw_clusters or tuple(sorted(set(raw_clusters[0]))) != declared_parent:
         raise DataFormatError(

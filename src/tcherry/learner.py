@@ -386,7 +386,7 @@ def random_factorizing_table(tree: TCherryJunctionTree, scheme, rng,
         cond = _softmax(strengths[j], rng.standard_normal(cond_shape), axis=axis)
         table *= expand_marginal(cond, cluster, d)
     table /= np.sum(table)
-    return JointTable(scheme, table, cap=cap)
+    return JointTable(scheme, table)
 
 
 def generate_tcherry_distribution(seed: int, d: int, k: int,
@@ -415,6 +415,10 @@ def generate_tcherry_distribution(seed: int, d: int, k: int,
                 f"strength schedule needs {d - k + 1} entries for d={d}, k={k}; "
                 f"got {len(strengths)}"
             )
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    scheme = make_scheme(cardinalities)
+    check_cap(scheme, cap)  # before the tree, whose growth is quadratic in d
     rng = np.random.default_rng(seed)
     parent = tuple(sorted(int(v) for v in rng.choice(np.arange(1, d + 1), size=k,
                                                      replace=False)))
@@ -425,6 +429,5 @@ def generate_tcherry_distribution(seed: int, d: int, k: int,
         options = sorted(eligible_separators(tree))
         sep = options[int(rng.integers(len(options)))]
         tree = add_hypercherry(tree, vertex, sep)
-    scheme = make_scheme(cardinalities)
     table = random_factorizing_table(tree, scheme, rng, strengths, cap=cap)
     return table, tree

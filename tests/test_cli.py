@@ -242,6 +242,76 @@ def test_cap_below_one_is_an_input_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("code, argv, parent, message", [
+    *[pytest.param(2, [command, "t.json", *data], parent,
+                   "error: 'parent' must be a list of integers\n",
+                   id=f"{command}{'-data' * len(data)}-parent-{json.dumps(parent)}")
+      for parent in ("abc", 5, None, [[1], 2, 3], [True, 2, 3])
+      for command, data in (("check", []), ("check", ["lizards"]), ("score", ["lizards"]))],
+    pytest.param(2, ["synth", "--d", "4", "--k", "2", "--seed", "-1", "--out", "s"], None,
+                 "error: seed must be non-negative, got -1\n", id="synth-negative-seed"),
+    pytest.param(2, ["fit", "--k", "2", "--smoothing", "1e308", "lizards"], None,
+                 "error: smoothing 1e+308 makes the counts' total overflow a double\n",
+                 id="fit-smoothing-overflow"),
+    # The cap is checked before the file is opened, so it wins over the bad row.
+    pytest.param(2, ["fit", "--k", "2", "--cap", "0", "bad.csv"], None,
+                 "error: cell cap must be at least 1, got 0\n", id="fit-cap-0-bad-row"),
+    pytest.param(3, ["fit", "--k", "2", "--scheme", "s.json", "--cap", "3", "bad.csv"], None,
+                 "error: product state space exceeds cap: >3 cells for cardinalities (2, 2)\n",
+                 id="fit-scheme-over-cap-bad-row"),
+])
+def test_malformed_input_gives_one_error_line_and_no_file(tmp_path, capsys, monkeypatch,
+                                                          code, argv, parent, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps(
+        {"k": 3, "clusters": [[1, 2, 3]], "separators": [], "parent": parent}))
+    # Line 60 has a field too many.
+    (tmp_path / "bad.csv").write_text("x1,x2,count\n" + "1,2,3\n" * 58 + "2,1,3,4\n")
+    (tmp_path / "s.json").write_text(json.dumps({"variables": [{"cardinality": 2}] * 2}))
+    before = sorted(tmp_path.iterdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, *argv)
+    assert got == (code, "", message)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_synth_refuses_the_cap_before_it_grows_its_tree(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tree grown before the cap was checked")
+
+    monkeypatch.setattr(tcherry.learner, "add_hypercherry", refuse)
+    code, out, err = run(capsys, "synth", "--d", "60", "--k", "3", "--cap", "1000",
+                         "--out", str(tmp_path / "s"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: product state space exceeds cap: >1000 cells")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["fit", "--k", "2", "--smoothing", "1", "lizards"],
+                                  ["synth", "--d", "4", "--k", "2", "--n", "100", "--out"]])
+def test_every_cap_check_is_against_the_cap_given(tmp_path, capsys, monkeypatch, argv):
+    caps = []
+
+    def spy(original):
+        def check_cap(scheme, cap):
+            caps.append(cap)
+            return original(scheme, cap)
+        return check_cap
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "tcherry" and hasattr(m, "check_cap")]
+    assert {m.__name__ for m in bound} >= {"tcherry.distribution", "tcherry.io",
+                                          "tcherry.learner"}
+    for module in bound:
+        monkeypatch.setattr(module, "check_cap", spy(module.check_cap))
+    if argv[0] == "synth":
+        argv = argv + [str(tmp_path / "s")]
+    code, _, err = run(capsys, *argv, "--cap", "1234")
+    assert (code, err) == (0, "")
+    assert caps and set(caps) == {1234}
+
+
 def test_internal_consistency_failure_exit_code(capsys, monkeypatch):
     def drifted(*args):
         raise ConsistencyError("marginal over (1,) entries sum to 0.9, not 1")

@@ -103,13 +103,12 @@ def test_negative_mass_rejected():
 
 def test_cell_cap_guards_dense_allocation():
     with pytest.raises(CapacityError, match="cap"):
-        JointTable(make_scheme([10] * 12), np.zeros(1), cap=10**6)
+        from_codes(np.zeros((1, 12), dtype=np.int64), None, make_scheme([10] * 12), cap=10**6)
 
 
 def test_cell_cap_below_one_is_a_domain_error():
     cells = [((1, 2), 3.0), ((2, 1), 1.0)]
-    for build in (lambda cap: JointTable(make_scheme([2, 2]), np.full((2, 2), 0.25), cap=cap),
-                  lambda cap: from_counts(cells, make_scheme([2, 2]), cap=cap),
+    for build in (lambda cap: from_counts(cells, make_scheme([2, 2]), cap=cap),
                   lambda cap: from_codes(np.zeros((1, 2), dtype=np.int64), None, None, cap=cap),
                   lambda cap: generate_tcherry_distribution(0, 4, 2, 2, 1.0, cap=cap)):
         for cap in (0, -1):
